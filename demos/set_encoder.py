@@ -11,7 +11,8 @@ from ospace.encoder import (
     EncoderConfig,
     EncoderWeights,
     encode,
-    encode_backward,
+    encode_batch,
+    encode_batch_backward,
     init_encoder,
 )
 from ospace.layers import Dense
@@ -41,13 +42,17 @@ assert encode(feats, big).tobytes() == pooled.tobytes()
 print("capacity 6 -> 30: bit-identical")
 
 # gradient provenance: each pooled dim belongs to exactly one person
-upstream = np.ones_like(pooled)
-_, in_grad = encode_backward(feats, weights, upstream)
+def input_grad(rows):
+    _, cache = encode_batch(rows[None], np.ones((1, len(rows)), bool), weights)
+    return encode_batch_backward(np.ones((1, pooled.shape[0])), cache, weights)[0]
+
+
+in_grad = input_grad(feats)
 rows_with_grad = np.nonzero(np.abs(in_grad).sum(axis=1))[0]
 print(f"people receiving gradient: {rows_with_grad}")
 
 # a person who never wins a max gets exactly zero gradient
 clone = np.vstack([feats, feats[0]])       # duplicate of person 0 appended last
-_, g = encode_backward(clone, weights, upstream)
+g = input_grad(clone)
 print(f"duplicate row gradient is zero: {not g[-1].any()}")
 assert not g[-1].any()

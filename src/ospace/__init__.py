@@ -35,7 +35,7 @@ from .dataset import (
     scene_features,
     sequential_split,
 )
-from .encoder import EncoderConfig, EncoderWeights, encode, encode_backward, init_encoder
+from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder
 from .evaluation import (
     GroupMetrics,
     aggregate,

@@ -273,8 +273,6 @@ def _cmd_predict(args) -> int:
     room = _resolve_room(args, model.spec, room_dim)
     params = _params_from_args(args)
     heatmaps = thread_map(lambda s: predict_heatmap(s, model, room), scenes)
-    if args.pgm_dir:
-        os.makedirs(args.pgm_dir, exist_ok=True)
     with open(args.output, "w", encoding="utf-8") as f:
         for scene, heatmap in zip(scenes, heatmaps):
             detections = nms(heatmap, params)
@@ -288,9 +286,6 @@ def _cmd_predict(args) -> int:
                 "groups": [list(b) for b in groups],
             }))
             f.write("\n")
-            if args.pgm_dir:
-                _write_pgm(heatmap, os.path.join(args.pgm_dir,
-                                                 f"{scene.frame_id}.pgm"))
     print(f"wrote predictions for {len(scenes)} scenes to {args.output}")
     return 0
 
@@ -459,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float)
     p.add_argument("--assign-dist", type=float)
     p.add_argument("--stride", type=float)
-    p.add_argument("--pgm-dir", help="also write per-scene heatmap PGMs here")
     _add_room_args(p)
     p.set_defaults(func=_cmd_predict)
 

@@ -3,8 +3,14 @@
 A shared MLP maps every person's 18-dim feature through the same weights
 (equivalent to 1x1 convolutions over the person axis), then max pooling per
 output dimension collapses the set to one D-dim vector.  Pooling only ever
-sees the real rows, so the result is bit-identical under input permutation
-and independent of the padding capacity M; M is just a hard cap on set size.
+sees the real rows, so the result is independent of the padding capacity M;
+M is just a hard cap on set size.
+
+A BLAS matmul rounds a row differently depending on its position in the
+matrix (blocked rows vs the remainder), so feeding a set's rows in input
+order would leak that order into the low bits of the pooled vector.
+``encode`` therefore sorts the rows lexicographically first: every
+permutation of a set yields the same matrix, and so the same bits.
 
 Backward routes each pooled dimension's gradient to its argmax person, ties
 to the lowest index.  The batched path pads sets to a common length and
@@ -17,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Dense, init_dense
+from .layers import Dense, init_dense, relu_stack_backward, relu_stack_forward
 
 __all__ = [
     "EncoderConfig",
     "EncoderWeights",
     "init_encoder",
     "encode",
-    "encode_backward",
     "encode_batch",
     "encode_batch_backward",
     "pad_features",
@@ -96,15 +101,8 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache)."""
     _check_batch(batch, mask, weights.config)
     b, p_max, d = batch.shape
-    x = batch.reshape(b * p_max, d)
-    xs = []
-    relu_masks = []
-    for layer in weights.layers:
-        xs.append(x)
-        z = x @ layer.W + layer.b
-        m = z > 0
-        relu_masks.append(m)
-        x = np.where(m, z, 0.0)
+    x, xs, relu_masks = relu_stack_forward(batch.reshape(b * p_max, d),
+                                           weights.layers)
     per_person = x.reshape(b, p_max, -1)
     masked = np.where(mask[:, :, None], per_person, -np.inf)
     arg = masked.argmax(axis=1)
@@ -118,78 +116,16 @@ def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
     d_out = weights.config.output_dim
     g = np.zeros((b, p_max, d_out))
     np.put_along_axis(g, arg[:, None, :], upstream[:, None, :], axis=1)
-    g = g.reshape(b * p_max, d_out)
-    for layer, x, m in zip(reversed(weights.layers), reversed(xs), reversed(relu_masks)):
-        g = np.where(m, g, 0.0)
-        layer.grad_W += x.T @ g
-        layer.grad_b += g.sum(axis=0)
-        g = g @ layer.W.T
+    g = relu_stack_backward(g.reshape(b * p_max, d_out), weights.layers,
+                            xs, relu_masks)
     return g.reshape(b, p_max, weights.config.input_dim)
-
-
-def _forward_rows(features: np.ndarray, weights: EncoderWeights):
-    """Per-person MLP activations, one row at a time.
-
-    BLAS matmul kernels round a row differently depending on its position
-    in the matrix (blocked rows vs the remainder), which would leak the
-    input order into the low bits of the pooled vector.  Pushing each row
-    through separately makes the per-person values independent of the
-    other rows, so the pooled max is bit-identical under permutation.
-    """
-    p = features.shape[0]
-    xs = [np.empty((p, layer.W.shape[0])) for layer in weights.layers]
-    relu_masks = [np.empty((p, layer.W.shape[1]), dtype=bool)
-                  for layer in weights.layers]
-    out = np.empty((p, weights.config.output_dim))
-    for i in range(p):
-        x = features[i]
-        for j, layer in enumerate(weights.layers):
-            xs[j][i] = x
-            z = x @ layer.W + layer.b
-            m = z > 0
-            relu_masks[j][i] = m
-            x = np.where(m, z, 0.0)
-        out[i] = x
-    return xs, relu_masks, out
-
-
-def _check_set(features: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != cfg.input_dim:
-        raise ValueError(f"bad feature set shape {features.shape}")
-    if features.shape[0] < 1:
-        raise ValueError("a scene has zero persons")
-    if features.shape[0] > cfg.max_people:
-        raise ValueError(
-            f"a scene has {features.shape[0]} persons, cap is {cfg.max_people}"
-        )
-    return features
 
 
 def encode(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     """Encode one (P, d) person-feature set into a D-dim vector."""
-    features = _check_set(features, weights.config)
-    _, _, out = _forward_rows(features, weights)
-    return out.max(axis=0)
-
-
-def encode_backward(features: np.ndarray, weights: EncoderWeights,
-                    upstream: np.ndarray):
-    """Gradients of <upstream, encode(features)>.
-
-    Returns ([(grad_W, grad_b) per layer], input gradient of shape (P, d));
-    the weight gradient buffers on ``weights`` are left untouched.
-    """
-    features = _check_set(features, weights.config)
-    upstream = np.asarray(upstream, dtype=float)
-    xs, relu_masks, out = _forward_rows(features, weights)
-    arg = out.argmax(axis=0)  # ties go to the lowest person index
-    g = np.zeros_like(out)
-    g[arg, np.arange(out.shape[1])] = upstream
-    grads = []
-    for layer, x, m in zip(reversed(weights.layers), reversed(xs),
-                           reversed(relu_masks)):
-        g = np.where(m, g, 0.0)
-        grads.append((x.T @ g, g.sum(axis=0)))
-        g = g @ layer.W.T
-    return grads[::-1], g
+    features = np.asarray(features, dtype=float)
+    # column 0 is the primary key: lexsort sorts by its last key first
+    rows = features[np.lexsort(features.T[::-1])]
+    pooled, _ = encode_batch(rows[None], np.ones((1, rows.shape[0]), bool),
+                             weights)
+    return pooled[0]

@@ -1,15 +1,17 @@
 """Minimal differentiable layers on bare numpy.
 
 Everything here works on batches: inputs are (n, d_in), outputs (n, d_out).
-Each layer caches what its backward pass needs during forward, so the usage
-pattern is strictly forward-then-backward per batch.  Parameters live in
-plain float64 arrays so an optimizer can update them in place.
+A ReLU stack's forward returns the inputs and activation masks its backward
+needs, and the caller passes them back, so the layers themselves hold no
+per-batch state.  Parameters live in plain float64 arrays so an optimizer
+can update them in place.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dense", "ReLU", "Sigmoid", "init_dense", "sigmoid"]
+__all__ = ["Dense", "init_dense", "relu_stack_backward", "relu_stack_forward",
+           "sigmoid"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -34,7 +36,6 @@ class Dense:
         self.b = b
         self.grad_W = np.zeros_like(W)
         self.grad_b = np.zeros_like(b)
-        self._x: np.ndarray | None = None
 
     @property
     def d_in(self) -> int:
@@ -44,51 +45,36 @@ class Dense:
     def d_out(self) -> int:
         return self.W.shape[1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.W + self.b
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients, return gradient w.r.t. input."""
-        x = self._x
-        if x is None:
-            raise RuntimeError("backward before forward")
-        self.grad_W += x.T @ grad_out
-        self.grad_b += grad_out.sum(axis=0)
-        return grad_out @ self.W.T
-
     def zero_grad(self) -> None:
         self.grad_W[...] = 0.0
         self.grad_b[...] = 0.0
 
 
-class ReLU:
-    def __init__(self):
-        self._mask: np.ndarray | None = None
+def relu_stack_forward(x: np.ndarray, layers):
+    """Apply relu(x W + b) for each layer in turn.
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    Returns (out, xs, masks): each layer's input and its ReLU mask, which
+    ``relu_stack_backward`` takes back.
+    """
+    xs = []
+    masks = []
+    for layer in layers:
+        xs.append(x)
+        z = x @ layer.W + layer.b
+        m = z > 0
+        masks.append(m)
+        x = np.where(m, z, 0.0)
+    return x, xs, masks
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward before forward")
-        return np.where(self._mask, grad_out, 0.0)
 
-
-class Sigmoid:
-    def __init__(self):
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = sigmoid(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        y = self._y
-        if y is None:
-            raise RuntimeError("backward before forward")
-        return grad_out * y * (1.0 - y)
+def relu_stack_backward(g: np.ndarray, layers, xs, masks) -> np.ndarray:
+    """Accumulate grad_W/grad_b of every layer; returns the input gradient."""
+    for layer, x, m in zip(reversed(layers), reversed(xs), reversed(masks)):
+        g = np.where(m, g, 0.0)
+        layer.grad_W += x.T @ g
+        layer.grad_b += g.sum(axis=0)
+        g = g @ layer.W.T
+    return g
 
 
 def init_dense(d_in: int, d_out: int, rng: np.random.Generator) -> Dense:

@@ -30,7 +30,7 @@ from .encoder import (
     pad_features,
 )
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
-from .layers import Dense, init_dense, sigmoid
+from .layers import Dense, init_dense, relu_stack_backward, relu_stack_forward, sigmoid
 from .room import RoomFeature
 
 __all__ = [
@@ -142,14 +142,7 @@ def head_forward(x: np.ndarray, weights: HeadWeights):
         raise ValueError(
             f"head input shape {x.shape} does not match dim {weights.config.input_dim}"
         )
-    xs = []
-    relu_masks = []
-    for layer in weights.layers[:-1]:
-        xs.append(x)
-        z = x @ layer.W + layer.b
-        m = z > 0
-        relu_masks.append(m)
-        x = np.where(m, z, 0.0)
+    x, xs, relu_masks = relu_stack_forward(x, weights.layers[:-1])
     xs.append(x)
     z = x @ weights.layers[-1].W + weights.layers[-1].b
     y = sigmoid(z)
@@ -164,13 +157,7 @@ def head_backward(upstream: np.ndarray, cache, weights: HeadWeights) -> np.ndarr
     last.grad_W += xs[-1].T @ g
     last.grad_b += g.sum(axis=0)
     g = g @ last.W.T
-    for layer, x, m in zip(reversed(weights.layers[:-1]), reversed(xs[:-1]),
-                           reversed(relu_masks)):
-        g = np.where(m, g, 0.0)
-        layer.grad_W += x.T @ g
-        layer.grad_b += g.sum(axis=0)
-        g = g @ layer.W.T
-    return g
+    return relu_stack_backward(g, weights.layers[:-1], xs[:-1], relu_masks)
 
 
 def forward(room: RoomFeature, people: np.ndarray, weights: HeadWeights) -> np.ndarray:
