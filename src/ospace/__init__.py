@@ -64,7 +64,6 @@ from .network import (
     predict_heatmap,
     save_model,
     train,
-    weighted_mse,
 )
 from .postprocess import AssignParams, Detection, assign_groups, nms, predict_scene
 from .room import (

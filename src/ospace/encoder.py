@@ -53,19 +53,20 @@ class EncoderConfig:
     def output_dim(self) -> int:
         return self.layer_widths[-1]
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Layer widths from the input on: layer i maps dims[i] to dims[i+1]."""
+        return (self.input_dim,) + self.layer_widths
+
 
 @dataclass
 class EncoderWeights:
     config: EncoderConfig
     layers: list[Dense] = field(default_factory=list)
 
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeights:
-    dims = (config.input_dim,) + config.layer_widths
+    dims = config.dims
     layers = [init_dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
     return EncoderWeights(config, layers)
 
@@ -111,7 +112,7 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
 
 
 def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
-    """Accumulate layer gradients for <upstream, pooled>; returns input grads."""
+    """Assign layer gradients of <upstream, pooled>; returns input grads."""
     xs, relu_masks, arg, (b, p_max) = cache
     d_out = weights.config.output_dim
     g = np.zeros((b, p_max, d_out))

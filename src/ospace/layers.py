@@ -3,15 +3,21 @@
 Everything here works on batches: inputs are (n, d_in), outputs (n, d_out).
 A ReLU stack's forward returns the inputs and activation masks its backward
 needs, and the caller passes them back, so the layers themselves hold no
-per-batch state.  Parameters live in plain float64 arrays so an optimizer
-can update them in place.
+per-batch state.
+
+Parameters live in float64 arrays that an optimizer updates in place.
+``flatten`` moves a model's layers into one parameter store: every W and b
+becomes a view of one contiguous vector, and every grad_W and grad_b a view
+of a second one, so the optimizer step, the snapshot and the restore each
+run over one array.  Backward assigns each layer's gradient (it does not
+add to it), so the gradient buffers never need zeroing between steps.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dense", "init_dense", "relu_stack_backward", "relu_stack_forward",
-           "sigmoid"]
+__all__ = ["Dense", "flatten", "init_dense", "relu_stack_backward",
+           "relu_stack_forward", "sigmoid"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -45,9 +51,25 @@ class Dense:
     def d_out(self) -> int:
         return self.W.shape[1]
 
-    def zero_grad(self) -> None:
-        self.grad_W[...] = 0.0
-        self.grad_b[...] = 0.0
+
+def flatten(layers) -> tuple[np.ndarray, np.ndarray]:
+    """Move the layers' parameters into one contiguous store.
+
+    Returns (params, grads), two float64 vectors holding each layer's W then
+    b in layer order.  Every layer's W, b, grad_W and grad_b is rebound to a
+    reshaped view of them, so writing either vector writes the layers.
+    """
+    params = np.concatenate([a.ravel() for l in layers for a in (l.W, l.b)])
+    grads = np.zeros_like(params)
+    start = 0
+    for layer in layers:
+        for name in ("W", "b"):
+            a = getattr(layer, name)
+            stop = start + a.size
+            setattr(layer, name, params[start:stop].reshape(a.shape))
+            setattr(layer, "grad_" + name, grads[start:stop].reshape(a.shape))
+            start = stop
+    return params, grads
 
 
 def relu_stack_forward(x: np.ndarray, layers):
@@ -68,11 +90,11 @@ def relu_stack_forward(x: np.ndarray, layers):
 
 
 def relu_stack_backward(g: np.ndarray, layers, xs, masks) -> np.ndarray:
-    """Accumulate grad_W/grad_b of every layer; returns the input gradient."""
+    """Assign grad_W/grad_b of every layer; returns the input gradient."""
     for layer, x, m in zip(reversed(layers), reversed(xs), reversed(masks)):
         g = np.where(m, g, 0.0)
-        layer.grad_W += x.T @ g
-        layer.grad_b += g.sum(axis=0)
+        np.matmul(x.T, g, out=layer.grad_W)
+        np.sum(g, axis=0, out=layer.grad_b)
         g = g @ layer.W.T
     return g
 

@@ -9,6 +9,21 @@ Training is plain minibatch gradient descent (SGD or Adam) with a fixed
 seeded shuffle per epoch; everything is deterministic given the seed.  The
 returned weights are the epoch snapshot with the lowest validation loss
 (training loss stands in when no validation split is given).
+
+``train`` runs on one flat parameter vector (``layers.flatten``): every
+layer's weights are views of it, and backward assigns each step's gradients
+into a second vector of the same layout.  The optimizer updates the whole
+vector, and the best-epoch snapshot is a copy of it.  Adam walks the vector
+in fixed blocks of ``_ADAM_BLOCK`` elements, small enough that the block's
+parameters, gradients, moments and two preallocated scratch blocks stay in
+the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
+allocates nothing.  The arithmetic per element, and its order, is that of
+the textbook per-array update, so the result is the same bits.
+
+Checkpoints are JSON.  Loading one checks every layer's shape against the
+stored configs, the head's output against the room grid, and that every
+weight is finite, so a corrupt file fails with a ValueError that names the
+section and layer rather than at the first matmul.
 """
 from __future__ import annotations
 
@@ -30,7 +45,14 @@ from .encoder import (
     pad_features,
 )
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
-from .layers import Dense, init_dense, relu_stack_backward, relu_stack_forward, sigmoid
+from .layers import (
+    Dense,
+    flatten,
+    init_dense,
+    relu_stack_backward,
+    relu_stack_forward,
+    sigmoid,
+)
 from .room import RoomFeature
 
 __all__ = [
@@ -44,7 +66,6 @@ __all__ = [
     "head_forward",
     "head_backward",
     "forward",
-    "weighted_mse",
     "example_weight",
     "batch_forward",
     "batch_loss",
@@ -60,6 +81,9 @@ __all__ = [
 
 CHECKPOINT_VERSION = "ospace-checkpoint-1"
 
+# Elements per Adam block: 32768 float64 values, 256 KiB per array.
+_ADAM_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class HeadConfig:
@@ -74,15 +98,16 @@ class HeadConfig:
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"bad hidden widths {self.hidden_widths}")
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Layer widths from the input on: layer i maps dims[i] to dims[i+1]."""
+        return (self.input_dim,) + self.hidden_widths + (self.output_dim,)
+
 
 @dataclass
 class HeadWeights:
     config: HeadConfig
     layers: list[Dense] = field(default_factory=list)
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
 
 
 @dataclass(frozen=True)
@@ -131,7 +156,7 @@ class EpochStats:
 
 
 def init_head(config: HeadConfig, rng: np.random.Generator) -> HeadWeights:
-    dims = (config.input_dim,) + config.hidden_widths + (config.output_dim,)
+    dims = config.dims
     layers = [init_dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
     return HeadWeights(config, layers)
 
@@ -150,12 +175,12 @@ def head_forward(x: np.ndarray, weights: HeadWeights):
 
 
 def head_backward(upstream: np.ndarray, cache, weights: HeadWeights) -> np.ndarray:
-    """Accumulate head gradients; returns gradient w.r.t. the concat input."""
+    """Assign head gradients; returns gradient w.r.t. the concat input."""
     xs, relu_masks, y = cache
     g = upstream * y * (1.0 - y)
     last = weights.layers[-1]
-    last.grad_W += xs[-1].T @ g
-    last.grad_b += g.sum(axis=0)
+    np.matmul(xs[-1].T, g, out=last.grad_W)
+    np.sum(g, axis=0, out=last.grad_b)
     g = g @ last.W.T
     return relu_stack_backward(g, weights.layers[:-1], xs[:-1], relu_masks)
 
@@ -165,16 +190,6 @@ def forward(room: RoomFeature, people: np.ndarray, weights: HeadWeights) -> np.n
     x = np.concatenate([room.values, np.asarray(people, dtype=float)])[None, :]
     y, _ = head_forward(x, weights)
     return y[0]
-
-
-def weighted_mse(pred: np.ndarray, target: np.ndarray, w: float = 1.0) -> float:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    if w <= 0:
-        raise ValueError("weight must be positive")
-    return float(w * np.mean((pred - target) ** 2))
 
 
 def example_weight(scene: Scene, multi_group_weight: float) -> float:
@@ -201,7 +216,7 @@ def batch_loss(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarray) -
 
 def batch_backward(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarray,
                    cache, enc_w: EncoderWeights, head_w: HeadWeights) -> None:
-    """Accumulate gradients of batch_loss into the layer gradient buffers."""
+    """Assign gradients of batch_loss to the layer gradient buffers."""
     enc_cache, head_cache, room_dim = cache
     b, out_dim = pred.shape
     g = (2.0 / (out_dim * b)) * weights_vec[:, None] * (pred - targets)
@@ -210,51 +225,64 @@ def batch_backward(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarra
 
 
 class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
+    """p -= lr * g over the flat parameter vector."""
 
-    def step(self, layers) -> None:
-        for layer in layers:
-            layer.W -= self.lr * layer.grad_W
-            layer.b -= self.lr * layer.grad_b
+    def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray):
+        self.lr = lr
+        self.params = params
+        self.grads = grads
+
+    def step(self) -> None:
+        self.params -= self.lr * self.grads
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    """Adam (Kingma & Ba, 2015) over the flat vector, one cache block at a time.
+
+    Per element this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order.
+    """
+
+    def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._v: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.params = params
+        self.grads = grads
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
+        block = min(_ADAM_BLOCK, params.size)
+        self._a = np.empty(block)
+        self._b = np.empty(block)
 
-    def step(self, layers) -> None:
-        if self._m is None:
-            self._m = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
-            self._v = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+    def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for layer, (mw, mb), (vw, vb) in zip(layers, self._m, self._v):
-            for p, g, m, v in ((layer.W, layer.grad_W, mw, vw),
-                               (layer.b, layer.grad_b, mb, vb)):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-def _snapshot(layers) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(layer.W.copy(), layer.b.copy()) for layer in layers]
-
-
-def _restore(layers, snap) -> None:
-    for layer, (w, b) in zip(layers, snap):
-        layer.W[...] = w
-        layer.b[...] = b
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        n = self.params.size
+        for lo in range(0, n, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, n)
+            p, g = self.params[lo:hi], self.grads[lo:hi]
+            m, v = self._m[lo:hi], self._v[lo:hi]
+            a, b = self._a[:hi - lo], self._b[:hi - lo]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
 
 def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
@@ -305,11 +333,12 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
         pred, _ = batch_forward(val_feats, room.values, enc_w, head_w)
         return float(np.mean((pred - val_targets) ** 2))
 
-    opt = _Sgd(cfg.learning_rate) if cfg.optimizer == "sgd" else _Adam(cfg.learning_rate)
-    all_layers = enc_w.layers + head_w.layers
+    params, grads = flatten(enc_w.layers + head_w.layers)
+    opt_cls = _Sgd if cfg.optimizer == "sgd" else _Adam
+    opt = opt_cls(cfg.learning_rate, params, grads)
     n = len(train_scenes)
 
-    best_snap = _snapshot(all_layers)
+    best = params.copy()
     best_loss = math.inf
     trace: list[EpochStats] = []
 
@@ -323,10 +352,8 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
             loss = batch_loss(pred, targets[idx], ex_w[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            for layer in all_layers:
-                layer.zero_grad()
             batch_backward(pred, targets[idx], ex_w[idx], cache, enc_w, head_w)
-            opt.step(all_layers)
+            opt.step()
             running += loss * len(idx)
         train_loss = running / n
         val_loss = eval_val()
@@ -336,9 +363,9 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
         keep = val_loss if val_loss is not None else train_loss
         if keep < best_loss:
             best_loss = keep
-            best_snap = _snapshot(all_layers)
+            best[...] = params
 
-    _restore(all_layers, best_snap)
+    params[...] = best
     model = ModelWeights(encoder=enc_w, head=head_w, norm_stats=stats,
                          stride_m=stride_m, seed=cfg.seed, spec=spec)
     return model, trace
@@ -356,9 +383,26 @@ def _layers_to_obj(layers) -> list[dict]:
     return [{"W": layer.W.tolist(), "b": layer.b.tolist()} for layer in layers]
 
 
-def _layers_from_obj(objs) -> list[Dense]:
-    return [Dense(np.array(o["W"], dtype=float), np.array(o["b"], dtype=float))
-            for o in objs]
+def _layers_from_obj(objs, section: str, dims) -> list[Dense]:
+    """Checkpoint layers checked against the widths ``dims`` of their config."""
+    if len(objs) != len(dims) - 1:
+        raise ValueError(f"checkpoint {section}: {len(objs)} layers, config "
+                         f"has {len(dims) - 1}")
+    layers = []
+    for i, o in enumerate(objs):
+        try:
+            W = np.array(o["W"], dtype=float)
+            b = np.array(o["b"], dtype=float)
+        except (TypeError, ValueError) as e:  # ragged or non-numeric entries
+            raise ValueError(f"checkpoint {section} layer {i}: {e}") from None
+        if W.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
+            raise ValueError(
+                f"checkpoint {section} layer {i}: W{W.shape} b{b.shape}, config "
+                f"needs W{(dims[i], dims[i + 1])} b{(dims[i + 1],)}")
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError(f"checkpoint {section} layer {i}: non-finite weight")
+        layers.append(Dense(W, b))
+    return layers
 
 
 def model_to_obj(model: ModelWeights) -> dict:
@@ -408,12 +452,18 @@ def model_from_obj(obj: dict) -> ModelWeights:
     enc_cfg = EncoderConfig(input_dim=int(ec["input_dim"]),
                             max_people=int(ec["max_people"]),
                             layer_widths=tuple(int(w) for w in ec["layer_widths"]))
-    enc_w = EncoderWeights(enc_cfg, _layers_from_obj(obj["encoder"]["layers"]))
+    enc_w = EncoderWeights(enc_cfg, _layers_from_obj(
+        obj["encoder"]["layers"], "encoder", enc_cfg.dims))
     hc = obj["head"]["config"]
     head_cfg = HeadConfig(input_dim=int(hc["input_dim"]),
                           hidden_widths=tuple(int(w) for w in hc["hidden_widths"]),
                           output_dim=int(hc["output_dim"]))
-    head_w = HeadWeights(head_cfg, _layers_from_obj(obj["head"]["layers"]))
+    if head_cfg.output_dim != spec.n_cells:
+        raise ValueError(
+            f"checkpoint head layer {len(head_cfg.dims) - 2}: output "
+            f"{head_cfg.output_dim} != grid cells {spec.n_cells}")
+    head_w = HeadWeights(head_cfg, _layers_from_obj(
+        obj["head"]["layers"], "head", head_cfg.dims))
     return ModelWeights(encoder=enc_w, head=head_w, norm_stats=stats,
                         stride_m=float(obj["stride_m"]), seed=int(obj["seed"]),
                         spec=spec)

@@ -1,6 +1,7 @@
 """Order-preserving thread map with an environment-controlled worker cap.
 
-OSPACE_THREADS sets the worker count (default 1, which runs inline).  All
+OSPACE_THREADS sets the worker count (default 1, which runs inline); a map
+never starts more workers than it has items or the machine has CPUs.  All
 mapped functions in this package are pure per item, so results only need
 to come back in input order for the pipeline to stay deterministic.
 """
@@ -25,8 +26,8 @@ def worker_count() -> int:
 
 def thread_map(fn, items) -> list:
     items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))

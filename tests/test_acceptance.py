@@ -203,8 +203,12 @@ def test_full_model_gradients_match_finite_differences():
 
         pred, cache = batch_forward(feats, room, enc_w, head_w)
         for layer in enc_w.layers + head_w.layers:
-            layer.zero_grad()
+            layer.grad_W.fill(np.nan)
+            layer.grad_b.fill(np.nan)
         batch_backward(pred, targets, wv, cache, enc_w, head_w)
+        # max() below would pass over a NaN left in a buffer
+        assert all(np.isfinite(l.grad_W).all() and np.isfinite(l.grad_b).all()
+                   for l in enc_w.layers + head_w.layers)
 
         for layer in enc_w.layers + head_w.layers:
             for arr, grad in ((layer.W, layer.grad_W), (layer.b, layer.grad_b)):

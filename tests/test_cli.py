@@ -149,6 +149,20 @@ def test_predict_eval_roundtrip(workdir, capsys):
     assert lines[2].split(",")[1] == "1"
 
 
+def test_predict_corrupt_checkpoint_is_data_error(workdir, capsys):
+    model = _train_tiny(workdir)
+    obj = json.loads(model.read_text())
+    obj["head"]["layers"][1]["W"].pop()
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["predict", str(bad), "train.jsonl", "-o", "pred.jsonl"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: checkpoint head layer 1:")
+    assert "Traceback" not in err
+    assert not (workdir / "pred.jsonl").exists()
+
+
 def test_eval_perfect_predictions(workdir, capsys):
     scenes = _write_scenes(workdir / "gt.jsonl")
     pred = workdir / "pred.jsonl"

@@ -1,6 +1,12 @@
 import numpy as np
 
-from ospace.layers import Dense, init_dense, sigmoid
+from ospace.layers import (
+    flatten,
+    init_dense,
+    relu_stack_backward,
+    relu_stack_forward,
+    sigmoid,
+)
 
 
 def test_sigmoid_extremes_safe():
@@ -23,13 +29,41 @@ def test_sigmoid_matches_naive_in_safe_range():
     assert np.allclose(sigmoid(z), 1 / (1 + np.exp(-z)), rtol=1e-15)
 
 
-def test_dense_grad_buffers_accumulate():
-    layer = Dense(np.ones((2, 3)), np.zeros(3))
-    assert layer.grad_W.shape == (2, 3)
-    layer.grad_W += 1.0
-    layer.grad_b += 2.0
-    layer.zero_grad()
-    assert np.all(layer.grad_W == 0) and np.all(layer.grad_b == 0)
+def test_flatten_makes_layers_views_of_two_vectors():
+    rng = np.random.default_rng(1)
+    layers = [init_dense(3, 4, rng), init_dense(4, 2, rng)]
+    before = [(l.W.copy(), l.b.copy()) for l in layers]
+    params, grads = flatten(layers)
+    assert params.shape == grads.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    assert params.tobytes() == b"".join(w.tobytes() + b.tobytes()
+                                        for w, b in before)
+    assert np.all(grads == 0)
+    for layer, (w, b) in zip(layers, before):
+        assert layer.W.shape == layer.grad_W.shape == w.shape
+        assert layer.b.shape == layer.grad_b.shape == b.shape
+    params[...] = 7.0
+    grads[...] = 5.0
+    for layer in layers:
+        assert np.all(layer.W == 7.0) and np.all(layer.b == 7.0)
+        assert np.all(layer.grad_W == 5.0) and np.all(layer.grad_b == 5.0)
+
+
+def test_relu_stack_backward_overwrites_gradient_buffers():
+    rng = np.random.default_rng(2)
+    layers = [init_dense(5, 6, rng), init_dense(6, 3, rng)]
+    x = rng.standard_normal((4, 5))
+    out, xs, masks = relu_stack_forward(x, layers)
+    g = rng.standard_normal(out.shape)
+    for layer in layers:
+        layer.grad_W.fill(np.nan)
+        layer.grad_b.fill(np.nan)
+    relu_stack_backward(g, layers, xs, masks)
+    g1 = np.where(masks[1], g, 0.0)
+    g0 = np.where(masks[0], g1 @ layers[1].W.T, 0.0)
+    assert np.array_equal(layers[1].grad_W, xs[1].T @ g1)
+    assert np.array_equal(layers[1].grad_b, g1.sum(axis=0))
+    assert np.array_equal(layers[0].grad_W, xs[0].T @ g0)
+    assert np.array_equal(layers[0].grad_b, g0.sum(axis=0))
 
 
 def test_init_dense_fan_in_bounds():

@@ -5,8 +5,9 @@ import pytest
 
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.encoder import EncoderConfig, init_encoder
-from ospace.layers import Dense
+from ospace.layers import Dense, flatten
 from ospace.network import (
+    _ADAM_BLOCK,
     CHECKPOINT_VERSION,
     HeadConfig,
     HeadWeights,
@@ -18,6 +19,7 @@ from ospace.network import (
     batch_loss,
     example_weight,
     forward,
+    head_backward,
     head_forward,
     init_head,
     load_model,
@@ -26,7 +28,8 @@ from ospace.network import (
     predict_heatmap,
     save_model,
     train,
-    weighted_mse,
+    _Adam,
+    _Sgd,
 )
 from ospace.room import RoomFeature
 
@@ -96,15 +99,6 @@ def test_head_forward_shape_check():
         head_forward(np.zeros(5), w)
 
 
-def test_weighted_mse():
-    assert weighted_mse(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 2.0) == 1.0
-    assert weighted_mse(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-    with pytest.raises(ValueError):
-        weighted_mse(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        weighted_mse(np.zeros(3), np.zeros(3), 0.0)
-
-
 def test_example_weight():
     p = tuple(Person(1.0 + 0.5 * i, 1.0, 0.0) for i in range(5))
     one_group = Scene("a", p, ((0, 1, 2), (3,), (4,)))
@@ -119,8 +113,8 @@ def test_batch_loss_is_mean_of_weighted_mse():
     pred = rng.uniform(0, 1, size=(4, 6))
     target = rng.uniform(0, 1, size=(4, 6))
     wv = np.array([1.0, 3.0, 1.0, 2.0])
-    per = [weighted_mse(pred[i], target[i], wv[i]) for i in range(4)]
-    assert np.isclose(batch_loss(pred, target, wv), np.mean(per), rtol=1e-15)
+    want = np.mean(wv * np.mean((pred - target) ** 2, axis=1))
+    assert np.isclose(batch_loss(pred, target, wv), want, rtol=1e-15)
 
 
 def test_batch_gradients_match_finite_differences():
@@ -140,7 +134,8 @@ def test_batch_gradients_match_finite_differences():
 
     pred, cache = batch_forward(feats, room, enc_w, head_w)
     for layer in enc_w.layers + head_w.layers:
-        layer.zero_grad()
+        layer.grad_W.fill(np.nan)
+        layer.grad_b.fill(np.nan)
     batch_backward(pred, targets, wv, cache, enc_w, head_w)
 
     h = 1e-6
@@ -161,6 +156,96 @@ def test_batch_gradients_match_finite_differences():
                 assert abs(numeric - gflat[k]) / denom < 1e-4
                 checked += 1
     assert checked > 30
+
+
+def test_head_backward_overwrites_gradient_buffers():
+    rng = np.random.default_rng(4)
+    w = init_head(HeadConfig(input_dim=5, hidden_widths=(6, 4), output_dim=3),
+                  rng)
+    x = rng.standard_normal((7, 5))
+    up = rng.standard_normal((7, 3))
+    y, cache = head_forward(x, w)
+    head_backward(up, cache, w)
+    want = [(l.grad_W.copy(), l.grad_b.copy()) for l in w.layers]
+    for layer in w.layers:
+        layer.grad_W.fill(np.nan)
+        layer.grad_b.fill(np.nan)
+    head_backward(up, cache, w)
+    for layer, (gw, gb) in zip(w.layers, want):
+        assert layer.grad_W.tobytes() == gw.tobytes()
+        assert layer.grad_b.tobytes() == gb.tobytes()
+
+
+class _ReferenceAdam:
+    """The per-array Adam loop the flat, blocked _Adam must reproduce."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = None
+        self._v = None
+
+    def step(self, layers):
+        if self._m is None:
+            self._m = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+            self._v = [(np.zeros_like(l.W), np.zeros_like(l.b)) for l in layers]
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for layer, (mw, mb), (vw, vb) in zip(layers, self._m, self._v):
+            for p, g, m, v in ((layer.W, layer.grad_W, mw, vw),
+                               (layer.b, layer.grad_b, mb, vb)):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class _ReferenceSgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, layers):
+        for layer in layers:
+            layer.W -= self.lr * layer.grad_W
+            layer.b -= self.lr * layer.grad_b
+
+
+@pytest.mark.parametrize("flat_cls, ref_cls", [(_Adam, _ReferenceAdam),
+                                               (_Sgd, _ReferenceSgd)])
+def test_flat_optimizer_matches_per_array_reference(flat_cls, ref_cls):
+    rng = np.random.default_rng(5)
+    shapes = [(18, 64), (64, 300), (300, 257), (257, 120)]
+    init = [(rng.standard_normal(s), rng.standard_normal(s[1])) for s in shapes]
+    ref = [Dense(W.copy(), b.copy()) for W, b in init]
+    flat = [Dense(W.copy(), b.copy()) for W, b in init]
+    params, grads = flatten(flat)
+    # several whole blocks plus a partial one
+    assert params.size > 2 * _ADAM_BLOCK and params.size % _ADAM_BLOCK
+    opt, ref_opt = flat_cls(1e-2, params, grads), ref_cls(1e-2)
+    for _ in range(5):
+        for r, f in zip(ref, flat):
+            r.grad_W[...] = f.grad_W[...] = rng.standard_normal(r.W.shape)
+            r.grad_b[...] = f.grad_b[...] = rng.standard_normal(r.b.shape)
+        opt.step()
+        ref_opt.step(ref)
+        for r, f in zip(ref, flat):
+            assert f.W.tobytes() == r.W.tobytes()
+            assert f.b.tobytes() == r.b.tobytes()
+
+
+def test_trained_layers_share_one_contiguous_vector():
+    model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=1))
+    arrays = [a for l in model.encoder.layers + model.head.layers
+              for a in (l.W, l.b)]
+    store = arrays[0].base
+    assert store.ndim == 1 and store.flags.c_contiguous
+    assert store.size == sum(a.size for a in arrays)
+    assert all(a.base is store for a in arrays)
 
 
 def _quick_cfg(**kw):
@@ -307,3 +392,47 @@ def test_checkpoint_custom_spec():
     assert back.stride_m == 0.4
     m = predict_heatmap(scenes[0], back, ROOM4)
     assert m.values.shape == (4, 5)
+
+
+def _checkpoint_obj():
+    model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
+    return model_to_obj(model)
+
+
+def test_checkpoint_rejects_layer_shape_off_config():
+    obj = _checkpoint_obj()
+    obj["head"]["layers"][1]["W"].pop()  # (16, 120) loses a row
+    with pytest.raises(ValueError, match="head layer 1"):
+        model_from_obj(obj)
+    obj = _checkpoint_obj()
+    obj["encoder"]["layers"][0]["b"].append(0.0)
+    with pytest.raises(ValueError, match="encoder layer 0"):
+        model_from_obj(obj)
+    for bad in ({"x": 1.0}, [[1.0, 2.0], [3.0]], "w"):
+        obj = _checkpoint_obj()
+        obj["encoder"]["layers"][1]["W"] = bad
+        with pytest.raises(ValueError, match="encoder layer 1"):
+            model_from_obj(obj)
+    obj = _checkpoint_obj()
+    del obj["encoder"]["layers"][1]
+    with pytest.raises(ValueError, match="checkpoint encoder"):
+        model_from_obj(obj)
+
+
+def test_checkpoint_rejects_head_output_off_grid():
+    obj = _checkpoint_obj()
+    obj["spec"]["cols"] = 11
+    with pytest.raises(ValueError, match="head layer 1.*grid cells 110"):
+        model_from_obj(obj)
+
+
+def test_checkpoint_rejects_non_finite_weight():
+    for value in (float("nan"), float("inf")):
+        obj = _checkpoint_obj()
+        obj["encoder"]["layers"][1]["W"][3][2] = value
+        with pytest.raises(ValueError, match="encoder layer 1: non-finite"):
+            model_from_obj(obj)
+        obj = _checkpoint_obj()
+        obj["head"]["layers"][0]["b"][0] = value
+        with pytest.raises(ValueError, match="head layer 0: non-finite"):
+            model_from_obj(obj)

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from ospace import parallel
 from ospace.parallel import thread_map, worker_count
 
 
@@ -39,3 +42,37 @@ def test_thread_map_results_match_inline(monkeypatch):
     monkeypatch.setenv("OSPACE_THREADS", "4")
     threaded = thread_map(lambda m: (m @ m).sum(), mats)
     assert inline == threaded
+
+
+class _SpyExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("env, cpus, n_items, want", [
+    ("1000", 2, 50, 2),      # capped by the CPU count
+    ("1000", 8, 3, 3),       # capped by the item count
+    ("3", 8, 50, 3),         # the setting itself
+    ("1000", None, 50, None),  # unknown CPU count: one worker, inline
+    ("1000", 1, 50, None),
+])
+def test_thread_map_caps_workers(monkeypatch, env, cpus, n_items, want):
+    monkeypatch.setattr(_SpyExecutor, "sizes", [])
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _SpyExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("OSPACE_THREADS", env)
+    assert thread_map(lambda x: x + 1, range(n_items)) == list(range(1, n_items + 1))
+    assert _SpyExecutor.sizes == ([] if want is None else [want])
