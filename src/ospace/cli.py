@@ -20,6 +20,7 @@ from .dataset import (
     SplitRatios,
     augment,
     load_scenes,
+    parse_groups,
     save_scenes,
     sequential_split,
 )
@@ -301,12 +302,14 @@ def _load_group_records(path) -> list[tuple[str, list]]:
             except json.JSONDecodeError as e:
                 raise SceneParseError(f"{path} line {line_no}: invalid JSON "
                                       f"({e.msg})") from None
+            where = f"{path} line {line_no}"
+            if not isinstance(obj, dict):
+                raise SceneParseError(f"{where}: record is not a JSON object")
             if "frame_id" not in obj or "groups" not in obj:
-                raise SceneParseError(
-                    f"{path} line {line_no}: record needs frame_id and groups"
-                )
-            records.append((obj["frame_id"],
-                            [tuple(b) for b in obj["groups"]]))
+                raise SceneParseError(f"{where}: record needs frame_id and groups")
+            if not isinstance(obj["frame_id"], str):
+                raise SceneParseError(f"{where}: frame_id is not a string")
+            records.append((obj["frame_id"], parse_groups(obj["groups"], where)))
     return records
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "SceneParseError",
     "NormStats",
     "SplitRatios",
+    "parse_groups",
     "parse_scenes",
     "load_scenes",
     "save_scenes",
@@ -79,6 +80,26 @@ class SplitRatios:
             raise ValueError("split ratios must sum to 1")
 
 
+def parse_groups(raw_groups, where: str) -> list[tuple]:
+    """Group blocks from a record's ``groups`` array of integer arrays.
+
+    Raises SceneParseError prefixed with ``where`` (e.g. "line 3").
+    """
+    if not isinstance(raw_groups, list):
+        raise SceneParseError(f"{where}: groups is not an array")
+    blocks = []
+    for b in raw_groups:
+        if not isinstance(b, list):
+            raise SceneParseError(f"{where}: group block is not an array")
+        for idx in b:
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                raise SceneParseError(
+                    f"{where}: group member {idx!r} is not an integer"
+                )
+        blocks.append(tuple(b))
+    return blocks
+
+
 def _parse_record(obj, line_no: int, spec: RoomSpec) -> Scene:
     if not isinstance(obj, dict):
         raise SceneParseError(f"line {line_no}: record is not a JSON object")
@@ -108,19 +129,7 @@ def _parse_record(obj, line_no: int, spec: RoomSpec) -> Scene:
         except ValueError as e:
             raise SceneParseError(f"line {line_no}: person {i}: {e}") from None
 
-    raw_groups = obj.get("groups", [])
-    if not isinstance(raw_groups, list):
-        raise SceneParseError(f"line {line_no}: groups is not an array")
-    blocks = []
-    for b in raw_groups:
-        if not isinstance(b, list):
-            raise SceneParseError(f"line {line_no}: group block is not an array")
-        for idx in b:
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise SceneParseError(
-                    f"line {line_no}: group member {idx!r} is not an integer"
-                )
-        blocks.append(tuple(b))
+    blocks = parse_groups(obj.get("groups", []), f"line {line_no}")
     mentioned = [i for b in blocks for i in b]
     # anyone absent from every block is an implicit singleton
     blocks.extend((i,) for i in range(len(persons)) if i not in set(mentioned))

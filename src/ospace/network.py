@@ -20,15 +20,26 @@ the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
 allocates nothing.  The arithmetic per element, and its order, is that of
 the textbook per-array update, so the result is the same bits.
 
-Checkpoints are JSON.  Loading one checks every layer's shape against the
-stored configs, the head's output against the room grid, and that every
-weight is finite, so a corrupt file fails with a ValueError that names the
-section and layer rather than at the first matmul.
+A checkpoint (version 2) is the magic line ``ospace-checkpoint-2``, then one
+line of JSON, the header (version, grid spec, stride, seed, normalization
+stats, both configs, ``blob_bytes`` and the ``sha256`` of the blob), then the
+blob: every layer's W and then b, encoder layers first, as little-endian
+float64 -- the layout of ``layers.flatten``.  Saving writes the arrays'
+buffers as they are, so a file is byte-identical across runs with the same
+seed; loading reads the blob into one buffer that the layers are views of.
+Version 1 files, one JSON object with the weights as nested lists, still
+load.  Loading either checks the header's field types, the blob's size and
+hash, every layer's shape against the stored configs, the head's output
+against the room grid, and that every weight is finite, so a corrupt file
+fails with a ValueError that names the field or layer rather than at the
+first matmul.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,14 +83,17 @@ __all__ = [
     "batch_backward",
     "train",
     "predict_heatmap",
-    "model_to_obj",
     "model_from_obj",
     "save_model",
     "load_model",
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = "ospace-checkpoint-1"
+CHECKPOINT_VERSION = "ospace-checkpoint-2"
+# The first line of a v2 file; a v1 file is one JSON object and starts "{".
+_MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")
+_V1_VERSION = "ospace-checkpoint-1"
+_BLOB_DTYPE = np.dtype("<f8")
 
 # Elements per Adam block: 32768 float64 values, 256 KiB per array.
 _ADAM_BLOCK = 32768
@@ -379,22 +393,104 @@ def predict_heatmap(scene: Scene, model: ModelWeights, room: RoomFeature) -> OSp
     return OSpaceMap(y.reshape(model.spec.rows, model.spec.cols), model.spec)
 
 
-def _layers_to_obj(layers) -> list[dict]:
-    return [{"W": layer.W.tolist(), "b": layer.b.tolist()} for layer in layers]
+# JSON type names for checkpoint field errors.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
-def _layers_from_obj(objs, section: str, dims) -> list[Dense]:
-    """Checkpoint layers checked against the widths ``dims`` of their config."""
-    if len(objs) != len(dims) - 1:
-        raise ValueError(f"checkpoint {section}: {len(objs)} layers, config "
+def _name(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _field(obj, where: str, key: str, kinds: tuple):
+    """``obj[key]``, required to be one of the JSON types ``kinds``.
+
+    ``where`` names ``obj`` in the checkpoint ("" for the top level), so a
+    missing or mistyped field fails with a ValueError that names it.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"checkpoint{' ' + where if where else ''}: expected "
+                         f"a JSON object, got {_JSON_TYPES.get(type(obj), 'data')}")
+    name = _name(where, key)
+    if key not in obj:
+        raise ValueError(f"checkpoint {name}: missing")
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ValueError(f"checkpoint {name}: expected {want}, got "
+                         f"{_JSON_TYPES.get(type(v), type(v).__name__)}")
+    return v
+
+
+def _number(obj, where: str, key: str) -> float:
+    try:
+        return float(_field(obj, where, key, (float, int)))
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"checkpoint {_name(where, key)}: out of range") from None
+
+
+def _ints(obj, where: str, key: str) -> tuple[int, ...]:
+    v = _field(obj, where, key, (list,))
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
+        raise ValueError(f"checkpoint {_name(where, key)}: expected an array "
+                         f"of integers")
+    return tuple(v)
+
+
+def _construct(where: str, cls, **kw):
+    """``cls(**kw)``, its ValueError reworded to name the checkpoint field."""
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {where}: {e}") from None
+
+
+def _model_shell(obj, version: str) -> ModelWeights:
+    """A checkpoint's spec, stats and configs, as a model with no layers yet.
+
+    Both versions store these fields alike; the head's output is checked
+    against the grid here, before any weight is read.
+    """
+    got = _field(obj, "", "version", (str,))
+    if got != version:
+        raise ValueError(f"checkpoint version {got!r}, expected {version!r}")
+    sp = _field(obj, "", "spec", (dict,))
+    spec = _construct("spec", RoomSpec, rows=_field(sp, "spec", "rows", (int,)),
+                      cols=_field(sp, "spec", "cols", (int,)),
+                      cell_m=_number(sp, "spec", "cell_m"))
+    ns = _field(obj, "", "norm_stats", (dict,))
+    stats = _construct("norm_stats", NormStats, **{
+        k: _number(ns, "norm_stats", k)
+        for k in ("mean_x", "mean_y", "std_x", "std_y")})
+    ec = _field(_field(obj, "", "encoder", (dict,)), "encoder", "config", (dict,))
+    enc_cfg = _construct(
+        "encoder.config", EncoderConfig,
+        input_dim=_field(ec, "encoder.config", "input_dim", (int,)),
+        max_people=_field(ec, "encoder.config", "max_people", (int,)),
+        layer_widths=_ints(ec, "encoder.config", "layer_widths"))
+    hc = _field(_field(obj, "", "head", (dict,)), "head", "config", (dict,))
+    head_cfg = _construct(
+        "head.config", HeadConfig,
+        input_dim=_field(hc, "head.config", "input_dim", (int,)),
+        hidden_widths=_ints(hc, "head.config", "hidden_widths"),
+        output_dim=_field(hc, "head.config", "output_dim", (int,)))
+    if head_cfg.output_dim != spec.n_cells:
+        raise ValueError(
+            f"checkpoint head layer {len(head_cfg.dims) - 2}: output "
+            f"{head_cfg.output_dim} != grid cells {spec.n_cells}")
+    return ModelWeights(encoder=EncoderWeights(enc_cfg), head=HeadWeights(head_cfg),
+                        norm_stats=stats, stride_m=_number(obj, "", "stride_m"),
+                        seed=_field(obj, "", "seed", (int,)), spec=spec)
+
+
+def _checked_layers(section: str, pairs, dims) -> list[Dense]:
+    """Layers from (W, b) arrays checked against the widths ``dims`` of their
+    config, and for finite weights."""
+    if len(pairs) != len(dims) - 1:
+        raise ValueError(f"checkpoint {section}: {len(pairs)} layers, config "
                          f"has {len(dims) - 1}")
     layers = []
-    for i, o in enumerate(objs):
-        try:
-            W = np.array(o["W"], dtype=float)
-            b = np.array(o["b"], dtype=float)
-        except (TypeError, ValueError) as e:  # ragged or non-numeric entries
-            raise ValueError(f"checkpoint {section} layer {i}: {e}") from None
+    for i, (W, b) in enumerate(pairs):
         if W.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
             raise ValueError(
                 f"checkpoint {section} layer {i}: W{W.shape} b{b.shape}, config "
@@ -405,7 +501,29 @@ def _layers_from_obj(objs, section: str, dims) -> list[Dense]:
     return layers
 
 
-def model_to_obj(model: ModelWeights) -> dict:
+def _v1_pairs(obj, section: str) -> list:
+    """The (W, b) arrays of one section of a v1 checkpoint object."""
+    pairs = []
+    for i, o in enumerate(_field(obj[section], section, "layers", (list,))):
+        where = f"{section} layer {i}"
+        W, b = (_field(o, where, k, (list,)) for k in ("W", "b"))
+        try:
+            pairs.append((np.array(W, dtype=float), np.array(b, dtype=float)))
+        except (TypeError, ValueError) as e:  # ragged or non-numeric entries
+            raise ValueError(f"checkpoint {where}: {e}") from None
+    return pairs
+
+
+def model_from_obj(obj) -> ModelWeights:
+    """The model in a v1 checkpoint: one JSON object, weights as nested lists."""
+    model = _model_shell(obj, _V1_VERSION)
+    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
+        weights.layers = _checked_layers(section, _v1_pairs(obj, section),
+                                         weights.config.dims)
+    return model
+
+
+def _header_obj(model: ModelWeights, blob_bytes: int, sha256: str) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "spec": {
@@ -427,7 +545,6 @@ def model_to_obj(model: ModelWeights) -> dict:
                 "max_people": model.encoder.config.max_people,
                 "layer_widths": list(model.encoder.config.layer_widths),
             },
-            "layers": _layers_to_obj(model.encoder.layers),
         },
         "head": {
             "config": {
@@ -435,46 +552,86 @@ def model_to_obj(model: ModelWeights) -> dict:
                 "hidden_widths": list(model.head.config.hidden_widths),
                 "output_dim": model.head.config.output_dim,
             },
-            "layers": _layers_to_obj(model.head.layers),
         },
+        "blob_bytes": blob_bytes,
+        "sha256": sha256,
     }
 
 
-def model_from_obj(obj: dict) -> ModelWeights:
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
-    spec = RoomSpec(rows=int(obj["spec"]["rows"]), cols=int(obj["spec"]["cols"]),
-                    cell_m=float(obj["spec"]["cell_m"]))
-    ns = obj["norm_stats"]
-    stats = NormStats(mean_x=float(ns["mean_x"]), mean_y=float(ns["mean_y"]),
-                      std_x=float(ns["std_x"]), std_y=float(ns["std_y"]))
-    ec = obj["encoder"]["config"]
-    enc_cfg = EncoderConfig(input_dim=int(ec["input_dim"]),
-                            max_people=int(ec["max_people"]),
-                            layer_widths=tuple(int(w) for w in ec["layer_widths"]))
-    enc_w = EncoderWeights(enc_cfg, _layers_from_obj(
-        obj["encoder"]["layers"], "encoder", enc_cfg.dims))
-    hc = obj["head"]["config"]
-    head_cfg = HeadConfig(input_dim=int(hc["input_dim"]),
-                          hidden_widths=tuple(int(w) for w in hc["hidden_widths"]),
-                          output_dim=int(hc["output_dim"]))
-    if head_cfg.output_dim != spec.n_cells:
-        raise ValueError(
-            f"checkpoint head layer {len(head_cfg.dims) - 2}: output "
-            f"{head_cfg.output_dim} != grid cells {spec.n_cells}")
-    head_w = HeadWeights(head_cfg, _layers_from_obj(
-        obj["head"]["layers"], "head", head_cfg.dims))
-    return ModelWeights(encoder=enc_w, head=head_w, norm_stats=stats,
-                        stride_m=float(obj["stride_m"]), seed=int(obj["seed"]),
-                        spec=spec)
+def _n_params(dims) -> int:
+    return sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
+
+
+def _blob_pairs(flat: np.ndarray, dims, start: int):
+    """(W, b) views of ``flat`` for the layers ``dims`` from ``start`` on;
+    returns them and the offset after the last one."""
+    pairs = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
+        start += d_in * d_out
+        pairs.append((W, flat[start:start + d_out]))
+        start += d_out
+    return pairs, start
 
 
 def save_model(model: ModelWeights, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_obj(model), f)
-        f.write("\n")
+    """Write ``model`` as a v2 checkpoint (see the module docstring)."""
+    arrays = [np.ascontiguousarray(a, dtype=_BLOB_DTYPE)
+              for layer in model.encoder.layers + model.head.layers
+              for a in (layer.W, layer.b)]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
+    header = _header_obj(model, sum(a.nbytes for a in arrays), digest.hexdigest())
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        for a in arrays:
+            f.write(memoryview(a))
+
+
+def _load_v2(f) -> ModelWeights:
+    """The model in a v2 checkpoint whose magic line ``f`` has just read."""
+    try:
+        header = json.loads(f.readline())
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise ValueError(f"checkpoint header: not a line of JSON ({e})") from None
+    model = _model_shell(header, CHECKPOINT_VERSION)
+    blob_bytes = _field(header, "", "blob_bytes", (int,))
+    sha256 = _field(header, "", "sha256", (str,))
+    need = _BLOB_DTYPE.itemsize * sum(_n_params(w.config.dims)
+                                      for w in (model.encoder, model.head))
+    if blob_bytes != need:
+        raise ValueError(f"checkpoint blob_bytes: {blob_bytes}, the configs "
+                         f"need {need}")
+    # Sized from the file before anything is allocated for it.
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != blob_bytes:
+        what = "truncated" if size < blob_bytes else "trailing bytes"
+        raise ValueError(f"checkpoint blob: {size} bytes after the header, "
+                         f"blob_bytes is {blob_bytes} ({what})")
+    buf = bytearray(blob_bytes)  # writable, and the vector's only copy
+    if f.readinto(buf) != blob_bytes or f.read(1):
+        raise ValueError("checkpoint blob: file changed while being read")
+    if hashlib.sha256(buf).hexdigest() != sha256:
+        raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
+    flat = np.frombuffer(buf, dtype=_BLOB_DTYPE)
+    start = 0
+    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
+        pairs, start = _blob_pairs(flat, weights.config.dims, start)
+        weights.layers = _checked_layers(section, pairs, weights.config.dims)
+    return model
 
 
 def load_model(path) -> ModelWeights:
-    with open(path, "r", encoding="utf-8") as f:
-        return model_from_obj(json.load(f))
+    """Read a checkpoint of either version; a bad one raises ValueError."""
+    with open(path, "rb") as f:
+        if f.read(len(_MAGIC)) == _MAGIC:
+            return _load_v2(f)
+        f.seek(0)
+        try:
+            obj = json.loads(f.read())
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ValueError(f"checkpoint: neither a v2 file nor v1 JSON "
+                             f"({e})") from None
+    return model_from_obj(obj)

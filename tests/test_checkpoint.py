@@ -1,0 +1,255 @@
+"""Checkpoint v2: round trips are bit-exact and byte-deterministic, corrupt
+files are data errors (exit 2), and version 1 files still load."""
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ospace.cli import main
+from ospace.core import RoomSpec
+from ospace.dataset import NormStats
+from ospace.encoder import EncoderConfig, EncoderWeights, init_encoder
+from ospace.layers import Dense
+from ospace.network import (
+    HeadConfig,
+    HeadWeights,
+    ModelWeights,
+    init_head,
+    load_model,
+    save_model,
+)
+from v1_checkpoint import model_to_v1_obj, save_v1
+
+ENC_CFG = EncoderConfig(input_dim=18, max_people=25, layer_widths=(8, 16))
+HEAD_CFG = HeadConfig(input_dim=20, hidden_widths=(16,), output_dim=120)
+SCENES = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
+          '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
+
+
+def _model(seed=0) -> ModelWeights:
+    rng = np.random.default_rng(seed)
+    return ModelWeights(init_encoder(ENC_CFG, rng), init_head(HEAD_CFG, rng),
+                        NormStats(3.1, -0.25, 1.5, 2.0), stride_m=0.7, seed=seed)
+
+
+def _layers(model):
+    return model.encoder.layers + model.head.layers
+
+
+def _assert_same_model(got, want):
+    assert got.spec == want.spec
+    assert got.encoder.config == want.encoder.config
+    assert got.head.config == want.head.config
+    for name in ("mean_x", "mean_y", "std_x", "std_y"):
+        assert float(getattr(got.norm_stats, name)).hex() == \
+            float(getattr(want.norm_stats, name)).hex()
+    assert float(got.stride_m).hex() == float(want.stride_m).hex()
+    assert got.seed == want.seed
+    assert len(_layers(got)) == len(_layers(want))
+    for g, w in zip(_layers(got), _layers(want)):
+        assert g.W.shape == w.W.shape and g.b.shape == w.b.shape
+        assert g.W.tobytes() == w.W.tobytes()
+        assert g.b.tobytes() == w.b.tobytes()
+
+
+def _split(data: bytes):
+    magic, header, blob = data.split(b"\n", 2)
+    return magic, json.loads(header), blob
+
+
+def _join(magic: bytes, header, blob: bytes) -> bytes:
+    return magic + b"\n" + json.dumps(header).encode() + b"\n" + blob
+
+
+def test_v2_layout_is_magic_header_and_flat_blob(tmp_path):
+    model = _model()
+    save_model(model, tmp_path / "m.ckpt")
+    magic, header, blob = _split((tmp_path / "m.ckpt").read_bytes())
+    assert magic == b"ospace-checkpoint-2"
+    assert set(header) == {"version", "spec", "stride_m", "seed", "norm_stats",
+                           "encoder", "head", "blob_bytes", "sha256"}
+    flat = np.concatenate([a.ravel() for l in _layers(model) for a in (l.W, l.b)])
+    assert blob == flat.astype("<f8").tobytes()
+    assert header["blob_bytes"] == len(blob)
+    back = load_model(tmp_path / "m.ckpt")
+    _assert_same_model(back, model)
+    assert all(l.W.flags.writeable and l.b.flags.writeable for l in _layers(back))
+
+
+def test_v1_file_loads_bit_identical_to_v2(tmp_path):
+    model = _model(3)
+    save_v1(model_to_v1_obj(model), tmp_path / "old.json")
+    save_model(model, tmp_path / "new.ckpt")
+    from_v1 = load_model(tmp_path / "old.json")
+    _assert_same_model(from_v1, load_model(tmp_path / "new.ckpt"))
+    _assert_same_model(from_v1, model)
+    save_model(from_v1, tmp_path / "resaved.ckpt")
+    assert (tmp_path / "resaved.ckpt").read_bytes() == \
+        (tmp_path / "new.ckpt").read_bytes()
+
+
+def _flip_blob_byte(data):
+    i = len(data) - 100
+    return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1:]
+
+
+def _rehash(data):
+    """The file with its header's sha256 set to match its blob."""
+    magic, header, blob = _split(data)
+    header["sha256"] = hashlib.sha256(blob).hexdigest()
+    return _join(magic, header, blob)
+
+
+def _header_edit(edit):
+    def corrupt(data):
+        magic, header, blob = _split(data)
+        return _join(magic, edit(header), blob)
+    return corrupt
+
+
+def _set(path, value):
+    def edit(header):
+        obj = header
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return header
+    return edit
+
+
+V2_CORRUPTIONS = {
+    "truncated blob": (lambda d: d[:-8], "truncated"),
+    "empty blob": (lambda d: d[:d.index(b"}\n") + 2], "truncated"),
+    "flipped blob byte": (_flip_blob_byte, "sha256 mismatch"),
+    "trailing bytes": (lambda d: d + b"\0", "trailing bytes"),
+    "bad header line": (lambda d: d.replace(b'{"version"', b'{version', 1),
+                        "checkpoint header: not a line of JSON"),
+    "configs disagree with blob_bytes": (
+        _header_edit(_set(("encoder", "config", "layer_widths"), [8, 17])),
+        "blob_bytes"),
+    "blob_bytes off the configs": (
+        _header_edit(lambda h: dict(h, blob_bytes=h["blob_bytes"] + 8)),
+        "checkpoint blob_bytes: .* the configs need"),
+    "header is a list": (_header_edit(lambda h: [h]),
+                         "checkpoint: expected a JSON object, got array"),
+    "config field of wrong type": (
+        _header_edit(_set(("encoder", "config", "input_dim"), {})),
+        "checkpoint encoder.config.input_dim: expected integer, got object"),
+    "missing sha256": (_header_edit(lambda h: {k: v for k, v in h.items()
+                                               if k != "sha256"}),
+                       "checkpoint sha256: missing"),
+    "header version": (_header_edit(_set(("version",), "ospace-checkpoint-1")),
+                       "checkpoint version"),
+    "head output off the grid": (_header_edit(_set(("spec", "cols"), 11)),
+                                 "head layer 1.*grid cells 110"),
+    "non-finite weight": (
+        lambda d: _rehash(d[:-8] + np.array([np.nan]).astype("<f8").tobytes()),
+        "head layer 1: non-finite weight"),
+}
+
+
+def _v1_edit(edit):
+    def corrupt(data):
+        obj = model_to_v1_obj(_model())
+        return json.dumps(edit(obj)).encode()
+    return corrupt
+
+
+V1_CORRUPTIONS = {
+    "v1 layers of wrong type": (
+        _v1_edit(_set(("encoder", "layers"), 5)),
+        "checkpoint encoder.layers: expected array, got integer"),
+    "v1 config field of wrong type": (
+        _v1_edit(_set(("head", "config", "input_dim"), {})),
+        "checkpoint head.config.input_dim: expected integer, got object"),
+    "v1 top-level list": (_v1_edit(lambda obj: [obj]),
+                          "checkpoint: expected a JSON object, got array"),
+    "v1 layer of wrong type": (
+        _v1_edit(_set(("head", "layers", 0), "W")),
+        "checkpoint head layer 0: expected a JSON object, got string"),
+    "v1 missing section": (_v1_edit(lambda obj: {k: v for k, v in obj.items()
+                                                 if k != "head"}),
+                           "checkpoint head: missing"),
+    "v1 bool seed": (_v1_edit(_set(("seed",), True)),
+                     "checkpoint seed: expected integer, got boolean"),
+    "v1 bad widths": (_v1_edit(_set(("encoder", "config", "layer_widths"), [8, 0])),
+                      "checkpoint encoder.config: bad layer widths"),
+    "neither version": (lambda d: b"\x00\x01garbage", "neither a v2 file nor v1 JSON"),
+}
+
+
+@pytest.mark.parametrize("corrupt,message",
+                         list((V2_CORRUPTIONS | V1_CORRUPTIONS).values()),
+                         ids=list(V2_CORRUPTIONS | V1_CORRUPTIONS))
+def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys,
+                                                      corrupt, message):
+    good = tmp_path / "good.ckpt"
+    save_model(_model(), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_model(bad)
+
+    scenes = tmp_path / "scenes.jsonl"
+    scenes.write_text(SCENES)
+    pred = tmp_path / "pred.jsonl"
+    assert main(["predict", str(good), str(scenes), "-o", str(pred)]) == 0
+    pred.unlink()
+    capsys.readouterr()
+    rc = main(["predict", str(bad), str(scenes), "-o", str(pred)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: checkpoint")
+    assert "Traceback" not in err
+    assert not pred.exists()
+
+
+# -0.0, the smallest subnormal, a larger subnormal, the smallest normal, +-max
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def models(draw):
+    enc_cfg = EncoderConfig(
+        input_dim=draw(st.integers(1, 4)), max_people=draw(st.integers(1, 30)),
+        layer_widths=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    spec = RoomSpec(rows=draw(st.integers(1, 3)), cols=draw(st.integers(1, 3)),
+                    cell_m=draw(st.floats(0.01, 10.0)))
+    head_cfg = HeadConfig(
+        input_dim=draw(st.integers(0, 3)) + enc_cfg.output_dim,
+        hidden_widths=draw(st.lists(st.integers(1, 4), max_size=2)),
+        output_dim=spec.n_cells)
+
+    def layers(dims):
+        return [Dense(draw(hnp.arrays(np.float64, (d_in, d_out), elements=FINITE)),
+                      draw(hnp.arrays(np.float64, (d_out,), elements=FINITE)))
+                for d_in, d_out in zip(dims, dims[1:])]
+
+    positive = st.floats(min_value=5e-324, allow_infinity=False)
+    stats = NormStats(draw(FINITE), draw(FINITE), draw(positive), draw(positive))
+    return ModelWeights(EncoderWeights(enc_cfg, layers(enc_cfg.dims)),
+                        HeadWeights(head_cfg, layers(head_cfg.dims)), stats,
+                        stride_m=draw(FINITE), seed=draw(st.integers(0, 2**63)),
+                        spec=spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models())
+def test_save_load_is_bit_exact_and_deterministic(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b, c = (Path(tmp) / n for n in ("a.ckpt", "b.ckpt", "c.ckpt"))
+        save_model(model, a)
+        save_model(model, b)
+        assert a.read_bytes() == b.read_bytes()
+        back = load_model(a)
+        _assert_same_model(back, model)
+        save_model(back, c)
+        assert c.read_bytes() == a.read_bytes()

@@ -11,6 +11,8 @@ import pytest
 
 import ospace
 from ospace.cli import main
+from ospace.network import load_model
+from v1_checkpoint import model_to_v1_obj, save_v1
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
         '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
@@ -95,8 +97,10 @@ def _train_tiny(workdir, out="model.json", extra=()):
 
 def test_train_writes_versioned_checkpoint(workdir):
     model = _train_tiny(workdir)
-    obj = json.loads(model.read_text())
-    assert obj["version"] == "ospace-checkpoint-1"
+    magic, header, _ = model.read_bytes().split(b"\n", 2)
+    assert magic == b"ospace-checkpoint-2"
+    obj = json.loads(header)
+    assert obj["version"] == "ospace-checkpoint-2"
     assert obj["encoder"]["config"]["layer_widths"] == [8, 16]
 
 
@@ -151,10 +155,10 @@ def test_predict_eval_roundtrip(workdir, capsys):
 
 def test_predict_corrupt_checkpoint_is_data_error(workdir, capsys):
     model = _train_tiny(workdir)
-    obj = json.loads(model.read_text())
+    obj = model_to_v1_obj(load_model(model))
     obj["head"]["layers"][1]["W"].pop()
     bad = workdir / "bad.json"
-    bad.write_text(json.dumps(obj))
+    save_v1(obj, bad)
     rc = main(["predict", str(bad), "train.jsonl", "-o", "pred.jsonl"])
     err = capsys.readouterr().err
     assert rc == 2
@@ -172,6 +176,27 @@ def test_eval_perfect_predictions(workdir, capsys):
     capsys.readouterr()
     lines = (workdir / "m.csv").read_text().splitlines()
     assert lines[1] == "test,1,1,0,0,1.0,1.0,1.0"
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"frame_id": "a", "groups": [5]}', "group block is not an array"),
+    ('{"frame_id": "a", "groups": [[0, "1"]]}', "group member '1' is not an integer"),
+    ('{"frame_id": "a", "groups": 5}', "groups is not an array"),
+    ('{"frame_id": 7, "groups": [[0, 1]]}', "frame_id is not a string"),
+    ('[{"frame_id": "a", "groups": [[0, 1]]}]', "record is not a JSON object"),
+    ('5', "record is not a JSON object"),
+])
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_eval_malformed_group_record_is_data_error(workdir, capsys, side, line,
+                                                   message):
+    good = '{"frame_id": "a", "groups": [[0, 1]]}\n'
+    files = {"pred": workdir / "pred.jsonl", "gt": workdir / "gt.jsonl"}
+    for name, path in files.items():
+        path.write_text(good + (line + "\n" if name == side else good))
+    rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {files[side]} line 2: {message}\n"
 
 
 def test_eval_frame_order_mismatch(workdir):

@@ -24,7 +24,6 @@ from ospace.network import (
     init_head,
     load_model,
     model_from_obj,
-    model_to_obj,
     predict_heatmap,
     save_model,
     train,
@@ -32,6 +31,7 @@ from ospace.network import (
     _Sgd,
 )
 from ospace.room import RoomFeature
+from v1_checkpoint import model_to_v1_obj
 
 ROOM4 = RoomFeature(np.zeros(4))
 ENC_CFG = EncoderConfig(input_dim=18, max_people=25, layer_widths=(8, 16))
@@ -285,7 +285,7 @@ def test_train_same_seed_reproducible():
     a, ta = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg())
     b, tb = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg())
     assert ta == tb
-    assert json.dumps(model_to_obj(a)) == json.dumps(model_to_obj(b))
+    assert json.dumps(model_to_v1_obj(a)) == json.dumps(model_to_v1_obj(b))
     c, tc = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(seed=1))
     assert ta != tc
 
@@ -309,7 +309,7 @@ def test_train_best_epoch_by_validation_loss():
                       _quick_cfg(epochs=k, learning_rate=3e-3),
                       val_scenes=val)
     assert [e.val_loss for e in st] == [e.val_loss for e in trace[:k]]
-    assert json.dumps(model_to_obj(short)) == json.dumps(model_to_obj(model))
+    assert json.dumps(model_to_v1_obj(short)) == json.dumps(model_to_v1_obj(model))
 
 
 def test_train_divergence_raises_with_epoch():
@@ -369,13 +369,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_checkpoint_version_tag():
+def test_checkpoint_version_tag(tmp_path):
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
-    obj = model_to_obj(model)
-    assert obj["version"] == CHECKPOINT_VERSION
-    obj["version"] = "ospace-checkpoint-0"
-    with pytest.raises(ValueError):
-        model_from_obj(obj)
+    save_model(model, tmp_path / "m.ckpt")
+    magic, header, _ = (tmp_path / "m.ckpt").read_bytes().split(b"\n", 2)
+    assert magic.decode() == CHECKPOINT_VERSION
+    assert json.loads(header)["version"] == CHECKPOINT_VERSION
+    obj = model_to_v1_obj(model)
+    assert obj["version"] == "ospace-checkpoint-1"
+    model_from_obj(obj)
+    for version in ("ospace-checkpoint-0", CHECKPOINT_VERSION):
+        obj["version"] = version
+        with pytest.raises(ValueError, match="checkpoint version"):
+            model_from_obj(obj)
 
 
 def test_checkpoint_custom_spec():
@@ -386,7 +392,7 @@ def test_checkpoint_custom_spec():
                     ((0, 1),))]
     model, _ = train(scenes, ROOM4, enc, head,
                      _quick_cfg(epochs=1), spec=spec, stride_m=0.4)
-    obj = model_to_obj(model)
+    obj = model_to_v1_obj(model)
     back = model_from_obj(obj)
     assert back.spec == spec
     assert back.stride_m == 0.4
@@ -396,7 +402,7 @@ def test_checkpoint_custom_spec():
 
 def _checkpoint_obj():
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
-    return model_to_obj(model)
+    return model_to_v1_obj(model)
 
 
 def test_checkpoint_rejects_layer_shape_off_config():
