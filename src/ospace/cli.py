@@ -31,6 +31,8 @@ from .network import (
     HeadConfig,
     TrainConfig,
     TrainingDivergedError,
+    _construct,
+    _number,
     load_model,
     predict_heatmap,
     save_model,
@@ -96,14 +98,15 @@ def _csv_ints(raw: str) -> tuple[int, ...]:
 def _params_from_args(args) -> AssignParams:
     base = AssignParams()
     if getattr(args, "params", None):
+        what = f"params file {args.params}"
         with open(args.params, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        base = AssignParams(
-            nms_threshold=float(obj["nms_threshold"]),
-            min_group_separation_m=float(obj["min_group_separation_m"]),
-            max_assign_dist_m=float(obj["max_assign_dist_m"]),
-            stride_m=float(obj["stride_m"]),
-        )
+            try:
+                obj = json.load(f)
+            except ValueError as e:  # bad JSON or bad UTF-8
+                raise ValueError(f"{what}: not JSON ({e})") from None
+        # the four fields tune writes, each a JSON number
+        base = _construct("", AssignParams, what, **{
+            k: _number(obj, "", k, what) for k in _params_to_obj(base)})
     return _usage_guard(lambda: AssignParams(
         nms_threshold=base.nms_threshold if args.threshold is None else args.threshold,
         min_group_separation_m=(base.min_group_separation_m

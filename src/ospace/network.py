@@ -393,56 +393,59 @@ def predict_heatmap(scene: Scene, model: ModelWeights, room: RoomFeature) -> OSp
     return OSpaceMap(y.reshape(model.spec.rows, model.spec.cols), model.spec)
 
 
-# JSON type names for checkpoint field errors.
+# JSON type names for field errors.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
                float: "number", bool: "boolean", type(None): "null"}
 
 
-def _name(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
+def _name(what: str, where: str, key: str = "") -> str:
+    """``what`` (the document) and the dotted path of a field inside it."""
+    path = ".".join(p for p in (where, key) if p)
+    return f"{what} {path}" if path else what
 
 
-def _field(obj, where: str, key: str, kinds: tuple):
+def _field(obj, where: str, key: str, kinds: tuple, what: str = "checkpoint"):
     """``obj[key]``, required to be one of the JSON types ``kinds``.
 
-    ``where`` names ``obj`` in the checkpoint ("" for the top level), so a
-    missing or mistyped field fails with a ValueError that names it.
+    ``what`` names the document being read and ``where`` names ``obj`` in
+    it ("" for the top level), so a missing or mistyped field fails with a
+    ValueError that names both.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"checkpoint{' ' + where if where else ''}: expected "
-                         f"a JSON object, got {_JSON_TYPES.get(type(obj), 'data')}")
-    name = _name(where, key)
+        raise ValueError(f"{_name(what, where)}: expected a JSON object, got "
+                         f"{_JSON_TYPES.get(type(obj), 'data')}")
+    name = _name(what, where, key)
     if key not in obj:
-        raise ValueError(f"checkpoint {name}: missing")
+        raise ValueError(f"{name}: missing")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, kinds):
         want = " or ".join(_JSON_TYPES[k] for k in kinds)
-        raise ValueError(f"checkpoint {name}: expected {want}, got "
+        raise ValueError(f"{name}: expected {want}, got "
                          f"{_JSON_TYPES.get(type(v), type(v).__name__)}")
     return v
 
 
-def _number(obj, where: str, key: str) -> float:
+def _number(obj, where: str, key: str, what: str = "checkpoint") -> float:
     try:
-        return float(_field(obj, where, key, (float, int)))
+        return float(_field(obj, where, key, (float, int), what))
     except OverflowError:  # an integer too large for a float
-        raise ValueError(f"checkpoint {_name(where, key)}: out of range") from None
+        raise ValueError(f"{_name(what, where, key)}: out of range") from None
 
 
 def _ints(obj, where: str, key: str) -> tuple[int, ...]:
     v = _field(obj, where, key, (list,))
     if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-        raise ValueError(f"checkpoint {_name(where, key)}: expected an array "
-                         f"of integers")
+        raise ValueError(f"{_name('checkpoint', where, key)}: expected an "
+                         f"array of integers")
     return tuple(v)
 
 
-def _construct(where: str, cls, **kw):
-    """``cls(**kw)``, its ValueError reworded to name the checkpoint field."""
+def _construct(where: str, cls, what: str = "checkpoint", **kw):
+    """``cls(**kw)``, its ValueError reworded to name the document and field."""
     try:
         return cls(**kw)
     except ValueError as e:
-        raise ValueError(f"checkpoint {where}: {e}") from None
+        raise ValueError(f"{_name(what, where)}: {e}") from None
 
 
 def _model_shell(obj, version: str) -> ModelWeights:

@@ -26,7 +26,8 @@ from .groundtruth import DEFAULT_STRIDE_M, propose_center
 from .network import ModelWeights, predict_heatmap
 from .room import RoomFeature
 
-__all__ = ["Detection", "AssignParams", "nms", "assign_groups", "predict_scene"]
+__all__ = ["Detection", "AssignParams", "nms", "propose_centers", "nearest_detections",
+           "assign_groups", "predict_scene"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,30 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     return kept
 
 
+def propose_centers(persons, stride_m: float) -> np.ndarray:
+    """Every person's o-space proposal at one stride, as an (n, 2) array."""
+    out = np.empty((len(persons), 2))
+    for i, person in enumerate(persons):
+        prop = propose_center(person, stride_m)
+        out[i] = prop.x, prop.y
+    return out
+
+
+def nearest_detections(props: np.ndarray, detections):
+    """For each proposal row, the index of its nearest detection and the
+    distance to it.
+
+    Ties go to the lower index (``argmin``'s first minimum).  With no
+    detections every index is -1 and every distance inf.
+    """
+    if not detections:
+        return np.full(len(props), -1, dtype=np.intp), np.full(len(props), np.inf)
+    centers = np.array([[d.center.x, d.center.y] for d in detections])
+    dist = np.hypot(centers[:, 0] - props[:, :1], centers[:, 1] - props[:, 1:])
+    j = np.argmin(dist, axis=1)
+    return j, dist[np.arange(len(props)), j]
+
+
 def assign_groups(persons, detections, params: AssignParams):
     """Partition persons by nearest detection to each one's o-space proposal.
 
@@ -86,15 +111,9 @@ def assign_groups(persons, detections, params: AssignParams):
     persons = list(persons)
     if not persons:
         return ()
-    assigned = [-1] * len(persons)
-    if detections:
-        centers = np.array([[d.center.x, d.center.y] for d in detections])
-        for i, person in enumerate(persons):
-            prop = propose_center(person, params.stride_m)
-            dist = np.hypot(centers[:, 0] - prop.x, centers[:, 1] - prop.y)
-            j = int(np.argmin(dist))
-            if dist[j] <= params.max_assign_dist_m:
-                assigned[i] = j
+    near, dist = nearest_detections(propose_centers(persons, params.stride_m),
+                                    detections)
+    assigned = np.where(dist <= params.max_assign_dist_m, near, -1).tolist()
 
     blocks: dict[int, list[int]] = {}
     for i, j in enumerate(assigned):

@@ -1,20 +1,39 @@
 """Grid search over the assignment hyperparameters on a validation set.
 
-The network forward pass is independent of the assignment parameters, so
-heatmaps are computed once per scene and every grid combination reuses
-them; NMS detections are likewise shared across the assignment-distance
-and stride axes.  Ties on F1 break toward higher threshold, larger
-separation, smaller assignment distance, then smaller stride.
+Each stage runs once per combination of the grid axes it depends on:
+
+- heatmaps: once per scene (the forward pass ignores the parameters);
+- proposals: once per scene and stride;
+- NMS detections: once per scene, threshold and separation;
+- each person's nearest detection and its distance: once per scene,
+  threshold, separation and stride.
+
+The assignment distance is then only a cutoff on that distance: the
+vector ``where(dist <= max_assign_dist_m, nearest, -1)`` fixes the
+partition ``assign_groups`` would return.  Its bytes key a per-scene memo
+of ``match_scene`` counts, so ``assign_groups`` and ``match_scene`` run
+once per distinct partition of a scene, not once per grid point.  The
+table lists every grid point in grid order.  Ties on F1 break toward
+higher threshold, larger separation, smaller assignment distance, then
+smaller stride.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .evaluation import GroupMetrics, aggregate, match_scene, snap_tolerance
 from .network import ModelWeights, predict_heatmap
 from .parallel import thread_map
-from .postprocess import AssignParams, assign_groups, nms
+from .postprocess import (
+    AssignParams,
+    assign_groups,
+    nearest_detections,
+    nms,
+    propose_centers,
+)
 from .room import RoomFeature
 
 __all__ = ["Grid", "GridResult", "grid_search", "grid_search_heatmaps"]
@@ -59,21 +78,30 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
         raise ValueError("empty validation set")
     t = snap_tolerance(tolerance)
 
+    props = [[propose_centers(s.persons, st) for st in grid.strides_m]
+             for s in scenes]
+    memos: list[dict[bytes, tuple[int, int, int]]] = [{} for _ in scenes]
     table: list[GridResult] = []
     for thr in grid.nms_thresholds:
         for sep in grid.separations_m:
             base = AssignParams(nms_threshold=thr, min_group_separation_m=sep)
             detections = [nms(h, base) for h in heatmaps]
+            nearest = [[nearest_detections(p, d) for p in scene_props]
+                       for scene_props, d in zip(props, detections)]
             for ad in grid.assign_dists_m:
-                for st in grid.strides_m:
+                for k, st in enumerate(grid.strides_m):
                     params = AssignParams(nms_threshold=thr,
                                           min_group_separation_m=sep,
                                           max_assign_dist_m=ad, stride_m=st)
-                    counts = [
-                        match_scene(assign_groups(s.persons, d, params),
-                                    s.groups, t)
-                        for s, d in zip(scenes, detections)
-                    ]
+                    counts = []
+                    for s, d, near, memo in zip(scenes, detections, nearest,
+                                                memos):
+                        j, dist = near[k]
+                        key = np.where(dist <= ad, j, -1).tobytes()
+                        if key not in memo:
+                            memo[key] = match_scene(
+                                assign_groups(s.persons, d, params), s.groups, t)
+                        counts.append(memo[key])
                     table.append(GridResult(params, aggregate(counts, t)))
 
     best = min(table, key=lambda r: (-r.metrics.f1, -r.params.nms_threshold,

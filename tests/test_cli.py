@@ -254,6 +254,42 @@ def test_predict_params_file_flows_through(workdir):
                      "--threshold", "1.5"]) == 1  # invalid parameter is usage
 
 
+_PARAMS = {"nms_threshold": 0.4, "min_group_separation_m": 1.0,
+           "max_assign_dist_m": 1.0, "stride_m": 0.7}
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({**_PARAMS, "nms_threshold": {}}),
+     "p.json nms_threshold: expected number or integer, got object"),
+    (json.dumps(list(_PARAMS.values())),
+     "p.json: expected a JSON object, got array"),
+    (json.dumps({**_PARAMS, "nms_threshold": True}),
+     "p.json nms_threshold: expected number or integer, got boolean"),
+    (json.dumps({k: v for k, v in _PARAMS.items()
+                 if k != "min_group_separation_m"}),
+     "p.json min_group_separation_m: missing"),
+    (json.dumps({**_PARAMS, "stride_m": "0.7"}),
+     "p.json stride_m: expected number or integer, got string"),
+    (json.dumps({**_PARAMS, "max_assign_dist_m": 10 ** 400}),
+     "p.json max_assign_dist_m: out of range"),
+    (json.dumps({**_PARAMS, "nms_threshold": 1.5}),
+     "p.json: threshold 1.5 outside [0, 1]"),
+    ("{nope", "p.json: not JSON"),
+], ids=["object", "top-level list", "boolean", "missing key", "string",
+        "huge integer", "out of range", "not JSON"])
+def test_predict_bad_params_file_is_data_error(workdir, capsys, text, message):
+    model = _train_tiny(workdir)
+    (workdir / "p.json").write_text(text)
+    capsys.readouterr()
+    rc = main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl",
+               "--params", "p.json"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: params file {message}")
+    assert "Traceback" not in err
+    assert not (workdir / "pred.jsonl").exists()
+
+
 def test_render_ground_truth_pgm(workdir):
     _write_scenes(workdir / "gt.jsonl")
     assert main(["render", "gt.jsonl", "-o", "maps"]) == 0

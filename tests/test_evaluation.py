@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospace.evaluation import (
     aggregate,
@@ -153,3 +154,48 @@ def test_tolerance_one_is_set_equality():
             tp, fp, fn = match_scene(mut, gt, Fraction(1))
             assert tp == n_groups - 2
             assert fp == fn == 2
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of range(n) as blocks in arbitrary order, members
+    unsorted, singletons kept or dropped."""
+    order = draw(st.permutations(range(n)))
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for i, label in zip(order, labels):
+        blocks.setdefault(label, []).append(i)
+    keep_singletons = draw(st.booleans())
+    return [tuple(b) for b in blocks.values() if keep_singletons or len(b) >= 2]
+
+
+def _greedy_over_sets(pred, gt, num, den):
+    """match_scene spelled out on Python sets with integer ceilings."""
+    def order(blocks):
+        return sorted((set(b) for b in blocks if len(b) >= 2),
+                      key=lambda b: (-len(b), min(b)))
+    pred, gt = order(pred), order(gt)
+    free = list(range(len(pred)))
+    tp = 0
+    for g in gt:
+        need = -(-num * len(g) // den)
+        allow = -(-(den - num) * len(g) // den)
+        for i in free:
+            if len(pred[i] & g) >= need and len(pred[i] - g) <= allow:
+                free.remove(i)
+                tp += 1
+                break
+    return tp, len(pred) - tp, len(gt) - tp
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(
+           lambda n: st.tuples(partitions(n), partitions(n))),
+       # below 1/2 one predicted group can match several true ones, so
+       # claiming and the matching order decide the counts
+       st.sampled_from([(2, 3), (1, 1), (1, 2), (1, 3)]))
+def test_match_scene_equals_greedy_set_algebra(pair, tolerance):
+    pred, gt = pair
+    num, den = tolerance
+    assert match_scene(pred, gt, Fraction(num, den)) == \
+        _greedy_over_sets(pred, gt, num, den)

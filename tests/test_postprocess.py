@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Point2
-from ospace.postprocess import AssignParams, Detection, assign_groups, nms
+from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Point2, cell_center
+from ospace.groundtruth import propose_center
+from ospace.postprocess import (
+    AssignParams,
+    Detection,
+    assign_groups,
+    nearest_detections,
+    nms,
+    propose_centers,
+)
 
 P = AssignParams()
 
@@ -174,3 +182,43 @@ def test_threshold_monotonicity():
         if prev is not None:
             assert centers <= prev
         prev = centers
+
+
+def _nearest_per_person(persons, detections, stride_m):
+    """The per-person loop assign_groups ran before it was vectorised."""
+    centers = np.array([[d.center.x, d.center.y] for d in detections])
+    out = []
+    for person in persons:
+        prop = propose_center(person, stride_m)
+        dist = np.hypot(centers[:, 0] - prop.x, centers[:, 1] - prop.y)
+        j = int(np.argmin(dist))
+        out.append((j, float(dist[j])))
+    return out
+
+
+def test_nearest_detections_matches_per_person_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        persons = [Person(*rng.uniform((0, 0, -180), (6, 5, 180)))
+                   for _ in range(rng.integers(0, 8))]
+        # few distinct cells, so repeated centers tie argmin exactly
+        cells = rng.integers((0, 0), (3, 4), size=(rng.integers(1, 7), 2))
+        dets = [Detection(cell_center(int(r), int(c)), 0.9) for r, c in cells]
+        stride = float(rng.choice([0.0, 0.4, 0.7, 1.0]))
+        near, dist = nearest_detections(propose_centers(persons, stride), dets)
+        got = [(int(j), float(d)) for j, d in zip(near, dist)]
+        assert got == _nearest_per_person(persons, dets, stride)
+    # a proposal exactly midway between two distinct centers takes the first
+    dets = [Detection(Point2(2.25, 2.25), 0.9), Detection(Point2(1.25, 2.25), 0.9)]
+    near, dist = nearest_detections(
+        propose_centers([Person(1.25, 2.25, 0.0)], 0.5), dets)
+    assert (near.tolist(), dist.tolist()) == ([0], [0.5])
+
+
+def test_nearest_detections_without_detections():
+    near, dist = nearest_detections(
+        propose_centers([Person(1.0, 1.0, 0.0)] * 3, 0.7), [])
+    assert near.tolist() == [-1, -1, -1]
+    assert np.isinf(dist).all()
+    near, dist = nearest_detections(propose_centers([], 0.7), [])
+    assert near.shape == dist.shape == (0,)

@@ -2,11 +2,21 @@
 
 The tracer skips a missing attribute silently, so renaming or removing a
 function that ``perfbench/probes.py`` names would zero a per-layer metric
-without any error.  The probe table is read from its file, without writing
-anything next to it.
+without any error; so would a module that still imports a probed function
+but stops calling it.  The probe table is read from its file, without
+writing anything next to it.
 """
 import types
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from ospace import tuning
+from ospace.core import Person, Scene
+from ospace.encoder import EncoderConfig
+from ospace.network import HeadConfig, TrainConfig, train
+from ospace.room import RoomFeature
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
@@ -24,3 +34,28 @@ def test_every_probe_target_resolves():
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in targets
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_grid_search_calls_every_tuning_probe_target(monkeypatch):
+    """A function tuning imports but no longer calls still resolves, and its
+    span would silently read zero; each must run in a search."""
+    calls = Counter()
+    attrs = [attr for module, attr, _, _ in _probes().TARGETS
+             if module is tuning and attr != "grid_search"]
+    assert {"nms", "assign_groups", "match_scene"} <= set(attrs)
+    for attr in attrs:
+        def spy(*args, _real=getattr(tuning, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(tuning, attr, spy)
+    scenes = [Scene("a", (Person(1.0, 1.0, 0.0), Person(2.4, 1.0, 180.0)),
+                    ((0, 1),))]
+    room = RoomFeature(np.zeros(4))
+    model, _ = train(scenes, room,
+                     EncoderConfig(input_dim=18, max_people=25,
+                                   layer_widths=(8, 16)),
+                     HeadConfig(input_dim=20, hidden_widths=(16,),
+                                output_dim=120),
+                     TrainConfig(epochs=0))
+    tuning.grid_search(model, scenes, room, tuning.Grid(), 1)
+    assert [a for a in attrs if calls[a] == 0] == []

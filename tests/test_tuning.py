@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Scene
+from ospace.evaluation import aggregate, match_scene, snap_tolerance
 from ospace.groundtruth import scene_target
+from ospace.postprocess import AssignParams, assign_groups, nms
 from ospace.tuning import Grid, GridResult, grid_search_heatmaps
 
 
@@ -89,3 +93,103 @@ def test_flat_heatmap_yields_zero_f1():
     assert f1 == 0.0
     m = table[0].metrics
     assert (m.tp, m.fp, m.fn) == (0, 0, 1)
+
+
+def _per_point_search(heatmaps, scenes, grid, tolerance):
+    """The reference: NMS per threshold and separation, then assign_groups
+    and match_scene for every scene at every grid point."""
+    t = snap_tolerance(tolerance)
+    table = []
+    for thr in grid.nms_thresholds:
+        for sep in grid.separations_m:
+            base = AssignParams(nms_threshold=thr, min_group_separation_m=sep)
+            detections = [nms(h, base) for h in heatmaps]
+            for ad in grid.assign_dists_m:
+                for st in grid.strides_m:
+                    params = AssignParams(nms_threshold=thr,
+                                          min_group_separation_m=sep,
+                                          max_assign_dist_m=ad, stride_m=st)
+                    counts = [
+                        match_scene(assign_groups(s.persons, d, params),
+                                    s.groups, t)
+                        for s, d in zip(scenes, detections)
+                    ]
+                    table.append(GridResult(params, aggregate(counts, t)))
+    best = min(table, key=lambda r: (-r.metrics.f1, -r.params.nms_threshold,
+                                     -r.params.min_group_separation_m,
+                                     r.params.max_assign_dist_m,
+                                     r.params.stride_m))
+    return best.params, best.metrics.f1, table
+
+
+def _random_scene(rng, frame):
+    persons = [Person(*rng.uniform((0, 0, -180), (6, 5, 180)))
+               for _ in range(rng.integers(1, 9))]
+    order = rng.permutation(len(persons)).tolist()
+    cuts = sorted(rng.choice(range(1, len(persons) + 1), rng.integers(1, 4)))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts) if a < b]
+    blocks.append(order[cuts[-1]:])
+    return Scene(frame, persons, [b for b in blocks if b])
+
+
+def _peak_map(cells):
+    v = np.zeros((DEFAULT_SPEC.rows, DEFAULT_SPEC.cols))
+    for r, c in cells:
+        v[r, c] = 0.9
+    return OSpaceMap(v, DEFAULT_SPEC)
+
+
+def _exact_scenes():
+    """Scenes whose proposals sit exactly on a grid distance or midway
+    between two detections (cell centers lie on multiples of 0.25 m)."""
+    dyad = Scene("exact", (Person(1.25, 2.25, 0.0), Person(3.25, 2.25, 180.0)),
+                 ((0, 1),))
+    # at stride 0.5 person 0's proposal (2.25, 2.25) is 1.0 m from both peaks
+    tie = Scene("tie", (Person(1.75, 2.25, 0.0), Person(0.75, 2.25, 0.0),
+                        Person(3.75, 2.25, 180.0)), ((0, 1), (2,)))
+    return ([dyad, tie], [_peak_map([(4, 4)]), _peak_map([(4, 2), (4, 6)])])
+
+
+def _flat_scenes():
+    """Equal-sized scenes with no peaks but different ground truth, and an
+    empty scene: their assignment vectors coincide."""
+    flat = OSpaceMap(np.full((DEFAULT_SPEC.rows, DEFAULT_SPEC.cols), 0.1),
+                     DEFAULT_SPEC)
+    persons = tuple(Person(1.0 + i, 1.0, 0.0) for i in range(4))
+    return ([Scene("one", persons, ((0, 1), (2, 3))),
+             Scene("two", persons, ((0, 1, 2, 3),)),
+             Scene("none", (), ())], [flat, flat, flat])
+
+
+@pytest.mark.parametrize("tolerance", [Fraction(2, 3), 1])
+def test_search_equals_per_point_reference(tolerance):
+    rng = np.random.default_rng(7)
+    scenes, heatmaps = _exact_scenes()
+    flat_scenes, flat_maps = _flat_scenes()
+    scenes += flat_scenes
+    heatmaps += flat_maps
+    for i in range(14):
+        s = _random_scene(rng, f"r{i}")
+        if i % 2:
+            v = rng.uniform(0, 1, (DEFAULT_SPEC.rows, DEFAULT_SPEC.cols))
+        else:
+            v = np.clip(scene_target(s, 0.7).values
+                        + rng.normal(0, 0.15, (DEFAULT_SPEC.rows,
+                                               DEFAULT_SPEC.cols)), 0, 1)
+        scenes.append(s)
+        heatmaps.append(OSpaceMap(v, DEFAULT_SPEC))
+    # duplicate values on every axis; 0.5 and 1.0 are exact on the peaks
+    grid = Grid(nms_thresholds=(0.3, 0.5, 0.5, 0.8),
+                separations_m=(0.5, 1.0, 1.0),
+                assign_dists_m=(1.0, 0.5, 0.25, 0.5, 1.5),
+                strides_m=(0.4, 0.5, 0.7, 0.7, 1.0))
+    got = grid_search_heatmaps(heatmaps, scenes, grid, tolerance)
+    want = _per_point_search(heatmaps, scenes, grid, tolerance)
+    assert got[2] == want[2]
+    assert got[:2] == want[:2]
+    # the constructed cases did decide something: both peak scenes are
+    # matched at some point and missed at another
+    for k in range(2):
+        table = _per_point_search([heatmaps[k]], [scenes[k]], grid,
+                                  tolerance)[2]
+        assert {r.metrics.tp for r in table} == {0, 1}
