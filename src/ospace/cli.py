@@ -27,19 +27,18 @@ from .dataset import (
 from .encoder import EncoderConfig
 from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
+from .jsondoc import from_obj, load, to_obj
 from .network import (
     HeadConfig,
     TrainConfig,
     TrainingDivergedError,
-    _construct,
-    _number,
     load_model,
     predict_heatmap,
     save_model,
     train,
 )
 from .parallel import thread_map
-from .postprocess import AssignParams, assign_groups, nms
+from .postprocess import AssignParams, predict_scene
 from .room import (
     RoomFeature,
     load_layout,
@@ -82,9 +81,21 @@ def _resolve_room(args, spec: RoomSpec, dim: int) -> RoomFeature:
             feat = load_precomputed(f.read())
         return RoomFeature(pad_to_dim(feat.values, dim))
     if args.layout:
-        return room_feature_from_layout(load_layout(args.layout), dim)
+        layout = load_layout(args.layout)
+        got = (layout.spec.rows, layout.spec.cols)
+        if got != (spec.rows, spec.cols):
+            raise ValueError(f"layout {args.layout}: grid {got[0]}x{got[1]} does "
+                             f"not match the {spec.rows}x{spec.cols} grid of the run")
+        return room_feature_from_layout(layout, dim)
     # no layout information given: a zero vector of the right width
     return RoomFeature(np.zeros(dim))
+
+
+def _load_model_and_room(args):
+    """The ``args.model`` checkpoint and the room feature its head takes."""
+    model = load_model(args.model)
+    room_dim = model.head.config.input_dim - model.encoder.config.output_dim
+    return model, _resolve_room(args, model.spec, room_dim)
 
 
 def _csv_floats(raw: str) -> tuple[float, ...]:
@@ -99,14 +110,7 @@ def _params_from_args(args) -> AssignParams:
     base = AssignParams()
     if getattr(args, "params", None):
         what = f"params file {args.params}"
-        with open(args.params, "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except ValueError as e:  # bad JSON or bad UTF-8
-                raise ValueError(f"{what}: not JSON ({e})") from None
-        # the four fields tune writes, each a JSON number
-        base = _construct("", AssignParams, what, **{
-            k: _number(obj, "", k, what) for k in _params_to_obj(base)})
+        base = from_obj(AssignParams, load(args.params, what), "", what)
     return _usage_guard(lambda: AssignParams(
         nms_threshold=base.nms_threshold if args.threshold is None else args.threshold,
         min_group_separation_m=(base.min_group_separation_m
@@ -115,15 +119,6 @@ def _params_from_args(args) -> AssignParams:
                            if args.assign_dist is None else args.assign_dist),
         stride_m=base.stride_m if args.stride is None else args.stride,
     ))
-
-
-def _params_to_obj(p: AssignParams) -> dict:
-    return {
-        "nms_threshold": p.nms_threshold,
-        "min_group_separation_m": p.min_group_separation_m,
-        "max_assign_dist_m": p.max_assign_dist_m,
-        "stride_m": p.stride_m,
-    }
 
 
 def _write_pgm(heatmap: OSpaceMap, path) -> None:
@@ -245,14 +240,12 @@ def _cmd_tune(args) -> int:
         return grid, snap_tolerance(args.tolerance)
 
     grid, t = _usage_guard(build)
-    model = load_model(args.model)
+    model, room = _load_model_and_room(args)
     scenes = load_scenes(args.input, model.spec)
-    room_dim = model.head.config.input_dim - model.encoder.config.output_dim
-    room = _resolve_room(args, model.spec, room_dim)
     best, best_f1, table = grid_search(model, scenes, room, grid, t)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
-            json.dump(_params_to_obj(best), f)
+            json.dump(to_obj(best), f)
             f.write("\n")
     if args.table:
         with open(args.table, "w", encoding="utf-8") as f:
@@ -271,16 +264,12 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
+    model, room = _load_model_and_room(args)
     scenes = load_scenes(args.input, model.spec)
-    room_dim = model.head.config.input_dim - model.encoder.config.output_dim
-    room = _resolve_room(args, model.spec, room_dim)
     params = _params_from_args(args)
-    heatmaps = thread_map(lambda s: predict_heatmap(s, model, room), scenes)
+    results = thread_map(lambda s: predict_scene(s, model, room, params), scenes)
     with open(args.output, "w", encoding="utf-8") as f:
-        for scene, heatmap in zip(scenes, heatmaps):
-            detections = nms(heatmap, params)
-            groups = assign_groups(scene.persons, detections, params)
+        for scene, (_, detections, groups) in zip(scenes, results):
             f.write(json.dumps({
                 "frame_id": scene.frame_id,
                 "detections": [
@@ -354,10 +343,8 @@ def _cmd_render(args) -> int:
     model = None
     room = None
     if args.model:
-        model = load_model(args.model)
+        model, room = _load_model_and_room(args)
         spec = model.spec
-        room_dim = model.head.config.input_dim - model.encoder.config.output_dim
-        room = _resolve_room(args, spec, room_dim)
     scenes = load_scenes(args.input, spec)
     os.makedirs(args.output, exist_ok=True)
     for scene in scenes:

@@ -1,0 +1,102 @@
+"""Typed reading and writing of the JSON documents ospace keeps on disk.
+
+A config dataclass is its own JSON schema: its JSON form is the object of
+its fields in declaration order (``to_obj``), and ``from_obj`` reads such an
+object back by each field's annotation text, checking JSON types on the way,
+so a checkpoint header, a ``--params`` file and a layout file all fail the
+same way: with a ValueError that names the document (``what``, such as
+``checkpoint`` or ``params file p.json``) and the dotted path of the field
+(``where`` and the key) instead of with a TypeError deep in the program.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, fields
+
+__all__ = ["get_field", "get_number", "to_obj", "from_obj", "load"]
+
+# JSON type names for field errors.
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _name(what: str, where: str, key: str = "") -> str:
+    """``what`` (the document) and the dotted path of a field inside it."""
+    path = ".".join(p for p in (where, key) if p)
+    return f"{what} {path}" if path else what
+
+
+def get_field(obj, where: str, key: str, kinds: tuple, what: str):
+    """``obj[key]``, required to be one of the JSON types ``kinds``.
+
+    ``what`` names the document being read and ``where`` names ``obj`` in
+    it ("" for the top level), so a missing or mistyped field fails with a
+    ValueError that names both.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{_name(what, where)}: expected a JSON object, got "
+                         f"{_JSON_TYPES.get(type(obj), 'data')}")
+    name = _name(what, where, key)
+    if key not in obj:
+        raise ValueError(f"{name}: missing")
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ValueError(f"{name}: expected {want}, got "
+                         f"{_JSON_TYPES.get(type(v), type(v).__name__)}")
+    return v
+
+
+def get_number(obj, where: str, key: str, what: str) -> float:
+    """``obj[key]``, a JSON number or integer, as a float."""
+    try:
+        return float(get_field(obj, where, key, (float, int), what))
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{_name(what, where, key)}: out of range") from None
+
+
+def _int(obj, where: str, key: str, what: str) -> int:
+    return get_field(obj, where, key, (int,), what)
+
+
+def _ints(obj, where: str, key: str, what: str) -> tuple[int, ...]:
+    v = get_field(obj, where, key, (list,), what)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
+        raise ValueError(f"{_name(what, where, key)}: expected an array of "
+                         f"integers")
+    return tuple(v)
+
+
+# A reader per field annotation, keyed on its text: every module declaring a
+# config uses ``from __future__ import annotations``, so ``Field.type`` is the
+# text as written, and no type hints need resolving per read.
+_READERS = {"int": _int, "float": get_number, "tuple[int, ...]": _ints}
+
+
+def to_obj(config) -> dict:
+    """The JSON form of a config dataclass: its fields in declaration order."""
+    return asdict(config)
+
+
+def from_obj(cls, obj, where: str, what: str):
+    """The ``cls`` config whose JSON form is ``obj``, the object at ``where``.
+
+    Each field is read by its annotation, so a missing field, a boolean, or
+    a number where an integer belongs is a ValueError naming the field; a
+    ValueError from ``cls`` itself is reworded to name the document and
+    ``where``.
+    """
+    kw = {f.name: _READERS[f.type](obj, where, f.name, what) for f in fields(cls)}
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ValueError(f"{_name(what, where)}: {e}") from None
+
+
+def load(path, what: str):
+    """The JSON document in the file ``path``; ``what`` names it in errors."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ValueError(f"{what}: not JSON ({e})") from None

@@ -43,14 +43,6 @@ class Dense:
         self.grad_W = np.zeros_like(W)
         self.grad_b = np.zeros_like(b)
 
-    @property
-    def d_in(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.W.shape[1]
-
 
 def flatten(layers) -> tuple[np.ndarray, np.ndarray]:
     """Move the layers' parameters into one contiguous store.

@@ -24,15 +24,17 @@ A checkpoint (version 2) is the magic line ``ospace-checkpoint-2``, then one
 line of JSON, the header (version, grid spec, stride, seed, normalization
 stats, both configs, ``blob_bytes`` and the ``sha256`` of the blob), then the
 blob: every layer's W and then b, encoder layers first, as little-endian
-float64 -- the layout of ``layers.flatten``.  Saving writes the arrays'
-buffers as they are, so a file is byte-identical across runs with the same
-seed; loading reads the blob into one buffer that the layers are views of.
-Version 1 files, one JSON object with the weights as nested lists, still
-load.  Loading either checks the header's field types, the blob's size and
-hash, every layer's shape against the stored configs, the head's output
-against the room grid, and that every weight is finite, so a corrupt file
-fails with a ValueError that names the field or layer rather than at the
-first matmul.
+float64 -- the layout of ``layers.flatten``.  The header holds the spec, the
+stats and the configs in their ``jsondoc`` form, each dataclass's fields in
+declaration order, which ``jsondoc.from_obj`` reads back.  Saving writes the
+arrays' buffers as they are, so a file is byte-identical across runs with
+the same seed; loading reads the blob into one buffer that the layers are
+views of.  Version 1 files, one JSON object with the weights as nested
+lists, still load.  Loading either checks the header's field types, the
+blob's size and hash, every layer's shape against the stored configs, the
+head's output against the room grid, and that every weight is finite, so a
+corrupt file fails with a ValueError that names the field or layer rather
+than at the first matmul.
 """
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ from .encoder import (
     pad_features,
 )
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
+from .jsondoc import from_obj, get_field, get_number, to_obj
 from .layers import (
     Dense,
     flatten,
@@ -94,6 +97,7 @@ CHECKPOINT_VERSION = "ospace-checkpoint-2"
 _MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")
 _V1_VERSION = "ospace-checkpoint-1"
 _BLOB_DTYPE = np.dtype("<f8")
+_CKPT = "checkpoint"  # the document name in field errors
 
 # Elements per Adam block: 32768 float64 values, 256 KiB per array.
 _ADAM_BLOCK = 32768
@@ -393,59 +397,13 @@ def predict_heatmap(scene: Scene, model: ModelWeights, room: RoomFeature) -> OSp
     return OSpaceMap(y.reshape(model.spec.rows, model.spec.cols), model.spec)
 
 
-# JSON type names for field errors.
-_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
-               float: "number", bool: "boolean", type(None): "null"}
-
-
-def _name(what: str, where: str, key: str = "") -> str:
-    """``what`` (the document) and the dotted path of a field inside it."""
-    path = ".".join(p for p in (where, key) if p)
-    return f"{what} {path}" if path else what
-
-
-def _field(obj, where: str, key: str, kinds: tuple, what: str = "checkpoint"):
-    """``obj[key]``, required to be one of the JSON types ``kinds``.
-
-    ``what`` names the document being read and ``where`` names ``obj`` in
-    it ("" for the top level), so a missing or mistyped field fails with a
-    ValueError that names both.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{_name(what, where)}: expected a JSON object, got "
-                         f"{_JSON_TYPES.get(type(obj), 'data')}")
-    name = _name(what, where, key)
-    if key not in obj:
-        raise ValueError(f"{name}: missing")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, kinds):
-        want = " or ".join(_JSON_TYPES[k] for k in kinds)
-        raise ValueError(f"{name}: expected {want}, got "
-                         f"{_JSON_TYPES.get(type(v), type(v).__name__)}")
-    return v
-
-
-def _number(obj, where: str, key: str, what: str = "checkpoint") -> float:
-    try:
-        return float(_field(obj, where, key, (float, int), what))
-    except OverflowError:  # an integer too large for a float
-        raise ValueError(f"{_name(what, where, key)}: out of range") from None
-
-
-def _ints(obj, where: str, key: str) -> tuple[int, ...]:
-    v = _field(obj, where, key, (list,))
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-        raise ValueError(f"{_name('checkpoint', where, key)}: expected an "
-                         f"array of integers")
-    return tuple(v)
-
-
-def _construct(where: str, cls, what: str = "checkpoint", **kw):
-    """``cls(**kw)``, its ValueError reworded to name the document and field."""
-    try:
-        return cls(**kw)
-    except ValueError as e:
-        raise ValueError(f"{_name(what, where)}: {e}") from None
+def _object_at(obj, path: str) -> dict:
+    """The JSON object at the dotted ``path`` in a checkpoint object."""
+    where = ""
+    for key in path.split("."):
+        obj = get_field(obj, where, key, (dict,), _CKPT)
+        where = f"{where}.{key}" if where else key
+    return obj
 
 
 def _model_shell(obj, version: str) -> ModelWeights:
@@ -454,36 +412,22 @@ def _model_shell(obj, version: str) -> ModelWeights:
     Both versions store these fields alike; the head's output is checked
     against the grid here, before any weight is read.
     """
-    got = _field(obj, "", "version", (str,))
+    got = get_field(obj, "", "version", (str,), _CKPT)
     if got != version:
         raise ValueError(f"checkpoint version {got!r}, expected {version!r}")
-    sp = _field(obj, "", "spec", (dict,))
-    spec = _construct("spec", RoomSpec, rows=_field(sp, "spec", "rows", (int,)),
-                      cols=_field(sp, "spec", "cols", (int,)),
-                      cell_m=_number(sp, "spec", "cell_m"))
-    ns = _field(obj, "", "norm_stats", (dict,))
-    stats = _construct("norm_stats", NormStats, **{
-        k: _number(ns, "norm_stats", k)
-        for k in ("mean_x", "mean_y", "std_x", "std_y")})
-    ec = _field(_field(obj, "", "encoder", (dict,)), "encoder", "config", (dict,))
-    enc_cfg = _construct(
-        "encoder.config", EncoderConfig,
-        input_dim=_field(ec, "encoder.config", "input_dim", (int,)),
-        max_people=_field(ec, "encoder.config", "max_people", (int,)),
-        layer_widths=_ints(ec, "encoder.config", "layer_widths"))
-    hc = _field(_field(obj, "", "head", (dict,)), "head", "config", (dict,))
-    head_cfg = _construct(
-        "head.config", HeadConfig,
-        input_dim=_field(hc, "head.config", "input_dim", (int,)),
-        hidden_widths=_ints(hc, "head.config", "hidden_widths"),
-        output_dim=_field(hc, "head.config", "output_dim", (int,)))
+    spec, stats, enc_cfg, head_cfg = (
+        from_obj(cls, _object_at(obj, path), path, _CKPT)
+        for cls, path in ((RoomSpec, "spec"), (NormStats, "norm_stats"),
+                          (EncoderConfig, "encoder.config"),
+                          (HeadConfig, "head.config")))
     if head_cfg.output_dim != spec.n_cells:
         raise ValueError(
             f"checkpoint head layer {len(head_cfg.dims) - 2}: output "
             f"{head_cfg.output_dim} != grid cells {spec.n_cells}")
     return ModelWeights(encoder=EncoderWeights(enc_cfg), head=HeadWeights(head_cfg),
-                        norm_stats=stats, stride_m=_number(obj, "", "stride_m"),
-                        seed=_field(obj, "", "seed", (int,)), spec=spec)
+                        norm_stats=stats,
+                        stride_m=get_number(obj, "", "stride_m", _CKPT),
+                        seed=get_field(obj, "", "seed", (int,), _CKPT), spec=spec)
 
 
 def _checked_layers(section: str, pairs, dims) -> list[Dense]:
@@ -507,9 +451,10 @@ def _checked_layers(section: str, pairs, dims) -> list[Dense]:
 def _v1_pairs(obj, section: str) -> list:
     """The (W, b) arrays of one section of a v1 checkpoint object."""
     pairs = []
-    for i, o in enumerate(_field(obj[section], section, "layers", (list,))):
+    layers = get_field(obj[section], section, "layers", (list,), _CKPT)
+    for i, o in enumerate(layers):
         where = f"{section} layer {i}"
-        W, b = (_field(o, where, k, (list,)) for k in ("W", "b"))
+        W, b = (get_field(o, where, k, (list,), _CKPT) for k in ("W", "b"))
         try:
             pairs.append((np.array(W, dtype=float), np.array(b, dtype=float)))
         except (TypeError, ValueError) as e:  # ragged or non-numeric entries
@@ -524,41 +469,6 @@ def model_from_obj(obj) -> ModelWeights:
         weights.layers = _checked_layers(section, _v1_pairs(obj, section),
                                          weights.config.dims)
     return model
-
-
-def _header_obj(model: ModelWeights, blob_bytes: int, sha256: str) -> dict:
-    return {
-        "version": CHECKPOINT_VERSION,
-        "spec": {
-            "rows": model.spec.rows,
-            "cols": model.spec.cols,
-            "cell_m": model.spec.cell_m,
-        },
-        "stride_m": model.stride_m,
-        "seed": model.seed,
-        "norm_stats": {
-            "mean_x": model.norm_stats.mean_x,
-            "mean_y": model.norm_stats.mean_y,
-            "std_x": model.norm_stats.std_x,
-            "std_y": model.norm_stats.std_y,
-        },
-        "encoder": {
-            "config": {
-                "input_dim": model.encoder.config.input_dim,
-                "max_people": model.encoder.config.max_people,
-                "layer_widths": list(model.encoder.config.layer_widths),
-            },
-        },
-        "head": {
-            "config": {
-                "input_dim": model.head.config.input_dim,
-                "hidden_widths": list(model.head.config.hidden_widths),
-                "output_dim": model.head.config.output_dim,
-            },
-        },
-        "blob_bytes": blob_bytes,
-        "sha256": sha256,
-    }
 
 
 def _n_params(dims) -> int:
@@ -585,7 +495,13 @@ def save_model(model: ModelWeights, path) -> None:
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(a)
-    header = _header_obj(model, sum(a.nbytes for a in arrays), digest.hexdigest())
+    header = {"version": CHECKPOINT_VERSION, "spec": to_obj(model.spec),
+              "stride_m": model.stride_m, "seed": model.seed,
+              "norm_stats": to_obj(model.norm_stats),
+              "encoder": {"config": to_obj(model.encoder.config)},
+              "head": {"config": to_obj(model.head.config)},
+              "blob_bytes": sum(a.nbytes for a in arrays),
+              "sha256": digest.hexdigest()}
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
@@ -600,8 +516,8 @@ def _load_v2(f) -> ModelWeights:
     except ValueError as e:  # bad JSON or bad UTF-8
         raise ValueError(f"checkpoint header: not a line of JSON ({e})") from None
     model = _model_shell(header, CHECKPOINT_VERSION)
-    blob_bytes = _field(header, "", "blob_bytes", (int,))
-    sha256 = _field(header, "", "sha256", (str,))
+    blob_bytes = get_field(header, "", "blob_bytes", (int,), _CKPT)
+    sha256 = get_field(header, "", "sha256", (str,), _CKPT)
     need = _BLOB_DTYPE.itemsize * sum(_n_params(w.config.dims)
                                       for w in (model.encoder, model.head))
     if blob_bytes != need:

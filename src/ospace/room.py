@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_SPEC, RoomSpec
+from .jsondoc import from_obj, get_field, load, to_obj
 
 __all__ = [
     "OCCUPANCY_CLASSES",
@@ -78,38 +79,35 @@ class RoomFeature:
         return self.values.shape[0]
 
 
-def layout_from_obj(obj: dict) -> LayoutMap:
-    spec_obj = obj.get("spec", {})
-    spec = RoomSpec(
-        rows=int(spec_obj.get("rows", DEFAULT_SPEC.rows)),
-        cols=int(spec_obj.get("cols", DEFAULT_SPEC.cols)),
-        cell_m=float(spec_obj.get("cell_m", DEFAULT_SPEC.cell_m)),
-    )
-    cells = obj["cells"]
-    if len(cells) != spec.rows * spec.cols:
-        raise ValueError(
-            f"layout has {len(cells)} cells, expected {spec.rows * spec.cols}"
-        )
+def layout_from_obj(obj, what: str = "layout") -> LayoutMap:
+    """A layout map from its JSON form; errors name ``what`` and the field.
+
+    ``cells`` holds the class names row-major.  ``spec`` is optional, and
+    fields missing from it take their values from ``DEFAULT_SPEC``.
+    """
+    cells = get_field(obj, "", "cells", (list,), what)
+    given = get_field(obj, "", "spec", (dict,), what) if "spec" in obj else {}
+    spec = from_obj(RoomSpec, to_obj(DEFAULT_SPEC) | given, "spec", what)
+    if len(cells) != spec.n_cells:
+        raise ValueError(f"{what} cells: {len(cells)} cells, the "
+                         f"{spec.rows}x{spec.cols} grid has {spec.n_cells}")
     rows = tuple(
         tuple(cells[r * spec.cols: (r + 1) * spec.cols]) for r in range(spec.rows)
     )
-    return LayoutMap(rows, spec)
+    try:
+        return LayoutMap(rows, spec)
+    except ValueError as e:  # an unknown occupancy class
+        raise ValueError(f"{what} cells: {e}") from None
 
 
 def load_layout(path) -> LayoutMap:
-    with open(path, "r", encoding="utf-8") as f:
-        return layout_from_obj(json.load(f))
+    what = f"layout {path}"
+    return layout_from_obj(load(path, what), what)
 
 
 def save_layout(layout: LayoutMap, path) -> None:
-    obj = {
-        "spec": {
-            "rows": layout.spec.rows,
-            "cols": layout.spec.cols,
-            "cell_m": layout.spec.cell_m,
-        },
-        "cells": [name for row in layout.cells for name in row],
-    }
+    obj = {"spec": to_obj(layout.spec),
+           "cells": [name for row in layout.cells for name in row]}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f)
         f.write("\n")

@@ -290,6 +290,65 @@ def test_predict_bad_params_file_is_data_error(workdir, capsys, text, message):
     assert not (workdir / "pred.jsonl").exists()
 
 
+CELLS = ["free"] * 120
+
+
+def _train_with_layout(workdir, text):
+    """Train for zero epochs on the default 10x12 grid with a layout file."""
+    scenes = _write_scenes(workdir / "s.jsonl")
+    (workdir / "lay.json").write_text(text)
+    return main(["train", str(scenes), "-o", "m.ckpt", "--epochs", "0",
+                 "--split", "1", "0", "0", "--enc-widths", "4", "--hidden", "4",
+                 "--room-dim", "628", "--layout", "lay.json"])
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"spec": {"rows": {}}, "cells": CELLS}),
+     "lay.json spec.rows: expected integer, got object\n"),
+    (json.dumps({"spec": {"rows": True}, "cells": CELLS}),
+     "lay.json spec.rows: expected integer, got boolean\n"),
+    (json.dumps({"spec": {"rows": 10.7}, "cells": CELLS}),
+     "lay.json spec.rows: expected integer, got number\n"),
+    (json.dumps({"cells": 5}), "lay.json cells: expected array, got integer\n"),
+    (json.dumps({"spec": {"rows": 10}}), "lay.json cells: missing\n"),
+    (json.dumps({"spec": [10, 12, 0.5], "cells": CELLS}),
+     "lay.json spec: expected object, got array\n"),
+    (json.dumps([{"cells": CELLS}]),
+     "lay.json: expected a JSON object, got array\n"),
+    (json.dumps({"cells": CELLS[1:]}),
+     "lay.json cells: 119 cells, the 10x12 grid has 120\n"),
+    (json.dumps({"cells": CELLS[1:] + ["sofa"]}),
+     "lay.json cells: unknown occupancy class 'sofa'\n"),
+    (json.dumps({"spec": {"rows": 0}, "cells": []}),
+     "lay.json spec: grid must be at least 1x1, got 0x12\n"),
+    ("{nope", "lay.json: not JSON ("),
+], ids=["rows object", "rows boolean", "rows float", "cells integer",
+        "no cells", "spec list", "top-level list", "cell count",
+        "unknown class", "empty grid", "not JSON"])
+def test_train_bad_layout_file_is_data_error(workdir, capsys, text, message):
+    rc = _train_with_layout(workdir, text)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: layout {message}")
+    assert "Traceback" not in err
+    assert not (workdir / "m.ckpt").exists()
+
+
+def test_train_layout_partial_spec_takes_defaults(workdir):
+    text = json.dumps({"spec": {"rows": 10}, "cells": CELLS})
+    assert _train_with_layout(workdir, text) == 0
+    assert (workdir / "m.ckpt").exists()
+
+
+def test_layout_grid_must_match_the_run(workdir, capsys):
+    text = json.dumps({"spec": {"rows": 1, "cols": 120}, "cells": CELLS})
+    rc = _train_with_layout(workdir, text)
+    assert capsys.readouterr().err == ("error: layout lay.json: grid 1x120 does "
+                                       "not match the 10x12 grid of the run\n")
+    assert rc == 2
+    assert not (workdir / "m.ckpt").exists()
+
+
 def test_render_ground_truth_pgm(workdir):
     _write_scenes(workdir / "gt.jsonl")
     assert main(["render", "gt.jsonl", "-o", "maps"]) == 0
