@@ -77,8 +77,12 @@ def _add_room_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_room(args, spec: RoomSpec, dim: int) -> RoomFeature:
     if args.room_file:
-        with open(args.room_file, "r", encoding="utf-8") as f:
-            feat = load_precomputed(f.read())
+        with open(args.room_file, "rb") as f:
+            text = f.read()
+        try:
+            feat = load_precomputed(text)
+        except ValueError as e:
+            raise ValueError(f"room file {args.room_file}: {e}") from None
         return RoomFeature(pad_to_dim(feat.values, dim))
     if args.layout:
         layout = load_layout(args.layout)
@@ -342,6 +346,10 @@ def _cmd_render(args) -> int:
     )
     model = None
     room = None
+    if not args.model and (args.room_file or args.layout):
+        flag = "--room-file" if args.room_file else "--layout"
+        raise _UsageError(f"{flag} needs --model: ground-truth heatmaps "
+                          "take no room feature")
     if args.model:
         model, room = _load_model_and_room(args)
         spec = model.spec

@@ -61,20 +61,26 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     already-kept center.  Result is sorted by descending score.
     """
     v = heatmap.values
-    padded = np.pad(v, 1, constant_values=-np.inf)
-    shifts = [padded[1 + dr: 1 + dr + v.shape[0], 1 + dc: 1 + dc + v.shape[1]]
-              for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-    is_peak = np.all([v >= s for s in shifts], axis=0) & (v >= params.nms_threshold)
+    n_rows, n_cols = v.shape
+    framed = np.full((n_rows + 2, n_cols + 2), -np.inf)
+    framed[1:-1, 1:-1] = v
+    is_peak = v >= params.nms_threshold
+    for dr in range(3):
+        for dc in range(3):
+            if (dr, dc) != (1, 1):
+                is_peak &= v >= framed[dr:dr + n_rows, dc:dc + n_cols]
     rows, cols = np.nonzero(is_peak)
-    order = sorted(range(len(rows)), key=lambda i: (-v[rows[i], cols[i]], rows[i], cols[i]))
+    scores = v[rows, cols]
+    order = np.lexsort((cols, rows, -scores))
 
     kept: list[Detection] = []
     min_sep_sq = params.min_group_separation_m ** 2
-    for i in order:
-        c = cell_center(int(rows[i]), int(cols[i]), heatmap.spec)
-        if all((c.x - d.center.x) ** 2 + (c.y - d.center.y) ** 2 >= min_sep_sq
-               for d in kept):
-            kept.append(Detection(c, float(v[rows[i], cols[i]])))
+    for r, c, score in zip(rows[order].tolist(), cols[order].tolist(),
+                           scores[order].tolist()):
+        center = cell_center(r, c, heatmap.spec)
+        if all((center.x - d.center.x) ** 2 + (center.y - d.center.y) ** 2
+               >= min_sep_sq for d in kept):
+            kept.append(Detection(center, score))
     return kept
 
 

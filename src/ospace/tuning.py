@@ -4,9 +4,15 @@ Each stage runs once per combination of the grid axes it depends on:
 
 - heatmaps: once per scene (the forward pass ignores the parameters);
 - proposals: once per scene and stride;
-- NMS detections: once per scene, threshold and separation;
-- each person's nearest detection and its distance: once per scene,
-  threshold, separation and stride.
+- NMS detections: once per scene and separation, at the grid's lowest
+  threshold; each threshold takes the score prefix of that list.  NMS
+  visits candidates in descending score with row-major ties, and whether
+  it keeps one depends only on those it kept before, so raising the
+  threshold only cuts off a tail of the visiting order;
+- distances from proposals to those detections: once per scene,
+  separation and stride.  A threshold's nearest detection is the argmin
+  over the matrix's columns for its prefix, so ties still go to the lower
+  index.
 
 The assignment distance is then only a cutoff on that distance: the
 vector ``where(dist <= max_assign_dist_m, nearest, -1)`` fixes the
@@ -27,13 +33,7 @@ import numpy as np
 from .evaluation import GroupMetrics, aggregate, match_scene, snap_tolerance
 from .network import ModelWeights, predict_heatmap
 from .parallel import thread_map
-from .postprocess import (
-    AssignParams,
-    assign_groups,
-    nearest_detections,
-    nms,
-    propose_centers,
-)
+from .postprocess import AssignParams, assign_groups, nms, propose_centers
 from .room import RoomFeature
 
 __all__ = ["Grid", "GridResult", "grid_search", "grid_search_heatmaps"]
@@ -65,6 +65,30 @@ class GridResult:
     metrics: GroupMetrics
 
 
+def _prefix_candidates(heatmaps, sep, lowest, owner, props):
+    """Detections at the lowest threshold and what every threshold reads
+    from them, at one separation.
+
+    Returns (detections per scene; their scores as a scenes x width matrix
+    padded with -inf; per stride, the persons x width distances from each
+    proposal to its own scene's detections, padded with inf).  Rows of
+    ``owner`` and ``props`` are every scene's persons laid end to end.
+    """
+    base = AssignParams(nms_threshold=lowest, min_group_separation_m=sep)
+    detections = [nms(h, base) for h in heatmaps]
+    width = max(1, max(map(len, detections)))
+    scores = np.full((len(detections), width), -np.inf)
+    centers = np.full((len(detections), width, 2), np.inf)
+    for i, dets in enumerate(detections):
+        if dets:
+            scores[i, :len(dets)] = [d.score for d in dets]
+            centers[i, :len(dets)] = [(d.center.x, d.center.y) for d in dets]
+    mine = centers[owner]
+    dists = [np.hypot(mine[..., 0] - p[:, :1], mine[..., 1] - p[:, 1:])
+             for p in props]
+    return detections, scores, dists
+
+
 def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     """Search the grid given precomputed per-scene heatmaps.
 
@@ -78,29 +102,39 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
         raise ValueError("empty validation set")
     t = snap_tolerance(tolerance)
 
-    props = [[propose_centers(s.persons, st) for st in grid.strides_m]
-             for s in scenes]
+    sizes = [len(s.persons) for s in scenes]
+    bounds = np.cumsum([0] + sizes).tolist()
+    owner = np.repeat(np.arange(len(scenes)), sizes)
+    props = [np.concatenate([propose_centers(s.persons, st) for s in scenes])
+             for st in grid.strides_m]
+    lowest = min(grid.nms_thresholds)
+    by_sep = [_prefix_candidates(heatmaps, sep, lowest, owner, props)
+              for sep in grid.separations_m]
     memos: list[dict[bytes, tuple[int, int, int]]] = [{} for _ in scenes]
     table: list[GridResult] = []
     for thr in grid.nms_thresholds:
-        for sep in grid.separations_m:
-            base = AssignParams(nms_threshold=thr, min_group_separation_m=sep)
-            detections = [nms(h, base) for h in heatmaps]
-            nearest = [[nearest_detections(p, d) for p in scene_props]
-                       for scene_props, d in zip(props, detections)]
+        for sep, (detections, scores, dists) in zip(grid.separations_m, by_sep):
+            live = scores >= thr
+            ks = np.count_nonzero(live, axis=1).tolist()
+            live_rows = live[owner]
+            nearest = []
+            for dist in dists:
+                dist = np.where(live_rows, dist, np.inf)
+                nearest.append((np.argmin(dist, axis=1), dist.min(axis=1)))
             for ad in grid.assign_dists_m:
-                for k, st in enumerate(grid.strides_m):
+                for st, (j, dist) in zip(grid.strides_m, nearest):
                     params = AssignParams(nms_threshold=thr,
                                           min_group_separation_m=sep,
                                           max_assign_dist_m=ad, stride_m=st)
+                    keys = np.where(dist <= ad, j, -1)
                     counts = []
-                    for s, d, near, memo in zip(scenes, detections, nearest,
-                                                memos):
-                        j, dist = near[k]
-                        key = np.where(dist <= ad, j, -1).tobytes()
+                    for i, (s, memo) in enumerate(zip(scenes, memos)):
+                        key = keys[bounds[i]:bounds[i + 1]].tobytes()
                         if key not in memo:
                             memo[key] = match_scene(
-                                assign_groups(s.persons, d, params), s.groups, t)
+                                assign_groups(s.persons, detections[i][:ks[i]],
+                                              params),
+                                s.groups, t)
                         counts.append(memo[key])
                     table.append(GridResult(params, aggregate(counts, t)))
 

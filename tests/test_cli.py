@@ -349,6 +349,24 @@ def test_layout_grid_must_match_the_run(workdir, capsys):
     assert not (workdir / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dim x\n1.0\n", "bad dimension 'x' in feature header"),
+    ("dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
+                            "string to float: 'abc'"),
+    ("dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
+], ids=["bad dimension", "bad float", "value count"])
+def test_train_bad_room_file_names_it(workdir, capsys, text, message):
+    scenes = _write_scenes(workdir / "s.jsonl")
+    (workdir / "bad.feat").write_text(text)
+    rc = main(["train", str(scenes), "-o", "m.ckpt", "--epochs", "0",
+               "--split", "1", "0", "0", "--enc-widths", "4", "--hidden", "4",
+               "--room-dim", "4", "--room-file", "bad.feat"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: room file bad.feat: {message}\n"
+    assert not (workdir / "m.ckpt").exists()
+
+
 def test_render_ground_truth_pgm(workdir):
     _write_scenes(workdir / "gt.jsonl")
     assert main(["render", "gt.jsonl", "-o", "maps"]) == 0
@@ -383,6 +401,19 @@ def test_render_with_model(workdir):
     _write_scenes(workdir / "gt.jsonl")
     assert main(["render", "gt.jsonl", "-o", "maps", "--model", str(model)]) == 0
     assert (workdir / "maps" / "a.pgm").exists()
+
+
+@pytest.mark.parametrize("flag,path", [("--layout", "notjson.json"),
+                                       ("--room-file", "bad.feat")])
+def test_render_room_flags_need_model(workdir, capsys, flag, path):
+    _write_scenes(workdir / "gt.jsonl")
+    (workdir / path).write_text("not a room\n")
+    rc = main(["render", "gt.jsonl", "-o", "maps", flag, path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {flag} needs --model: ground-truth heatmaps take "
+                   "no room feature\n")
+    assert not (workdir / "maps").exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Point2, cell_center
 from ospace.groundtruth import propose_center
@@ -182,6 +184,59 @@ def test_threshold_monotonicity():
         if prev is not None:
             assert centers <= prev
         prev = centers
+
+
+def _nms_reference(heatmap, params):
+    """The np.pad and Python-sort NMS that nms replaced."""
+    v = heatmap.values
+    padded = np.pad(v, 1, constant_values=-np.inf)
+    shifts = [padded[1 + dr: 1 + dr + v.shape[0], 1 + dc: 1 + dc + v.shape[1]]
+              for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+    is_peak = np.all([v >= s for s in shifts], axis=0) & (v >= params.nms_threshold)
+    rows, cols = np.nonzero(is_peak)
+    order = sorted(range(len(rows)), key=lambda i: (-v[rows[i], cols[i]], rows[i], cols[i]))
+    kept = []
+    min_sep_sq = params.min_group_separation_m ** 2
+    for i in order:
+        c = cell_center(int(rows[i]), int(cols[i]), heatmap.spec)
+        if all((c.x - d.center.x) ** 2 + (c.y - d.center.y) ** 2 >= min_sep_sq
+               for d in kept):
+            kept.append(Detection(c, float(v[rows[i], cols[i]])))
+    return kept
+
+
+def test_nms_matches_reference():
+    rng = np.random.default_rng(8)
+    for i in range(600):
+        kind = i % 3
+        if kind == 0:
+            v = rng.uniform(0, 1, (10, 12))
+        elif kind == 1:  # few levels: plateaus and exact score ties
+            v = rng.integers(0, 4, (10, 12)) / 3.0
+        else:
+            v = np.full((10, 12), rng.choice([0.0, 0.5, 1.0]))
+        m = OSpaceMap(v, DEFAULT_SPEC)
+        params = AssignParams(
+            nms_threshold=float(rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 1.0])),
+            min_group_separation_m=float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+        assert nms(m, params) == _nms_reference(m, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nms_threshold_takes_a_score_prefix(data):
+    """Raising the threshold cuts a tail off the lower threshold's
+    detections, the rule the grid search's shared NMS relies on."""
+    levels = data.draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))
+    idx = data.draw(hnp.arrays(np.intp, (10, 12),
+                               elements=st.integers(0, len(levels) - 1)))
+    m = OSpaceMap(np.array(levels)[idx], DEFAULT_SPEC)
+    threshold = st.one_of(st.sampled_from(levels + [0.0, 1.0]), st.floats(0, 1))
+    lo, hi = sorted((data.draw(threshold), data.draw(threshold)))
+    sep = data.draw(st.floats(0, 8))
+    low = nms(m, AssignParams(nms_threshold=lo, min_group_separation_m=sep))
+    high = nms(m, AssignParams(nms_threshold=hi, min_group_separation_m=sep))
+    assert [d for d in low if d.score >= hi] == high
 
 
 def _nearest_per_person(persons, detections, stride_m):

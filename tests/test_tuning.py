@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ospace import tuning
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Scene
 from ospace.evaluation import aggregate, match_scene, snap_tolerance
 from ospace.groundtruth import scene_target
@@ -178,18 +179,46 @@ def test_search_equals_per_point_reference(tolerance):
                                                DEFAULT_SPEC.cols)), 0, 1)
         scenes.append(s)
         heatmaps.append(OSpaceMap(v, DEFAULT_SPEC))
-    # duplicate values on every axis; 0.5 and 1.0 are exact on the peaks
-    grid = Grid(nms_thresholds=(0.3, 0.5, 0.5, 0.8),
-                separations_m=(0.5, 1.0, 1.0),
-                assign_dists_m=(1.0, 0.5, 0.25, 0.5, 1.5),
+    axes = dict(assign_dists_m=(1.0, 0.5, 0.25, 0.5, 1.5),
                 strides_m=(0.4, 0.5, 0.7, 0.7, 1.0))
-    got = grid_search_heatmaps(heatmaps, scenes, grid, tolerance)
-    want = _per_point_search(heatmaps, scenes, grid, tolerance)
-    assert got[2] == want[2]
-    assert got[:2] == want[:2]
-    # the constructed cases did decide something: both peak scenes are
-    # matched at some point and missed at another
-    for k in range(2):
-        table = _per_point_search([heatmaps[k]], [scenes[k]], grid,
-                                  tolerance)[2]
-        assert {r.metrics.tp for r in table} == {0, 1}
+    grids = [
+        # duplicate values on every axis; 0.5 and 1.0 are exact on the peaks
+        Grid(nms_thresholds=(0.3, 0.5, 0.5, 0.8),
+             separations_m=(0.5, 1.0, 1.0), **axes),
+        # unsorted, so the lowest threshold is not the first, with both
+        # ends of [0, 1]: every cell clears 0.0, only an exact 1.0 clears 1.0
+        Grid(nms_thresholds=(0.7, 0.0, 0.5, 1.0, 0.5),
+             separations_m=(1.0, 0.5, 1.0), **axes),
+    ]
+    for grid in grids:
+        got = grid_search_heatmaps(heatmaps, scenes, grid, tolerance)
+        want = _per_point_search(heatmaps, scenes, grid, tolerance)
+        assert got[2] == want[2]
+        assert got[:2] == want[:2]
+        # the constructed cases did decide something: both peak scenes are
+        # matched at some point and missed at another
+        for k in range(2):
+            table = _per_point_search([heatmaps[k]], [scenes[k]], grid,
+                                      tolerance)[2]
+            assert {r.metrics.tp for r in table} == {0, 1}
+
+
+def test_nms_runs_once_per_scene_and_separation(monkeypatch):
+    """Each threshold reads its detections off one NMS at the lowest."""
+    calls = []
+
+    def spy(heatmap, params):
+        calls.append(params.nms_threshold)
+        return nms(heatmap, params)
+
+    monkeypatch.setattr(tuning, "nms", spy)
+    rng = np.random.default_rng(9)
+    scenes = [_random_scene(rng, f"r{i}") for i in range(3)]
+    heatmaps = [OSpaceMap(rng.uniform(0, 1, (DEFAULT_SPEC.rows,
+                                             DEFAULT_SPEC.cols)), DEFAULT_SPEC)
+                for _ in scenes]
+    grid = Grid()
+    _, _, table = grid_search_heatmaps(heatmaps, scenes, grid, 1)
+    assert len(table) == 216
+    assert calls == [min(grid.nms_thresholds)] * (len(scenes)
+                                                  * len(grid.separations_m))
