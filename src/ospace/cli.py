@@ -21,6 +21,7 @@ from .dataset import (
     augment,
     load_scenes,
     parse_groups,
+    read_records,
     save_scenes,
     sequential_split,
 )
@@ -188,6 +189,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     def build():
+        if args.room_dim < 0:
+            raise ValueError(f"--room-dim must be non-negative, got {args.room_dim}")
         spec = _spec_from_args(args)
         enc_cfg = EncoderConfig(max_people=args.max_people,
                                 layer_widths=_csv_ints(args.enc_widths))
@@ -290,17 +293,7 @@ def _cmd_predict(args) -> int:
 def _load_group_records(path) -> list[tuple[str, list]]:
     records = []
     with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SceneParseError(f"{path} line {line_no}: invalid JSON "
-                                      f"({e.msg})") from None
-            where = f"{path} line {line_no}"
-            if not isinstance(obj, dict):
-                raise SceneParseError(f"{where}: record is not a JSON object")
+        for where, obj in read_records(f, path):
             if "frame_id" not in obj or "groups" not in obj:
                 raise SceneParseError(f"{where}: record needs frame_id and groups")
             if not isinstance(obj["frame_id"], str):
@@ -354,6 +347,11 @@ def _cmd_render(args) -> int:
         model, room = _load_model_and_room(args)
         spec = model.spec
     scenes = load_scenes(args.input, spec)
+    for scene in scenes:  # each names a file in the output directory
+        fid = scene.frame_id
+        if fid in ("", ".", "..") or "\0" in fid or os.path.basename(fid) != fid:
+            raise ValueError(f"frame_id {fid!r} is not a plain file name "
+                             "(render writes <frame_id>.pgm)")
     os.makedirs(args.output, exist_ok=True)
     for scene in scenes:
         if model is not None:

@@ -26,6 +26,7 @@ __all__ = [
     "NormStats",
     "SplitRatios",
     "parse_groups",
+    "read_records",
     "parse_scenes",
     "load_scenes",
     "save_scenes",
@@ -45,7 +46,8 @@ FEATURE_DIM = 2 + YAW_BUCKETS
 
 
 class SceneParseError(ValueError):
-    """Malformed scene record; message carries the 1-based line number."""
+    """Malformed scene record; message carries the 1-based line number, after
+    the file name when read from a file."""
 
 
 @dataclass(frozen=True)
@@ -100,36 +102,57 @@ def parse_groups(raw_groups, where: str) -> list[tuple]:
     return blocks
 
 
-def _parse_record(obj, line_no: int, spec: RoomSpec) -> Scene:
-    if not isinstance(obj, dict):
-        raise SceneParseError(f"line {line_no}: record is not a JSON object")
+def read_records(lines, name=None):
+    """Yield (where, obj) for each JSON object in the JSON-Lines ``lines``.
+
+    Blank lines are skipped.  ``where`` is "line N", or "<name> line N" when
+    a file name is given; a line that is not JSON, or not a JSON object,
+    raises SceneParseError prefixed with it.
+    """
+    prefix = "" if name is None else f"{name} "
+    for line_no, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        if not line.strip():
+            continue
+        where = f"{prefix}line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SceneParseError(f"{where}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise SceneParseError(f"{where}: record is not a JSON object")
+        yield where, obj
+
+
+def _parse_record(obj: dict, where: str, spec: RoomSpec) -> Scene:
     frame_id = obj.get("frame_id")
     if not isinstance(frame_id, str):
-        raise SceneParseError(f"line {line_no}: missing or non-string frame_id")
+        raise SceneParseError(f"{where}: missing or non-string frame_id")
     raw_persons = obj.get("persons")
     if not isinstance(raw_persons, list):
-        raise SceneParseError(f"line {line_no}: missing persons array")
+        raise SceneParseError(f"{where}: missing persons array")
     persons = []
     for i, rp in enumerate(raw_persons):
         if not isinstance(rp, dict):
-            raise SceneParseError(f"line {line_no}: person {i} is not an object")
+            raise SceneParseError(f"{where}: person {i} is not an object")
         try:
             x, y, yaw = rp["x"], rp["y"], rp["yaw_deg"]
         except KeyError as e:
             raise SceneParseError(
-                f"line {line_no}: person {i} missing field {e.args[0]!r}"
+                f"{where}: person {i} missing field {e.args[0]!r}"
             ) from None
         for name, v in (("x", x), ("y", y), ("yaw_deg", yaw)):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SceneParseError(
-                    f"line {line_no}: person {i} field {name} is not a number"
+                    f"{where}: person {i} field {name} is not a number"
                 )
         try:
             persons.append(Person(float(x), float(y), float(yaw)))
         except ValueError as e:
-            raise SceneParseError(f"line {line_no}: person {i}: {e}") from None
+            raise SceneParseError(f"{where}: person {i}: {e}") from None
 
-    blocks = parse_groups(obj.get("groups", []), f"line {line_no}")
+    blocks = parse_groups(obj.get("groups", []), where)
     mentioned = [i for b in blocks for i in b]
     # anyone absent from every block is an implicit singleton
     blocks.extend((i,) for i in range(len(persons)) if i not in set(mentioned))
@@ -138,7 +161,7 @@ def _parse_record(obj, line_no: int, spec: RoomSpec) -> Scene:
         scene = Scene(frame_id, tuple(persons), tuple(blocks))
         validate_positions(scene, spec)
     except ValueError as e:
-        raise SceneParseError(f"line {line_no}: {e}") from None
+        raise SceneParseError(f"{where}: {e}") from None
     return scene
 
 
@@ -150,23 +173,14 @@ def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
         lines = io.StringIO(source)
     else:
         lines = source
-    scenes = []
-    for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SceneParseError(f"line {line_no}: invalid JSON ({e.msg})") from None
-        scenes.append(_parse_record(obj, line_no, spec))
-    return scenes
+    return [_parse_record(obj, where, spec) for where, obj in read_records(lines)]
 
 
 def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
+    """Parse the JSON-Lines scene file ``path``; errors read "<path> line N"."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_scenes(f, spec)
+        return [_parse_record(obj, where, spec)
+                for where, obj in read_records(f, path)]
 
 
 def scene_to_obj(scene: Scene) -> dict:

@@ -20,21 +20,21 @@ the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
 allocates nothing.  The arithmetic per element, and its order, is that of
 the textbook per-array update, so the result is the same bits.
 
-A checkpoint (version 2) is the magic line ``ospace-checkpoint-2``, then one
-line of JSON, the header (version, grid spec, stride, seed, normalization
-stats, both configs, ``blob_bytes`` and the ``sha256`` of the blob), then the
-blob: every layer's W and then b, encoder layers first, as little-endian
-float64 -- the layout of ``layers.flatten``.  The header holds the spec, the
-stats and the configs in their ``jsondoc`` form, each dataclass's fields in
-declaration order, which ``jsondoc.from_obj`` reads back.  Saving writes the
-arrays' buffers as they are, so a file is byte-identical across runs with
-the same seed; loading reads the blob into one buffer that the layers are
-views of.  Version 1 files, one JSON object with the weights as nested
-lists, still load.  Loading either checks the header's field types, the
-blob's size and hash, every layer's shape against the stored configs, the
-head's output against the room grid, and that every weight is finite, so a
-corrupt file fails with a ValueError that names the field or layer rather
-than at the first matmul.
+A checkpoint (version 2, the only one read) is the magic line
+``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
+spec, stride, seed, normalization stats, both configs, ``blob_bytes`` and the
+``sha256`` of the blob), then the blob: every layer's W and then b, encoder
+layers first, as little-endian float64 -- the layout of ``layers.flatten``.
+The header holds the spec, the stats and the configs in their ``jsondoc``
+form, each dataclass's fields in declaration order, which
+``jsondoc.from_obj`` reads back.  Saving writes the arrays' buffers as they
+are, so a file is byte-identical across runs with the same seed; loading
+reads the blob into one buffer that the layers are views of.  Loading checks
+the magic line, the header's field types, the blob's size against the
+configs and the file and its hash, the head's output against the room grid,
+and that every weight is finite, so a corrupt file (or a version 1 file,
+one JSON object) fails with a ValueError that names the field or layer
+rather than at the first matmul.
 """
 from __future__ import annotations
 
@@ -86,16 +86,13 @@ __all__ = [
     "batch_backward",
     "train",
     "predict_heatmap",
-    "model_from_obj",
     "save_model",
     "load_model",
     "CHECKPOINT_VERSION",
 ]
 
 CHECKPOINT_VERSION = "ospace-checkpoint-2"
-# The first line of a v2 file; a v1 file is one JSON object and starts "{".
-_MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")
-_V1_VERSION = "ospace-checkpoint-1"
+_MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")  # a checkpoint's first line
 _BLOB_DTYPE = np.dtype("<f8")
 _CKPT = "checkpoint"  # the document name in field errors
 
@@ -406,17 +403,19 @@ def _object_at(obj, path: str) -> dict:
     return obj
 
 
-def _model_shell(obj, version: str) -> ModelWeights:
-    """A checkpoint's spec, stats and configs, as a model with no layers yet.
+def _model_shell(header) -> ModelWeights:
+    """A checkpoint header's spec, stats and configs, as a model with no
+    layers yet.
 
-    Both versions store these fields alike; the head's output is checked
-    against the grid here, before any weight is read.
+    The head's output is checked against the grid here, before any weight
+    is read.
     """
-    got = get_field(obj, "", "version", (str,), _CKPT)
-    if got != version:
-        raise ValueError(f"checkpoint version {got!r}, expected {version!r}")
+    got = get_field(header, "", "version", (str,), _CKPT)
+    if got != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {got!r}, expected "
+                         f"{CHECKPOINT_VERSION!r}")
     spec, stats, enc_cfg, head_cfg = (
-        from_obj(cls, _object_at(obj, path), path, _CKPT)
+        from_obj(cls, _object_at(header, path), path, _CKPT)
         for cls, path in ((RoomSpec, "spec"), (NormStats, "norm_stats"),
                           (EncoderConfig, "encoder.config"),
                           (HeadConfig, "head.config")))
@@ -426,69 +425,16 @@ def _model_shell(obj, version: str) -> ModelWeights:
             f"{head_cfg.output_dim} != grid cells {spec.n_cells}")
     return ModelWeights(encoder=EncoderWeights(enc_cfg), head=HeadWeights(head_cfg),
                         norm_stats=stats,
-                        stride_m=get_number(obj, "", "stride_m", _CKPT),
-                        seed=get_field(obj, "", "seed", (int,), _CKPT), spec=spec)
-
-
-def _checked_layers(section: str, pairs, dims) -> list[Dense]:
-    """Layers from (W, b) arrays checked against the widths ``dims`` of their
-    config, and for finite weights."""
-    if len(pairs) != len(dims) - 1:
-        raise ValueError(f"checkpoint {section}: {len(pairs)} layers, config "
-                         f"has {len(dims) - 1}")
-    layers = []
-    for i, (W, b) in enumerate(pairs):
-        if W.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-            raise ValueError(
-                f"checkpoint {section} layer {i}: W{W.shape} b{b.shape}, config "
-                f"needs W{(dims[i], dims[i + 1])} b{(dims[i + 1],)}")
-        if not (np.isfinite(W).all() and np.isfinite(b).all()):
-            raise ValueError(f"checkpoint {section} layer {i}: non-finite weight")
-        layers.append(Dense(W, b))
-    return layers
-
-
-def _v1_pairs(obj, section: str) -> list:
-    """The (W, b) arrays of one section of a v1 checkpoint object."""
-    pairs = []
-    layers = get_field(obj[section], section, "layers", (list,), _CKPT)
-    for i, o in enumerate(layers):
-        where = f"{section} layer {i}"
-        W, b = (get_field(o, where, k, (list,), _CKPT) for k in ("W", "b"))
-        try:
-            pairs.append((np.array(W, dtype=float), np.array(b, dtype=float)))
-        except (TypeError, ValueError) as e:  # ragged or non-numeric entries
-            raise ValueError(f"checkpoint {where}: {e}") from None
-    return pairs
-
-
-def model_from_obj(obj) -> ModelWeights:
-    """The model in a v1 checkpoint: one JSON object, weights as nested lists."""
-    model = _model_shell(obj, _V1_VERSION)
-    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
-        weights.layers = _checked_layers(section, _v1_pairs(obj, section),
-                                         weights.config.dims)
-    return model
+                        stride_m=get_number(header, "", "stride_m", _CKPT),
+                        seed=get_field(header, "", "seed", (int,), _CKPT), spec=spec)
 
 
 def _n_params(dims) -> int:
     return sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
 
 
-def _blob_pairs(flat: np.ndarray, dims, start: int):
-    """(W, b) views of ``flat`` for the layers ``dims`` from ``start`` on;
-    returns them and the offset after the last one."""
-    pairs = []
-    for d_in, d_out in zip(dims, dims[1:]):
-        W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
-        start += d_in * d_out
-        pairs.append((W, flat[start:start + d_out]))
-        start += d_out
-    return pairs, start
-
-
 def save_model(model: ModelWeights, path) -> None:
-    """Write ``model`` as a v2 checkpoint (see the module docstring)."""
+    """Write ``model`` as a checkpoint (see the module docstring)."""
     arrays = [np.ascontiguousarray(a, dtype=_BLOB_DTYPE)
               for layer in model.encoder.layers + model.head.layers
               for a in (layer.W, layer.b)]
@@ -509,48 +455,45 @@ def save_model(model: ModelWeights, path) -> None:
             f.write(memoryview(a))
 
 
-def _load_v2(f) -> ModelWeights:
-    """The model in a v2 checkpoint whose magic line ``f`` has just read."""
-    try:
-        header = json.loads(f.readline())
-    except ValueError as e:  # bad JSON or bad UTF-8
-        raise ValueError(f"checkpoint header: not a line of JSON ({e})") from None
-    model = _model_shell(header, CHECKPOINT_VERSION)
-    blob_bytes = get_field(header, "", "blob_bytes", (int,), _CKPT)
-    sha256 = get_field(header, "", "sha256", (str,), _CKPT)
-    need = _BLOB_DTYPE.itemsize * sum(_n_params(w.config.dims)
-                                      for w in (model.encoder, model.head))
-    if blob_bytes != need:
-        raise ValueError(f"checkpoint blob_bytes: {blob_bytes}, the configs "
-                         f"need {need}")
-    # Sized from the file before anything is allocated for it.
-    size = os.fstat(f.fileno()).st_size - f.tell()
-    if size != blob_bytes:
-        what = "truncated" if size < blob_bytes else "trailing bytes"
-        raise ValueError(f"checkpoint blob: {size} bytes after the header, "
-                         f"blob_bytes is {blob_bytes} ({what})")
-    buf = bytearray(blob_bytes)  # writable, and the vector's only copy
-    if f.readinto(buf) != blob_bytes or f.read(1):
-        raise ValueError("checkpoint blob: file changed while being read")
+def load_model(path) -> ModelWeights:
+    """Read a checkpoint (see the module docstring); a bad one raises ValueError."""
+    with open(path, "rb") as f:
+        if f.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError(f"checkpoint: the first line is not {CHECKPOINT_VERSION}")
+        try:
+            header = json.loads(f.readline())
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ValueError(f"checkpoint header: not a line of JSON ({e})") from None
+        model = _model_shell(header)
+        blob_bytes = get_field(header, "", "blob_bytes", (int,), _CKPT)
+        sha256 = get_field(header, "", "sha256", (str,), _CKPT)
+        need = _BLOB_DTYPE.itemsize * sum(_n_params(w.config.dims)
+                                          for w in (model.encoder, model.head))
+        if blob_bytes != need:
+            raise ValueError(f"checkpoint blob_bytes: {blob_bytes}, the configs "
+                             f"need {need}")
+        # Sized from the file before anything is allocated for it.
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != blob_bytes:
+            what = "truncated" if size < blob_bytes else "trailing bytes"
+            raise ValueError(f"checkpoint blob: {size} bytes after the header, "
+                             f"blob_bytes is {blob_bytes} ({what})")
+        buf = bytearray(blob_bytes)  # writable, and the vector's only copy
+        if f.readinto(buf) != blob_bytes or f.read(1):
+            raise ValueError("checkpoint blob: file changed while being read")
     if hashlib.sha256(buf).hexdigest() != sha256:
         raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
+    # Every layer is a view of the blob, cut by the widths blob_bytes matched.
     flat = np.frombuffer(buf, dtype=_BLOB_DTYPE)
     start = 0
     for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
-        pairs, start = _blob_pairs(flat, weights.config.dims, start)
-        weights.layers = _checked_layers(section, pairs, weights.config.dims)
+        dims = weights.config.dims
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+            W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
+            start += d_in * d_out
+            b = flat[start:start + d_out]
+            start += d_out
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ValueError(f"checkpoint {section} layer {i}: non-finite weight")
+            weights.layers.append(Dense(W, b))
     return model
-
-
-def load_model(path) -> ModelWeights:
-    """Read a checkpoint of either version; a bad one raises ValueError."""
-    with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) == _MAGIC:
-            return _load_v2(f)
-        f.seek(0)
-        try:
-            obj = json.loads(f.read())
-        except ValueError as e:  # bad JSON or bad UTF-8
-            raise ValueError(f"checkpoint: neither a v2 file nor v1 JSON "
-                             f"({e})") from None
-    return model_from_obj(obj)

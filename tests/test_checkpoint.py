@@ -1,5 +1,5 @@
-"""Checkpoint v2: round trips are bit-exact and byte-deterministic, corrupt
-files are data errors (exit 2), and version 1 files still load."""
+"""Checkpoints: round trips are bit-exact and byte-deterministic, and corrupt
+files, version 1 files among them, are data errors (exit 2)."""
 import hashlib
 import json
 import tempfile
@@ -23,7 +23,6 @@ from ospace.network import (
     load_model,
     save_model,
 )
-from v1_checkpoint import model_to_v1_obj, save_v1
 
 ENC_CFG = EncoderConfig(input_dim=18, max_people=25, layer_widths=(8, 16))
 HEAD_CFG = HeadConfig(input_dim=20, hidden_widths=(16,), output_dim=120)
@@ -81,18 +80,6 @@ def test_v2_layout_is_magic_header_and_flat_blob(tmp_path):
     assert all(l.W.flags.writeable and l.b.flags.writeable for l in _layers(back))
 
 
-def test_v1_file_loads_bit_identical_to_v2(tmp_path):
-    model = _model(3)
-    save_v1(model_to_v1_obj(model), tmp_path / "old.json")
-    save_model(model, tmp_path / "new.ckpt")
-    from_v1 = load_model(tmp_path / "old.json")
-    _assert_same_model(from_v1, load_model(tmp_path / "new.ckpt"))
-    _assert_same_model(from_v1, model)
-    save_model(from_v1, tmp_path / "resaved.ckpt")
-    assert (tmp_path / "resaved.ckpt").read_bytes() == \
-        (tmp_path / "new.ckpt").read_bytes()
-
-
 def _flip_blob_byte(data):
     i = len(data) - 100
     return data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1:]
@@ -122,7 +109,7 @@ def _set(path, value):
     return edit
 
 
-V2_CORRUPTIONS = {
+CORRUPTIONS = {
     "truncated blob": (lambda d: d[:-8], "truncated"),
     "empty blob": (lambda d: d[:d.index(b"}\n") + 2], "truncated"),
     "flipped blob byte": (_flip_blob_byte, "sha256 mismatch"),
@@ -150,42 +137,22 @@ V2_CORRUPTIONS = {
     "non-finite weight": (
         lambda d: _rehash(d[:-8] + np.array([np.nan]).astype("<f8").tobytes()),
         "head layer 1: non-finite weight"),
+    "missing section": (_header_edit(lambda h: {k: v for k, v in h.items()
+                                                if k != "head"}),
+                        "checkpoint head: missing"),
+    "bool seed": (_header_edit(_set(("seed",), True)),
+                  "checkpoint seed: expected integer, got boolean"),
+    "bad widths": (_header_edit(_set(("encoder", "config", "layer_widths"), [8, 0])),
+                   "checkpoint encoder.config: bad layer widths"),
+    "v1 file": (lambda d: json.dumps({"version": "ospace-checkpoint-1"}).encode(),
+                "checkpoint: the first line is not ospace-checkpoint-2"),
+    "garbage file": (lambda d: b"\x00\x01garbage",
+                     "checkpoint: the first line is not ospace-checkpoint-2"),
 }
 
 
-def _v1_edit(edit):
-    def corrupt(data):
-        obj = model_to_v1_obj(_model())
-        return json.dumps(edit(obj)).encode()
-    return corrupt
-
-
-V1_CORRUPTIONS = {
-    "v1 layers of wrong type": (
-        _v1_edit(_set(("encoder", "layers"), 5)),
-        "checkpoint encoder.layers: expected array, got integer"),
-    "v1 config field of wrong type": (
-        _v1_edit(_set(("head", "config", "input_dim"), {})),
-        "checkpoint head.config.input_dim: expected integer, got object"),
-    "v1 top-level list": (_v1_edit(lambda obj: [obj]),
-                          "checkpoint: expected a JSON object, got array"),
-    "v1 layer of wrong type": (
-        _v1_edit(_set(("head", "layers", 0), "W")),
-        "checkpoint head layer 0: expected a JSON object, got string"),
-    "v1 missing section": (_v1_edit(lambda obj: {k: v for k, v in obj.items()
-                                                 if k != "head"}),
-                           "checkpoint head: missing"),
-    "v1 bool seed": (_v1_edit(_set(("seed",), True)),
-                     "checkpoint seed: expected integer, got boolean"),
-    "v1 bad widths": (_v1_edit(_set(("encoder", "config", "layer_widths"), [8, 0])),
-                      "checkpoint encoder.config: bad layer widths"),
-    "neither version": (lambda d: b"\x00\x01garbage", "neither a v2 file nor v1 JSON"),
-}
-
-
-@pytest.mark.parametrize("corrupt,message",
-                         list((V2_CORRUPTIONS | V1_CORRUPTIONS).values()),
-                         ids=list(V2_CORRUPTIONS | V1_CORRUPTIONS))
+@pytest.mark.parametrize("corrupt,message", list(CORRUPTIONS.values()),
+                         ids=list(CORRUPTIONS))
 def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys,
                                                       corrupt, message):
     good = tmp_path / "good.ckpt"

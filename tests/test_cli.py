@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,6 @@ import pytest
 import ospace
 from ospace.cli import main
 from ospace.network import load_model
-from v1_checkpoint import model_to_v1_obj, save_v1
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
         '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
@@ -155,14 +155,18 @@ def test_predict_eval_roundtrip(workdir, capsys):
 
 def test_predict_corrupt_checkpoint_is_data_error(workdir, capsys):
     model = _train_tiny(workdir)
-    obj = model_to_v1_obj(load_model(model))
-    obj["head"]["layers"][1]["W"].pop()
-    bad = workdir / "bad.json"
-    save_v1(obj, bad)
+    last = load_model(model).head.layers[1]
+    magic, header, blob = model.read_bytes().split(b"\n", 2)
+    i = len(blob) - 8 * (last.W.size + last.b.size)  # head layer 1's W[0, 0]
+    blob = blob[:i] + np.array([np.inf]).astype("<f8").tobytes() + blob[i + 8:]
+    header = json.loads(header)
+    header["sha256"] = hashlib.sha256(blob).hexdigest()
+    bad = workdir / "bad.ckpt"
+    bad.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
     rc = main(["predict", str(bad), "train.jsonl", "-o", "pred.jsonl"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: checkpoint head layer 1:")
+    assert err.startswith("error: checkpoint head layer 1: non-finite weight")
     assert "Traceback" not in err
     assert not (workdir / "pred.jsonl").exists()
 
@@ -414,6 +418,45 @@ def test_render_room_flags_need_model(workdir, capsys, flag, path):
     assert err == (f"error: {flag} needs --model: ground-truth heatmaps take "
                    "no room feature\n")
     assert not (workdir / "maps").exists()
+
+
+@pytest.mark.parametrize("frame_id", ["/abs/path/x", "sub/dir", "", ".", "..",
+                                      "a\0b"],
+                         ids=["absolute", "subdirectory", "empty", "dot",
+                              "dot-dot", "NUL"])
+def test_render_rejects_frame_id_that_is_not_a_file_name(workdir, capsys,
+                                                         frame_id):
+    line = json.dumps({"frame_id": frame_id, "persons": [
+        {"x": 1.0, "y": 1.0, "yaw_deg": 0.0}]})
+    _write_scenes(workdir / "gt.jsonl", DYAD + line + "\n")
+    rc = main(["render", "gt.jsonl", "-o", "maps"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: frame_id {frame_id!r} is not a plain file name "
+                   "(render writes <frame_id>.pgm)\n")
+    assert not (workdir / "maps").exists()
+
+
+def test_scene_file_error_names_the_file(workdir, capsys):
+    model = _train_tiny(workdir)
+    bad = workdir / "bad.jsonl"
+    bad.write_text(DYAD + DYAD.replace('"x": 1.0', '"x": 99.0'))
+    capsys.readouterr()
+    rc = main(["predict", str(model), str(bad), "-o", "pred.jsonl"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {bad} line 2: person 0 at (99.0, 1.0) outside room "
+                   "6.0 m x 5.0 m\n")
+    assert not (workdir / "pred.jsonl").exists()
+
+
+def test_train_negative_room_dim_is_usage_error(workdir, capsys):
+    scenes = _write_scenes(workdir / "s.jsonl")
+    rc = main(["train", str(scenes), "-o", "m.ckpt", "--room-dim", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: --room-dim must be non-negative, got -1\n"
+    assert not (workdir / "m.ckpt").exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

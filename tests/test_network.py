@@ -23,7 +23,6 @@ from ospace.network import (
     head_forward,
     init_head,
     load_model,
-    model_from_obj,
     predict_heatmap,
     save_model,
     train,
@@ -31,7 +30,6 @@ from ospace.network import (
     _Sgd,
 )
 from ospace.room import RoomFeature
-from v1_checkpoint import model_to_v1_obj
 
 ROOM4 = RoomFeature(np.zeros(4))
 ENC_CFG = EncoderConfig(input_dim=18, max_people=25, layer_widths=(8, 16))
@@ -248,6 +246,11 @@ def test_trained_layers_share_one_contiguous_vector():
     assert all(a.base is store for a in arrays)
 
 
+def _checkpoint_bytes(model, path) -> bytes:
+    save_model(model, path)
+    return path.read_bytes()
+
+
 def _quick_cfg(**kw):
     base = dict(epochs=3, batch_size=4, learning_rate=1e-3, optimizer="adam",
                 seed=0)
@@ -281,11 +284,11 @@ def test_train_zero_learning_rate_keeps_weights():
     assert all(l == losses[0] for l in losses)
 
 
-def test_train_same_seed_reproducible():
+def test_train_same_seed_reproducible(tmp_path):
     a, ta = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg())
     b, tb = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg())
     assert ta == tb
-    assert json.dumps(model_to_v1_obj(a)) == json.dumps(model_to_v1_obj(b))
+    assert _checkpoint_bytes(a, tmp_path / "a") == _checkpoint_bytes(b, tmp_path / "b")
     c, tc = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(seed=1))
     assert ta != tc
 
@@ -297,7 +300,7 @@ def test_train_loss_decreases_on_memorizable_data():
     assert trace[-1].train_loss < 0.02
 
 
-def test_train_best_epoch_by_validation_loss():
+def test_train_best_epoch_by_validation_loss(tmp_path):
     scenes = _scenes(8)
     val = _scenes(3)
     cfg = _quick_cfg(epochs=12, learning_rate=3e-3)
@@ -309,7 +312,8 @@ def test_train_best_epoch_by_validation_loss():
                       _quick_cfg(epochs=k, learning_rate=3e-3),
                       val_scenes=val)
     assert [e.val_loss for e in st] == [e.val_loss for e in trace[:k]]
-    assert json.dumps(model_to_v1_obj(short)) == json.dumps(model_to_v1_obj(model))
+    assert _checkpoint_bytes(short, tmp_path / "short") == \
+        _checkpoint_bytes(model, tmp_path / "full")
 
 
 def test_train_divergence_raises_with_epoch():
@@ -369,22 +373,29 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert a.values.tobytes() == b.values.tobytes()
 
 
+def _edit_header(path, edit) -> None:
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its header."""
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+
+
 def test_checkpoint_version_tag(tmp_path):
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
-    save_model(model, tmp_path / "m.ckpt")
-    magic, header, _ = (tmp_path / "m.ckpt").read_bytes().split(b"\n", 2)
+    path = tmp_path / "m.ckpt"
+    save_model(model, path)
+    magic, header, _ = path.read_bytes().split(b"\n", 2)
     assert magic.decode() == CHECKPOINT_VERSION
     assert json.loads(header)["version"] == CHECKPOINT_VERSION
-    obj = model_to_v1_obj(model)
-    assert obj["version"] == "ospace-checkpoint-1"
-    model_from_obj(obj)
-    for version in ("ospace-checkpoint-0", CHECKPOINT_VERSION):
-        obj["version"] = version
+    for version in ("ospace-checkpoint-0", "ospace-checkpoint-1"):
+        save_model(model, path)
+        _edit_header(path, lambda h: h.update(version=version))
         with pytest.raises(ValueError, match="checkpoint version"):
-            model_from_obj(obj)
+            load_model(path)
 
 
-def test_checkpoint_custom_spec():
+def test_checkpoint_custom_spec(tmp_path):
     spec = RoomSpec(rows=4, cols=5, cell_m=1.0)
     enc = EncoderConfig(input_dim=18, max_people=10, layer_widths=(6,))
     head = HeadConfig(input_dim=10, hidden_widths=(), output_dim=20)
@@ -392,53 +403,35 @@ def test_checkpoint_custom_spec():
                     ((0, 1),))]
     model, _ = train(scenes, ROOM4, enc, head,
                      _quick_cfg(epochs=1), spec=spec, stride_m=0.4)
-    obj = model_to_v1_obj(model)
-    back = model_from_obj(obj)
+    save_model(model, tmp_path / "m.ckpt")
+    back = load_model(tmp_path / "m.ckpt")
     assert back.spec == spec
     assert back.stride_m == 0.4
     m = predict_heatmap(scenes[0], back, ROOM4)
     assert m.values.shape == (4, 5)
 
 
-def _checkpoint_obj():
+def _checkpoint_model():
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
-    return model_to_v1_obj(model)
+    return model
 
 
-def test_checkpoint_rejects_layer_shape_off_config():
-    obj = _checkpoint_obj()
-    obj["head"]["layers"][1]["W"].pop()  # (16, 120) loses a row
-    with pytest.raises(ValueError, match="head layer 1"):
-        model_from_obj(obj)
-    obj = _checkpoint_obj()
-    obj["encoder"]["layers"][0]["b"].append(0.0)
-    with pytest.raises(ValueError, match="encoder layer 0"):
-        model_from_obj(obj)
-    for bad in ({"x": 1.0}, [[1.0, 2.0], [3.0]], "w"):
-        obj = _checkpoint_obj()
-        obj["encoder"]["layers"][1]["W"] = bad
-        with pytest.raises(ValueError, match="encoder layer 1"):
-            model_from_obj(obj)
-    obj = _checkpoint_obj()
-    del obj["encoder"]["layers"][1]
-    with pytest.raises(ValueError, match="checkpoint encoder"):
-        model_from_obj(obj)
-
-
-def test_checkpoint_rejects_head_output_off_grid():
-    obj = _checkpoint_obj()
-    obj["spec"]["cols"] = 11
+def test_checkpoint_rejects_head_output_off_grid(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(_checkpoint_model(), path)
+    _edit_header(path, lambda h: h["spec"].update(cols=11))
     with pytest.raises(ValueError, match="head layer 1.*grid cells 110"):
-        model_from_obj(obj)
+        load_model(path)
 
 
-def test_checkpoint_rejects_non_finite_weight():
+def test_checkpoint_rejects_non_finite_weight(tmp_path):
+    path = tmp_path / "m.ckpt"
     for value in (float("nan"), float("inf")):
-        obj = _checkpoint_obj()
-        obj["encoder"]["layers"][1]["W"][3][2] = value
-        with pytest.raises(ValueError, match="encoder layer 1: non-finite"):
-            model_from_obj(obj)
-        obj = _checkpoint_obj()
-        obj["head"]["layers"][0]["b"][0] = value
-        with pytest.raises(ValueError, match="head layer 0: non-finite"):
-            model_from_obj(obj)
+        for section, i, name, index in (("encoder", 1, "W", (3, 2)),
+                                        ("head", 0, "b", 0)):
+            model = _checkpoint_model()
+            getattr(getattr(model, section).layers[i], name)[index] = value
+            save_model(model, path)  # hashes the blob as it is
+            with pytest.raises(ValueError,
+                               match=f"{section} layer {i}: non-finite"):
+                load_model(path)
