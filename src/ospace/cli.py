@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,6 +143,11 @@ def _write_heatmap_csv(heatmap: OSpaceMap, path) -> None:
             f.write("\n")
 
 
+def _check_stride(stride: float) -> None:
+    if not (math.isfinite(stride) and stride >= 0):
+        raise ValueError(f"--stride must be finite and non-negative, got {stride}")
+
+
 def _usage_guard(build):
     """Run a config-building closure; bad flag values become usage errors."""
     try:
@@ -191,6 +197,7 @@ def _cmd_train(args) -> int:
     def build():
         if args.room_dim < 0:
             raise ValueError(f"--room-dim must be non-negative, got {args.room_dim}")
+        _check_stride(args.stride)
         spec = _spec_from_args(args)
         enc_cfg = EncoderConfig(max_people=args.max_people,
                                 layer_widths=_csv_ints(args.enc_widths))
@@ -204,7 +211,7 @@ def _cmd_train(args) -> int:
                 GaussianParams(sigma_m=args.sigma))
 
     spec, ratios, enc_cfg, head_cfg, cfg, gauss = _usage_guard(build)
-    scenes = load_scenes(args.input, spec)
+    scenes = load_scenes(args.input, spec, enc_cfg.max_people)
     if not scenes:
         raise ValueError(f"no scenes in {args.input}")
     train_scenes, val_scenes, _ = sequential_split(scenes, ratios)
@@ -248,7 +255,7 @@ def _cmd_tune(args) -> int:
 
     grid, t = _usage_guard(build)
     model, room = _load_model_and_room(args)
-    scenes = load_scenes(args.input, model.spec)
+    scenes = load_scenes(args.input, model.spec, model.encoder.config.max_people)
     best, best_f1, table = grid_search(model, scenes, room, grid, t)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -272,7 +279,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_predict(args) -> int:
     model, room = _load_model_and_room(args)
-    scenes = load_scenes(args.input, model.spec)
+    scenes = load_scenes(args.input, model.spec, model.encoder.config.max_people)
     params = _params_from_args(args)
     results = thread_map(lambda s: predict_scene(s, model, room, params), scenes)
     with open(args.output, "w", encoding="utf-8") as f:
@@ -334,11 +341,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    spec, gauss = _usage_guard(
-        lambda: (_spec_from_args(args), GaussianParams(sigma_m=args.sigma))
-    )
+    def build():
+        _check_stride(args.stride)
+        return _spec_from_args(args), GaussianParams(sigma_m=args.sigma)
+
+    spec, gauss = _usage_guard(build)
     model = None
     room = None
+    max_people = None  # ground-truth heatmaps have no cap
     if not args.model and (args.room_file or args.layout):
         flag = "--room-file" if args.room_file else "--layout"
         raise _UsageError(f"{flag} needs --model: ground-truth heatmaps "
@@ -346,7 +356,8 @@ def _cmd_render(args) -> int:
     if args.model:
         model, room = _load_model_and_room(args)
         spec = model.spec
-    scenes = load_scenes(args.input, spec)
+        max_people = model.encoder.config.max_people
+    scenes = load_scenes(args.input, spec, max_people)
     for scene in scenes:  # each names a file in the output directory
         fid = scene.frame_id
         if fid in ("", ".", "..") or "\0" in fid or os.path.basename(fid) != fid:

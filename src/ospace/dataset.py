@@ -176,11 +176,22 @@ def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
     return [_parse_record(obj, where, spec) for where, obj in read_records(lines)]
 
 
-def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
-    """Parse the JSON-Lines scene file ``path``; errors read "<path> line N"."""
+def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC,
+                max_people: int | None = None) -> list[Scene]:
+    """Parse the JSON-Lines scene file ``path``; errors read "<path> line N".
+
+    With ``max_people``, a scene with more persons than that is an error
+    too, so a model's cap is enforced at the line that breaks it.
+    """
+    scenes = []
     with open(path, "r", encoding="utf-8") as f:
-        return [_parse_record(obj, where, spec)
-                for where, obj in read_records(f, path)]
+        for where, obj in read_records(f, path):
+            scene = _parse_record(obj, where, spec)
+            if max_people is not None and len(scene.persons) > max_people:
+                raise SceneParseError(f"{where}: {len(scene.persons)} persons, "
+                                      f"cap is {max_people}")
+            scenes.append(scene)
+    return scenes
 
 
 def scene_to_obj(scene: Scene) -> dict:

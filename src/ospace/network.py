@@ -18,7 +18,11 @@ in fixed blocks of ``_ADAM_BLOCK`` elements, small enough that the block's
 parameters, gradients, moments and two preallocated scratch blocks stay in
 the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
 allocates nothing.  The arithmetic per element, and its order, is that of
-the textbook per-array update, so the result is the same bits.
+the textbook per-array update, so the result is the same bits.  Adam skips
+a block whose gradients have all been exactly zero so far, which changes
+no bit either: its moments are still zero, so the update is
+lr 0 / (0 + eps) = 0.  The zero room vector the CLI feeds when no layout
+is given makes the head's room rows such blocks for the whole run.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
@@ -256,6 +260,13 @@ class _Adam:
 
     Per element this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order.
+
+    A block whose gradients have all been zero so far is skipped: its m and
+    v are still +0.0, and a zero (or -0.0) gradient leaves them +0.0 and
+    moves p by lr 0 / (0 + eps) = +0.0, so walking it would change no bit
+    (for a finite lr and eps > 0, as ``train`` uses).  The first non-zero
+    gradient in a block (NaN, or one too small to square, included) makes
+    it live for the rest of the run.
     """
 
     def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray,
@@ -272,6 +283,8 @@ class _Adam:
         block = min(_ADAM_BLOCK, params.size)
         self._a = np.empty(block)
         self._b = np.empty(block)
+        # one flag per block: True while every gradient it has seen was zero
+        self._all_zero = [True] * -(-params.size // _ADAM_BLOCK)
 
     def step(self) -> None:
         self.t += 1
@@ -279,9 +292,13 @@ class _Adam:
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         n = self.params.size
-        for lo in range(0, n, _ADAM_BLOCK):
+        for k, lo in enumerate(range(0, n, _ADAM_BLOCK)):
             hi = min(lo + _ADAM_BLOCK, n)
             p, g = self.params[lo:hi], self.grads[lo:hi]
+            if self._all_zero[k]:
+                if not g.any():
+                    continue
+                self._all_zero[k] = False
             m, v = self._m[lo:hi], self._v[lo:hi]
             a, b = self._a[:hi - lo], self._b[:hi - lo]
             m *= b1

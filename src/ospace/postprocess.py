@@ -49,7 +49,7 @@ class AssignParams:
         for name in ("min_group_separation_m", "max_assign_dist_m", "stride_m"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be non-negative, got {v}")
+                raise ValueError(f"{name} must be finite non-negative, got {v}")
 
 
 def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:

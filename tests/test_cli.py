@@ -459,6 +459,52 @@ def test_train_negative_room_dim_is_usage_error(workdir, capsys):
     assert not (workdir / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "render"])
+@pytest.mark.parametrize("stride", ["-1", "nan", "inf"])
+def test_bad_stride_is_usage_error(workdir, capsys, command, stride):
+    scenes = _write_scenes(workdir / "s.jsonl")
+    rc = main([command, str(scenes), "-o", "out", "--stride", stride])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: --stride must be finite and non-negative, "
+                   f"got {float(stride)}\n")
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
+def test_predict_non_finite_stride_is_usage_error(workdir, capsys):
+    model = _train_tiny(workdir)
+    capsys.readouterr()
+    rc = main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl",
+               "--stride", "inf"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: stride_m must be finite non-negative, got inf\n"
+    assert not (workdir / "pred.jsonl").exists()
+
+
+CROWD = json.dumps({"frame_id": "crowd", "persons": [
+    {"x": 0.2 * (i + 1), "y": 1.0, "yaw_deg": 0.0} for i in range(26)]}) + "\n"
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict", "render"])
+def test_over_cap_frame_names_file_and_line(workdir, capsys, command):
+    model = _train_tiny(workdir)  # --max-people 25, the default
+    crowded = _write_scenes(workdir / "crowded.jsonl", DYAD + CROWD)
+    argv = {"train": ["train", str(crowded), "-o", "out"],
+            "tune": ["tune", str(model), str(crowded), "-o", "out"],
+            "predict": ["predict", str(model), str(crowded), "-o", "out"],
+            "render": ["render", str(crowded), "-o", "out", "--model",
+                       str(model)]}[command]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {crowded} line 2: 26 persons, cap is 25\n"
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SUBCOMMANDS = ("synth", "ingest", "train", "tune", "predict", "eval", "render")
 

@@ -88,6 +88,17 @@ def test_save_load_roundtrip(tmp_path):
     assert load_scenes(path) == scenes
 
 
+def test_load_scenes_enforces_max_people(tmp_path):
+    scenes = parse_scenes(LINE)
+    n = len(scenes[0].persons)
+    path = tmp_path / "scenes.jsonl"
+    save_scenes(scenes * 2, path)
+    assert load_scenes(path, max_people=n) == scenes * 2
+    with pytest.raises(SceneParseError) as exc:
+        load_scenes(path, max_people=n - 1)
+    assert str(exc.value) == f"{path} line 1: {n} persons, cap is {n - 1}"
+
+
 def test_parse_respects_room_spec():
     small = RoomSpec(rows=2, cols=2, cell_m=0.5)
     with pytest.raises(SceneParseError):

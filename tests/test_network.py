@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.encoder import EncoderConfig, init_encoder
 from ospace.layers import Dense, flatten
+from ospace import network
 from ospace.network import (
     _ADAM_BLOCK,
     CHECKPOINT_VERSION,
@@ -226,14 +228,77 @@ def test_flat_optimizer_matches_per_array_reference(flat_cls, ref_cls):
     assert params.size > 2 * _ADAM_BLOCK and params.size % _ADAM_BLOCK
     opt, ref_opt = flat_cls(1e-2, params, grads), ref_cls(1e-2)
     for _ in range(5):
-        for r, f in zip(ref, flat):
-            r.grad_W[...] = f.grad_W[...] = rng.standard_normal(r.W.shape)
-            r.grad_b[...] = f.grad_b[...] = rng.standard_normal(r.b.shape)
+        grads[...] = rng.standard_normal(grads.size)
+        grads[_ADAM_BLOCK:2 * _ADAM_BLOCK] = 0.0  # one whole block never moves
+        _copy_grads(flat, ref)
         opt.step()
         ref_opt.step(ref)
         for r, f in zip(ref, flat):
             assert f.W.tobytes() == r.W.tobytes()
             assert f.b.tobytes() == r.b.tobytes()
+    if flat_cls is _Adam:
+        assert opt._all_zero == [False, True, False, False]
+
+
+def _copy_grads(src, dst):
+    for s, d in zip(src, dst):
+        d.grad_W[...] = s.grad_W
+        d.grad_b[...] = s.grad_b
+
+
+_KINDS = ("zero", "negative zero", "live", "turns live", "partly zero",
+          "square underflows", "nan")
+
+
+def _fill_block(g, kind, at, step, rng):
+    """Block gradient ``g`` (zeroed) at ``step``; ``at`` times the kind's event."""
+    if kind == "negative zero":
+        g.fill(-0.0)
+    elif kind == "live" or (kind == "turns live" and step >= at):
+        g[...] = rng.standard_normal(g.size)
+    elif kind == "partly zero":
+        g[g.size // 2:] = rng.standard_normal(g.size - g.size // 2)
+    elif kind == "square underflows" and step == at:
+        g[at] = 1e-200
+    elif kind == "nan" and step == at:
+        g[at] = np.nan
+
+
+_STEPS = 6
+
+
+@settings(max_examples=30, deadline=None)
+@given(schedule=st.lists(st.tuples(st.sampled_from(_KINDS),
+                                   st.integers(0, _STEPS - 1)),
+                         min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_adam_block_skip_matches_reference(schedule, seed):
+    """Skipping all-zero blocks gives the reference's W, b, m and v bits."""
+    rng = np.random.default_rng(seed)
+    shapes = [(18, 64), (64, 300), (300, 257), (257, 120)]
+    init = [(rng.standard_normal(s), rng.standard_normal(s[1])) for s in shapes]
+    ref = [Dense(W.copy(), b.copy()) for W, b in init]
+    flat = [Dense(W.copy(), b.copy()) for W, b in init]
+    params, grads = flatten(flat)
+    assert -(-params.size // _ADAM_BLOCK) == len(schedule)
+    opt, ref_opt = _Adam(1e-2, params, grads), _ReferenceAdam(1e-2)
+    seen = [False] * len(schedule)
+    for step in range(_STEPS):
+        grads.fill(0.0)
+        for k, (kind, at) in enumerate(schedule):
+            g = grads[k * _ADAM_BLOCK:(k + 1) * _ADAM_BLOCK]
+            _fill_block(g, kind, at, step, rng)
+            seen[k] = seen[k] or bool(g.any())
+        _copy_grads(flat, ref)
+        opt.step()
+        ref_opt.step(ref)
+        assert opt._all_zero == [not s for s in seen]
+        for r, f in zip(ref, flat):
+            assert f.W.tobytes() == r.W.tobytes()
+            assert f.b.tobytes() == r.b.tobytes()
+        for moment, ref_moment in ((opt._m, ref_opt._m), (opt._v, ref_opt._v)):
+            want = np.concatenate([a.ravel() for pair in ref_moment for a in pair])
+            assert moment.tobytes() == want.tobytes()
 
 
 def test_trained_layers_share_one_contiguous_vector():
@@ -291,6 +356,37 @@ def test_train_same_seed_reproducible(tmp_path):
     assert _checkpoint_bytes(a, tmp_path / "a") == _checkpoint_bytes(b, tmp_path / "b")
     c, tc = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(seed=1))
     assert ta != tc
+
+
+def test_train_zero_room_skips_its_blocks_with_the_same_bytes(tmp_path,
+                                                             monkeypatch):
+    room_dim = 1024  # W_room (1024 x 64) covers whole Adam blocks
+    room = RoomFeature(np.zeros(room_dim))
+    head_cfg = HeadConfig(input_dim=room_dim + 16, hidden_widths=(64,),
+                          output_dim=120)
+    init, _ = train(_scenes(), room, ENC_CFG, head_cfg, _quick_cfg(epochs=0))
+    opts = []
+
+    class SpyAdam(_Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opts.append(self)
+
+    class WalkEveryBlock(_Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._all_zero = [False] * len(self._all_zero)
+
+    monkeypatch.setattr(network, "_Adam", SpyAdam)
+    skipped, _ = train(_scenes(), room, ENC_CFG, head_cfg, _quick_cfg())
+    assert any(opts[0]._all_zero)
+    got, want = skipped.head.layers[0].W, init.head.layers[0].W
+    assert got[:room_dim].tobytes() == want[:room_dim].tobytes()
+    assert got[room_dim:].tobytes() != want[room_dim:].tobytes()
+    monkeypatch.setattr(network, "_Adam", WalkEveryBlock)
+    walked, _ = train(_scenes(), room, ENC_CFG, head_cfg, _quick_cfg())
+    assert _checkpoint_bytes(skipped, tmp_path / "skipped") == \
+        _checkpoint_bytes(walked, tmp_path / "walked")
 
 
 def test_train_loss_decreases_on_memorizable_data():
