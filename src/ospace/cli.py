@@ -17,11 +17,9 @@ import numpy as np
 
 from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec
 from .dataset import (
-    SceneParseError,
     SplitRatios,
     augment,
     load_scenes,
-    parse_groups,
     read_records,
     save_scenes,
     sequential_split,
@@ -29,7 +27,7 @@ from .dataset import (
 from .encoder import EncoderConfig
 from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
-from .jsondoc import from_obj, load, to_obj
+from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj
 from .network import (
     HeadConfig,
     TrainConfig,
@@ -297,16 +295,12 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_group_records(path) -> list[tuple[str, list]]:
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for where, obj in read_records(f, path):
-            if "frame_id" not in obj or "groups" not in obj:
-                raise SceneParseError(f"{where}: record needs frame_id and groups")
-            if not isinstance(obj["frame_id"], str):
-                raise SceneParseError(f"{where}: frame_id is not a string")
-            records.append((obj["frame_id"], parse_groups(obj["groups"], where)))
-    return records
+def _load_group_records(path) -> list[tuple[str, tuple]]:
+    """(frame_id, groups) of each record of the eval file ``path``."""
+    with open(path, "rb") as f:
+        return read_records(f, lambda obj, where: (
+            get_field(obj, "", "frame_id", (str,), where),
+            get_int_arrays(obj, "", "groups", where)), path)
 
 
 def _cmd_eval(args) -> int:
@@ -341,18 +335,26 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    def build():
-        _check_stride(args.stride)
-        return _spec_from_args(args), GaussianParams(sigma_m=args.sigma)
-
-    spec, gauss = _usage_guard(build)
-    model = None
-    room = None
-    max_people = None  # ground-truth heatmaps have no cap
+    # each kind of heatmap rejects the flags of the other, which it would ignore
+    if args.model and (args.stride is not None or args.sigma is not None):
+        flag = "--stride" if args.stride is not None else "--sigma"
+        raise _UsageError(f"{flag} is for ground-truth heatmaps: --model "
+                          "renders predictions, which take no stride or sigma")
     if not args.model and (args.room_file or args.layout):
         flag = "--room-file" if args.room_file else "--layout"
         raise _UsageError(f"{flag} needs --model: ground-truth heatmaps "
                           "take no room feature")
+
+    def build():
+        stride = DEFAULT_STRIDE_M if args.stride is None else args.stride
+        _check_stride(stride)
+        gauss = GaussianParams() if args.sigma is None else GaussianParams(args.sigma)
+        return _spec_from_args(args), stride, gauss
+
+    spec, stride, gauss = _usage_guard(build)
+    model = None
+    room = None
+    max_people = None  # ground-truth heatmaps have no cap
     if args.model:
         model, room = _load_model_and_room(args)
         spec = model.spec
@@ -368,7 +370,7 @@ def _cmd_render(args) -> int:
         if model is not None:
             heatmap = predict_heatmap(scene, model, room)
         else:
-            heatmap = scene_target(scene, args.stride, gauss, spec)
+            heatmap = scene_target(scene, stride, gauss, spec)
         _write_pgm(heatmap, os.path.join(args.output, f"{scene.frame_id}.pgm"))
         if args.csv:
             _write_heatmap_csv(heatmap,
@@ -482,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--model", help="render predictions from this checkpoint "
                                    "instead of ground truth")
-    p.add_argument("--stride", type=float, default=DEFAULT_STRIDE_M)
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--stride", type=float,
+                   help=f"ground truth only (default {DEFAULT_STRIDE_M})")
+    p.add_argument("--sigma", type=float, help="ground truth only (default 0.5)")
     p.add_argument("--csv", action="store_true",
                    help="also write raw values as CSV")
     _add_room_args(p)
@@ -508,8 +511,7 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, SynthesisError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (SceneParseError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as e:
+    except (OSError, KeyError, ValueError) as e:  # SceneParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

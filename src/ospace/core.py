@@ -88,7 +88,9 @@ class Person:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite {name}: {v}")
             object.__setattr__(self, name, float(v))
-        object.__setattr__(self, "yaw_deg", self.yaw_deg % 360.0)
+        # a tiny negative yaw rounds up to 360.0 under one modulo; a second
+        # folds that to 0.0, so a saved yaw reads back as the same value
+        object.__setattr__(self, "yaw_deg", self.yaw_deg % 360.0 % 360.0)
 
 
 @dataclass(frozen=True)

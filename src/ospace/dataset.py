@@ -7,6 +7,8 @@ Scenes travel as JSON-Lines, one object per line:
      "groups": [[0, 1], [2]]}
 
 ``groups`` may omit people; anyone not mentioned becomes a singleton block.
+Each line is decoded as UTF-8 and its fields are read through ``jsondoc``,
+so a bad record raises SceneParseError "<file> line N <field path>: ...".
 Person features are 18-dim: z-scored x and y (stats fit on the training
 split) followed by a 16-slot one-hot of the bucketed yaw.
 """
@@ -20,17 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_SPEC, Person, RoomSpec, Scene, validate_positions
+from .jsondoc import from_obj, get_field, get_int_arrays
 
 __all__ = [
     "SceneParseError",
     "NormStats",
     "SplitRatios",
-    "parse_groups",
     "read_records",
     "parse_scenes",
     "load_scenes",
     "save_scenes",
-    "scene_to_obj",
     "sequential_split",
     "bucket_yaw",
     "fit_norm_stats",
@@ -82,132 +83,83 @@ class SplitRatios:
             raise ValueError("split ratios must sum to 1")
 
 
-def parse_groups(raw_groups, where: str) -> list[tuple]:
-    """Group blocks from a record's ``groups`` array of integer arrays.
+def read_records(lines, parse, name=None) -> list:
+    """``parse(obj, where)`` of each JSON value in the JSON-Lines ``lines``.
 
-    Raises SceneParseError prefixed with ``where`` (e.g. "line 3").
-    """
-    if not isinstance(raw_groups, list):
-        raise SceneParseError(f"{where}: groups is not an array")
-    blocks = []
-    for b in raw_groups:
-        if not isinstance(b, list):
-            raise SceneParseError(f"{where}: group block is not an array")
-        for idx in b:
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise SceneParseError(
-                    f"{where}: group member {idx!r} is not an integer"
-                )
-        blocks.append(tuple(b))
-    return blocks
-
-
-def read_records(lines, name=None):
-    """Yield (where, obj) for each JSON object in the JSON-Lines ``lines``.
-
-    Blank lines are skipped.  ``where`` is "line N", or "<name> line N" when
-    a file name is given; a line that is not JSON, or not a JSON object,
-    raises SceneParseError prefixed with it.
+    ``lines`` yields bytes, as a file opened in binary mode does; blank
+    lines are skipped.  ``where`` is "line N", or "<name> line N" when a
+    file name is given.  A line that is not UTF-8 or not JSON, and a
+    ValueError from ``parse``, raise SceneParseError naming the line.
     """
     prefix = "" if name is None else f"{name} "
+    records = []
     for line_no, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         if not line.strip():
             continue
         where = f"{prefix}line {line_no}"
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SceneParseError(f"{where}: invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict):
-            raise SceneParseError(f"{where}: record is not a JSON object")
-        yield where, obj
-
-
-def _parse_record(obj: dict, where: str, spec: RoomSpec) -> Scene:
-    frame_id = obj.get("frame_id")
-    if not isinstance(frame_id, str):
-        raise SceneParseError(f"{where}: missing or non-string frame_id")
-    raw_persons = obj.get("persons")
-    if not isinstance(raw_persons, list):
-        raise SceneParseError(f"{where}: missing persons array")
-    persons = []
-    for i, rp in enumerate(raw_persons):
-        if not isinstance(rp, dict):
-            raise SceneParseError(f"{where}: person {i} is not an object")
+            obj = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise SceneParseError(f"{where}: not UTF-8 (byte {e.start + 1}: "
+                                  f"{e.reason})") from None
+        except (ValueError, RecursionError) as e:  # bad JSON or too deep
+            raise SceneParseError(f"{where}: invalid JSON "
+                                  f"({getattr(e, 'msg', e)})") from None
         try:
-            x, y, yaw = rp["x"], rp["y"], rp["yaw_deg"]
-        except KeyError as e:
-            raise SceneParseError(
-                f"{where}: person {i} missing field {e.args[0]!r}"
-            ) from None
-        for name, v in (("x", x), ("y", y), ("yaw_deg", yaw)):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SceneParseError(
-                    f"{where}: person {i} field {name} is not a number"
-                )
-        try:
-            persons.append(Person(float(x), float(y), float(yaw)))
+            records.append(parse(obj, where))
         except ValueError as e:
-            raise SceneParseError(f"{where}: person {i}: {e}") from None
+            raise SceneParseError(str(e)) from None
+    return records
 
-    blocks = parse_groups(obj.get("groups", []), where)
-    mentioned = [i for b in blocks for i in b]
+
+def _parse_record(obj, where: str, spec: RoomSpec, max_people: int | None) -> Scene:
+    frame_id = get_field(obj, "", "frame_id", (str,), where)
+    persons = tuple(from_obj(Person, p, f"persons.{i}", where) for i, p in
+                    enumerate(get_field(obj, "", "persons", (list,), where)))
+    if max_people is not None and len(persons) > max_people:
+        raise ValueError(f"{where}: {len(persons)} persons, cap is {max_people}")
+    blocks = get_int_arrays(obj, "", "groups", where) if "groups" in obj else ()
     # anyone absent from every block is an implicit singleton
-    blocks.extend((i,) for i in range(len(persons)) if i not in set(mentioned))
-
+    mentioned = {i for b in blocks for i in b}
+    blocks += tuple((i,) for i in range(len(persons)) if i not in mentioned)
     try:
-        scene = Scene(frame_id, tuple(persons), tuple(blocks))
+        scene = Scene(frame_id, persons, blocks)
         validate_positions(scene, spec)
     except ValueError as e:
-        raise SceneParseError(f"{where}: {e}") from None
+        raise ValueError(f"{where}: {e}") from None
     return scene
 
 
-def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
-    """Parse JSON-Lines scenes from a string, bytes, or line iterable."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        lines = io.StringIO(source)
-    else:
-        lines = source
-    return [_parse_record(obj, where, spec) for where, obj in read_records(lines)]
+def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC,
+                 max_people: int | None = None, name=None) -> list[Scene]:
+    """Parse JSON-Lines scenes from a string, bytes, or byte-line iterable.
 
-
-def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC,
-                max_people: int | None = None) -> list[Scene]:
-    """Parse the JSON-Lines scene file ``path``; errors read "<path> line N".
-
-    With ``max_people``, a scene with more persons than that is an error
-    too, so a model's cap is enforced at the line that breaks it.
+    A scene over ``max_people`` persons is an error at its line, so a model's
+    cap is enforced where it breaks; ``name`` (a file) prefixes the line.
     """
-    scenes = []
-    with open(path, "r", encoding="utf-8") as f:
-        for where, obj in read_records(f, path):
-            scene = _parse_record(obj, where, spec)
-            if max_people is not None and len(scene.persons) > max_people:
-                raise SceneParseError(f"{where}: {len(scene.persons)} persons, "
-                                      f"cap is {max_people}")
-            scenes.append(scene)
-    return scenes
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    return read_records(source, lambda obj, where: _parse_record(
+        obj, where, spec, max_people), name)
 
 
-def scene_to_obj(scene: Scene) -> dict:
-    return {
-        "frame_id": scene.frame_id,
-        "persons": [
-            {"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg} for p in scene.persons
-        ],
-        "groups": [list(b) for b in scene.groups],
-    }
+def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC, max_people=None) -> list[Scene]:
+    """Parse the JSON-Lines scene file ``path``; errors read "<path> line N"."""
+    with open(path, "rb") as f:
+        return parse_scenes(f, spec, max_people, path)
 
 
 def save_scenes(scenes, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for s in scenes:
-            f.write(json.dumps(scene_to_obj(s)))
+            f.write(json.dumps({
+                "frame_id": s.frame_id,
+                "persons": [{"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg}
+                            for p in s.persons],
+                "groups": [list(b) for b in s.groups],
+            }))
             f.write("\n")
 
 

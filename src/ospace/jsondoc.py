@@ -2,18 +2,21 @@
 
 A config dataclass is its own JSON schema: its JSON form is the object of
 its fields in declaration order (``to_obj``), and ``from_obj`` reads such an
-object back by each field's annotation text, checking JSON types on the way,
-so a checkpoint header, a ``--params`` file and a layout file all fail the
+object back by each field's annotation text, checking JSON types on the way.
+No other module type-checks decoded JSON, so a checkpoint header, a
+``--params`` file, a layout file and a scene or eval record all fail the
 same way: with a ValueError that names the document (``what``, such as
-``checkpoint`` or ``params file p.json``) and the dotted path of the field
+``checkpoint`` or ``s.jsonl line 3``) and the dotted path of the field
 (``where`` and the key) instead of with a TypeError deep in the program.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, fields
 
-__all__ = ["get_field", "get_number", "to_obj", "from_obj", "load"]
+__all__ = ["get_field", "get_number", "get_int_arrays", "to_obj", "from_obj",
+           "load"]
 
 # JSON type names for field errors.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
@@ -36,13 +39,12 @@ def get_field(obj, where: str, key: str, kinds: tuple, what: str):
     if not isinstance(obj, dict):
         raise ValueError(f"{_name(what, where)}: expected a JSON object, got "
                          f"{_JSON_TYPES.get(type(obj), 'data')}")
-    name = _name(what, where, key)
     if key not in obj:
-        raise ValueError(f"{name}: missing")
+        raise ValueError(f"{_name(what, where, key)}: missing")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, kinds):
         want = " or ".join(_JSON_TYPES[k] for k in kinds)
-        raise ValueError(f"{name}: expected {want}, got "
+        raise ValueError(f"{_name(what, where, key)}: expected {want}, got "
                          f"{_JSON_TYPES.get(type(v), type(v).__name__)}")
     return v
 
@@ -67,6 +69,14 @@ def _ints(obj, where: str, key: str, what: str) -> tuple[int, ...]:
     return tuple(v)
 
 
+def get_int_arrays(obj, where: str, key: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """``obj[key]``, a JSON array of integer arrays, as tuples."""
+    path = f"{where}.{key}" if where else key
+    # element j is read as field "j" of an object, so its errors name key.j
+    return tuple(_ints({str(j): v}, path, str(j), what)
+                 for j, v in enumerate(get_field(obj, where, key, (list,), what)))
+
+
 # A reader per field annotation, keyed on its text: every module declaring a
 # config uses ``from __future__ import annotations``, so ``Field.type`` is the
 # text as written, and no type hints need resolving per read.
@@ -78,6 +88,12 @@ def to_obj(config) -> dict:
     return asdict(config)
 
 
+@functools.cache
+def _plan(cls) -> tuple:
+    """The (name, reader) pair of each field of ``cls``, built once per class."""
+    return tuple((f.name, _READERS[f.type]) for f in fields(cls))
+
+
 def from_obj(cls, obj, where: str, what: str):
     """The ``cls`` config whose JSON form is ``obj``, the object at ``where``.
 
@@ -86,7 +102,7 @@ def from_obj(cls, obj, where: str, what: str):
     ValueError from ``cls`` itself is reworded to name the document and
     ``where``.
     """
-    kw = {f.name: _READERS[f.type](obj, where, f.name, what) for f in fields(cls)}
+    kw = {name: read(obj, where, name, what) for name, read in _plan(cls)}
     try:
         return cls(**kw)
     except ValueError as e:
@@ -98,5 +114,5 @@ def load(path, what: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except ValueError as e:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, too deep
             raise ValueError(f"{what}: not JSON ({e})") from None

@@ -147,8 +147,10 @@ class TrainConfig:
             raise ValueError(f"bad learning rate {self.learning_rate}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.multi_group_weight < 1:
-            raise ValueError("multi_group_weight must be at least 1")
+        if not (math.isfinite(self.multi_group_weight)
+                and self.multi_group_weight >= 1):
+            raise ValueError(f"multi_group_weight must be finite and at least 1, "
+                             f"got {self.multi_group_weight}")
 
 
 @dataclass

@@ -55,10 +55,10 @@ class SynthConfig:
             raise ValueError("n_scenes must be non-negative")
         if not (math.isfinite(self.circle_radius_m) and self.circle_radius_m > 0):
             raise ValueError(f"bad circle radius {self.circle_radius_m}")
-        if self.min_intergroup_dist_m < 0:
-            raise ValueError("min intergroup distance must be non-negative")
-        if self.jitter_m < 0 or self.jitter_deg < 0:
-            raise ValueError("jitter magnitudes must be non-negative")
+        for name in ("min_intergroup_dist_m", "jitter_m", "jitter_deg"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {v}")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:

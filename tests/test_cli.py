@@ -182,25 +182,31 @@ def test_eval_perfect_predictions(workdir, capsys):
     assert lines[1] == "test,1,1,0,0,1.0,1.0,1.0"
 
 
-@pytest.mark.parametrize("line,message", [
-    ('{"frame_id": "a", "groups": [5]}', "group block is not an array"),
-    ('{"frame_id": "a", "groups": [[0, "1"]]}', "group member '1' is not an integer"),
-    ('{"frame_id": "a", "groups": 5}', "groups is not an array"),
-    ('{"frame_id": 7, "groups": [[0, 1]]}', "frame_id is not a string"),
-    ('[{"frame_id": "a", "groups": [[0, 1]]}]', "record is not a JSON object"),
-    ('5', "record is not a JSON object"),
+@pytest.mark.parametrize("line,path,message", [
+    ('{"frame_id": "a", "groups": [5]}', "groups.0", "expected array, got integer"),
+    ('{"frame_id": "a", "groups": [[0, "1"]]}', "groups.0",
+     "expected an array of integers"),
+    ('{"frame_id": "a", "groups": 5}', "groups", "expected array, got integer"),
+    ('{"frame_id": 7, "groups": [[0, 1]]}', "frame_id",
+     "expected string, got integer"),
+    ('[{"frame_id": "a", "groups": [[0, 1]]}]', "",
+     "expected a JSON object, got array"),
+    pytest.param('5', "", "expected a JSON object, got integer",
+                 id="5-not an object"),
+    ('{"frame_id": "a"}', "groups", "missing"),
 ])
 @pytest.mark.parametrize("side", ["pred", "gt"])
 def test_eval_malformed_group_record_is_data_error(workdir, capsys, side, line,
-                                                   message):
+                                                   path, message):
     good = '{"frame_id": "a", "groups": [[0, 1]]}\n'
     files = {"pred": workdir / "pred.jsonl", "gt": workdir / "gt.jsonl"}
-    for name, path in files.items():
-        path.write_text(good + (line + "\n" if name == side else good))
+    for name, file in files.items():
+        file.write_text(good + (line + "\n" if name == side else good))
     rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"error: {files[side]} line 2: {message}\n"
+    where = " ".join(filter(None, [f"{files[side]} line 2", path]))
+    assert err == f"error: {where}: {message}\n"
 
 
 def test_eval_frame_order_mismatch(workdir):
@@ -279,8 +285,9 @@ _PARAMS = {"nms_threshold": 0.4, "min_group_separation_m": 1.0,
     (json.dumps({**_PARAMS, "nms_threshold": 1.5}),
      "p.json: threshold 1.5 outside [0, 1]"),
     ("{nope", "p.json: not JSON"),
+    ("[" * 100_000 + "]" * 100_000, "p.json: not JSON (maximum recursion depth"),
 ], ids=["object", "top-level list", "boolean", "missing key", "string",
-        "huge integer", "out of range", "not JSON"])
+        "huge integer", "out of range", "not JSON", "nested too deep"])
 def test_predict_bad_params_file_is_data_error(workdir, capsys, text, message):
     model = _train_tiny(workdir)
     (workdir / "p.json").write_text(text)
@@ -448,6 +455,78 @@ def test_scene_file_error_names_the_file(workdir, capsys):
     assert err == (f"error: {bad} line 2: person 0 at (99.0, 1.0) outside room "
                    "6.0 m x 5.0 m\n")
     assert not (workdir / "pred.jsonl").exists()
+
+
+BAD_RECORDS = {
+    "huge integer": (b'{"frame_id": "b", "persons": [{"x": 1' + b"0" * 400
+                     + b', "y": 1, "yaw_deg": 0}]}', " persons.0.x: out of range"),
+    "boolean": (b'{"frame_id": "b", "persons": [{"x": 1, "y": false, "yaw_deg": 0}]}',
+                " persons.0.y: expected number or integer, got boolean"),
+    "NaN": (b'{"frame_id": "b", "persons": [{"x": 1, "y": 1, "yaw_deg": NaN}]}',
+            " persons.0: non-finite yaw_deg: nan"),
+    "groups object": (b'{"frame_id": "b", "persons": [], "groups": {}}',
+                      " groups: expected array, got object"),
+    "not UTF-8": (b'{"frame_id": "b\xff", "persons": []}',
+                  ": not UTF-8 (byte 16: invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("line,message", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_bad_scene_record_names_file_line_and_field(workdir, capsys, line, message):
+    bad = workdir / "bad.jsonl"
+    bad.write_bytes(DYAD.encode() + line + b"\n")
+    rc = main(["ingest", str(bad), "-o", "out.jsonl"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {bad} line 2{message}\n"
+    assert "Traceback" not in err
+    assert not (workdir / "out.jsonl").exists()
+
+
+def test_eval_non_utf8_line_names_file_and_line(workdir, capsys):
+    gt = _write_scenes(workdir / "gt.jsonl")
+    pred = workdir / "pred.jsonl"
+    pred.write_bytes(b'{"frame_id": "a", "groups": [[0, 1]]}\n\xfe\n')
+    rc = main(["eval", "--pred", str(pred), "--gt", str(gt)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {pred} line 2: not UTF-8 (byte 1: invalid start "
+                   "byte)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--min-dist", "nan"], "min_intergroup_dist_m must be finite and "
+     "non-negative, got nan"),
+    (["synth", "--jitter-m", "nan"], "jitter_m must be finite and non-negative, "
+     "got nan"),
+    (["synth", "--jitter-deg", "inf"], "jitter_deg must be finite and "
+     "non-negative, got inf"),
+    (["train", "s.jsonl", "--weight", "nan"], "multi_group_weight must be "
+     "finite and at least 1, got nan"),
+    (["train", "s.jsonl", "--weight", "inf"], "multi_group_weight must be "
+     "finite and at least 1, got inf"),
+])
+def test_non_finite_config_flag_is_usage_error(workdir, capsys, argv, message):
+    _write_scenes(workdir / "s.jsonl")
+    rc = main([*argv, "-o", "out"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--stride", "--sigma"])
+def test_render_model_rejects_ground_truth_flags(workdir, capsys, flag):
+    model = _train_tiny(workdir)
+    _write_scenes(workdir / "gt.jsonl")
+    capsys.readouterr()
+    rc = main(["render", "gt.jsonl", "-o", "maps", "--model", str(model),
+               flag, "1.0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {flag} is for ground-truth heatmaps: --model "
+                   "renders predictions, which take no stride or sigma\n")
+    assert not (workdir / "maps").exists()
 
 
 def test_train_negative_room_dim_is_usage_error(workdir, capsys):

@@ -87,6 +87,8 @@ def test_person_normalizes_yaw():
     assert Person(1, 1, 360.0).yaw_deg == 0.0
     assert Person(1, 1, -90.0).yaw_deg == 270.0
     assert Person(1, 1, 725.0).yaw_deg == 5.0
+    # -1e-20 % 360.0 rounds to 360.0; the normalized yaw stays below 360
+    assert Person(1, 1, -1e-20).yaw_deg == 0.0
     assert isinstance(Person(1, 1, 0).x, float)
 
 

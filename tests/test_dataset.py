@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.dataset import (
@@ -67,6 +68,21 @@ def test_parse_accepts_bytes():
     ('{"frame_id": "a", "persons": [{"x": 1, "y": 1, "yaw_deg": 0}], '
      '"groups": [[1]]}', "out of range"),
     ('{"frame_id": "a", "persons": [{"x": 99, "y": 1, "yaw_deg": 0}]}', "outside"),
+    pytest.param('{"frame_id": "a", "persons": [{"x": 1' + "0" * 400
+                 + ', "y": 1, "yaw_deg": 0}]}', "line 1 persons.0.x: out of range",
+                 id="huge integer-out of range"),
+    ('{"frame_id": "a", "persons": [{"x": true, "y": 1, "yaw_deg": 0}]}',
+     "line 1 persons.0.x: expected number or integer, got boolean"),
+    ('{"frame_id": "a", "persons": [{"x": 1, "y": NaN, "yaw_deg": 0}]}',
+     "line 1 persons.0: non-finite y: nan"),
+    ('{"frame_id": "a", "persons": [], "groups": {"0": [0]}}',
+     "line 1 groups: expected array, got object"),
+    (b'{"frame_id": "\xff", "persons": []}', "line 1: not UTF-8 (byte 15: "),
+    pytest.param("[" * 100_000 + "]" * 100_000,
+                 "line 1: invalid JSON (maximum recursion", id="nested too deep"),
+    pytest.param('{"frame_id": "a", "persons": [{"x": 1' + "0" * 5000
+                 + ', "y": 1, "yaw_deg": 0}]}', "line 1: invalid JSON (Exceeds the "
+                 "limit", id="5001-digit integer"),
 ])
 def test_parse_errors_carry_line_number(line, fragment):
     with pytest.raises(SceneParseError) as exc:
@@ -84,6 +100,32 @@ def test_parse_error_names_later_line():
 def test_save_load_roundtrip(tmp_path):
     scenes = parse_scenes(LINE)
     path = tmp_path / "scenes.jsonl"
+    save_scenes(scenes, path)
+    assert load_scenes(path) == scenes
+
+
+PERSONS = st.lists(st.builds(
+    Person, st.floats(0.0, DEFAULT_SPEC.width_m),
+    st.floats(0.0, DEFAULT_SPEC.height_m),
+    st.floats(allow_nan=False, allow_infinity=False)), max_size=8)
+
+
+@st.composite
+def _scenes(draw):
+    """A scene of arbitrary valid persons under an arbitrary partition."""
+    persons = draw(PERSONS)
+    n = len(persons)
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    groups = [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return Scene(draw(st.text()), tuple(persons), tuple(groups))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_scenes(), max_size=4))
+def test_save_load_round_trip_arbitrary_scenes(tmp_path_factory, scenes):
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
     save_scenes(scenes, path)
     assert load_scenes(path) == scenes
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ospace.core import RoomSpec
 from ospace.dataset import NormStats
 from ospace.encoder import EncoderConfig
-from ospace.jsondoc import from_obj, to_obj
+from ospace.jsondoc import from_obj, get_int_arrays, to_obj
 from ospace.network import HeadConfig
 from ospace.postprocess import AssignParams
 
@@ -80,3 +80,13 @@ def test_config_errors_name_the_document():
     with pytest.raises(ValueError) as e:
         from_obj(AssignParams, [0.5, 1.0, 0.8, 0.7], "", "doc")
     assert str(e.value) == "doc: expected a JSON object, got array"
+
+
+def test_int_arrays_name_the_element():
+    assert get_int_arrays({"g": [[0, 1], []]}, "", "g", "doc") == ((0, 1), ())
+    for value, message in [(5, "r.g: expected array, got integer"),
+                           ([[0], 1], "r.g.1: expected array, got integer"),
+                           ([[0], [True]], "r.g.1: expected an array of integers")]:
+        with pytest.raises(ValueError) as e:
+            get_int_arrays({"g": value}, "r", "g", "doc")
+        assert str(e.value) == f"doc {message}"

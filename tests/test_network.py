@@ -62,6 +62,9 @@ def test_train_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TrainConfig(multi_group_weight=0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(multi_group_weight=bad)
     TrainConfig(epochs=0, learning_rate=0.0)  # both legal
 
 

@@ -17,6 +17,10 @@ def test_config_validation():
         SynthConfig(jitter_m=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(n_scenes=-1)
+    for name in ("min_intergroup_dist_m", "jitter_m", "jitter_deg"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SynthConfig(**{name: bad})
 
 
 def test_deterministic_by_seed():
