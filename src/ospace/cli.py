@@ -1,5 +1,9 @@
 """Command-line pipeline: ingest, synth, train, tune, predict, eval, render.
 
+Each command has one mode.  ``predict`` writes groups and detections, and
+with ``--heatmaps DIR`` also the heatmaps it predicted them from, one PGM
+per frame; ``render`` draws ground-truth heatmaps from the annotations.
+
 Every command is deterministic given its flags; randomness only enters
 through --seed.  Exit codes: 0 success, 1 usage error, 2 data error
 (missing or malformed files, shape mismatches), 3 numeric failure
@@ -33,7 +37,6 @@ from .network import (
     TrainConfig,
     TrainingDivergedError,
     load_model,
-    predict_heatmap,
     save_model,
     train,
 )
@@ -139,6 +142,24 @@ def _write_heatmap_csv(heatmap: OSpaceMap, path) -> None:
         for row in heatmap.values:
             f.write(",".join(repr(float(x)) for x in row))
             f.write("\n")
+
+
+def _check_file_names(scenes) -> None:
+    """Reject, before anything is written, a frame_id that names no plain file."""
+    for fid in (s.frame_id for s in scenes):
+        if fid in ("", ".", "..") or "\0" in fid or os.path.basename(fid) != fid:
+            raise ValueError(f"frame_id {fid!r} is not a plain file name "
+                             "(heatmaps are written as <frame_id>.pgm)")
+
+
+def _write_heatmaps(directory, scenes, heatmaps, csv: bool) -> None:
+    """Each heatmap as <frame_id>.pgm, and .csv with ``csv``, in ``directory``."""
+    os.makedirs(directory, exist_ok=True)
+    for scene, heatmap in zip(scenes, heatmaps):
+        path = os.path.join(directory, scene.frame_id)
+        _write_pgm(heatmap, path + ".pgm")
+        if csv:
+            _write_heatmap_csv(heatmap, path + ".csv")
 
 
 def _check_stride(stride: float) -> None:
@@ -276,9 +297,13 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.csv and not args.heatmaps:
+        raise _UsageError("--csv needs --heatmaps")
     model, room = _load_model_and_room(args)
     scenes = load_scenes(args.input, model.spec, model.encoder.config.max_people)
     params = _params_from_args(args)
+    if args.heatmaps:
+        _check_file_names(scenes)
     results = thread_map(lambda s: predict_scene(s, model, room, params), scenes)
     with open(args.output, "w", encoding="utf-8") as f:
         for scene, (_, detections, groups) in zip(scenes, results):
@@ -291,32 +316,61 @@ def _cmd_predict(args) -> int:
                 "groups": [list(b) for b in groups],
             }))
             f.write("\n")
+    if args.heatmaps:
+        _write_heatmaps(args.heatmaps, scenes, [r[0] for r in results], args.csv)
     print(f"wrote predictions for {len(scenes)} scenes to {args.output}")
     return 0
 
 
-def _load_group_records(path) -> list[tuple[str, tuple]]:
-    """(frame_id, groups) of each record of the eval file ``path``."""
+def _check_groups(groups, n: int, where: str) -> None:
+    """Every index in ``groups`` names one of ``n`` persons, and only once."""
+    seen = set()
+    for j, block in enumerate(groups):
+        for i in block:
+            if i in seen or not 0 <= i < n:
+                why = "repeats" if i in seen else f"is not in the {n}-person frame"
+                raise ValueError(f"{where} groups.{j}: person {i} {why}")
+            seen.add(i)
+
+
+def _load_group_records(path, counted: bool = False) -> list[tuple]:
+    """(frame_id, groups, where) of each record of the eval file ``path``.
+
+    A ``counted`` file (the ground truth) also gives each record's count of
+    persons, after checking that its groups name only those persons.
+    """
+    def parse(obj, where):
+        frame_id = get_field(obj, "", "frame_id", (str,), where)
+        groups = get_int_arrays(obj, "", "groups", where)
+        if not counted:
+            return frame_id, groups, where
+        n = len(get_field(obj, "", "persons", (list,), where))
+        _check_groups(groups, n, where)
+        return frame_id, groups, where, n
+
     with open(path, "rb") as f:
-        return read_records(f, lambda obj, where: (
-            get_field(obj, "", "frame_id", (str,), where),
-            get_int_arrays(obj, "", "groups", where)), path)
+        return read_records(f, parse, path)
 
 
 def _cmd_eval(args) -> int:
-    tolerances = _usage_guard(
-        lambda: [snap_tolerance(t) for t in (args.tolerance or ["2/3", "1"])]
-    )
+    def build():
+        if any(c in args.split for c in ',"\r\n'):
+            raise ValueError(f"--split {args.split!r} would break the CSV: it "
+                             "holds a comma, a double quote or a line break")
+        return [snap_tolerance(t) for t in (args.tolerance or ["2/3", "1"])]
+
+    tolerances = _usage_guard(build)
     pred = _load_group_records(args.pred)
-    gt = _load_group_records(args.gt)
+    gt = _load_group_records(args.gt, counted=True)
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions vs {len(gt)} ground-truth scenes")
-    for (pf, _), (gf, _) in zip(pred, gt):
+    for (pf, groups, where), (gf, _, _, n) in zip(pred, gt):
         if pf != gf:
             raise ValueError(f"frame order mismatch: {pf!r} vs {gf!r}")
+        _check_groups(groups, n, where)
     rows = []
     for t in tolerances:
-        counts = [match_scene(pb, gb, t) for (_, pb), (_, gb) in zip(pred, gt)]
+        counts = [match_scene(p[1], g[1], t) for p, g in zip(pred, gt)]
         rows.append(aggregate(counts, t))
     lines = ["split,T,tp,fp,fn,precision,recall,f1"]
     for m in rows:
@@ -335,46 +389,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    # each kind of heatmap rejects the flags of the other, which it would ignore
-    if args.model and (args.stride is not None or args.sigma is not None):
-        flag = "--stride" if args.stride is not None else "--sigma"
-        raise _UsageError(f"{flag} is for ground-truth heatmaps: --model "
-                          "renders predictions, which take no stride or sigma")
-    if not args.model and (args.room_file or args.layout):
-        flag = "--room-file" if args.room_file else "--layout"
-        raise _UsageError(f"{flag} needs --model: ground-truth heatmaps "
-                          "take no room feature")
-
     def build():
-        stride = DEFAULT_STRIDE_M if args.stride is None else args.stride
-        _check_stride(stride)
-        gauss = GaussianParams() if args.sigma is None else GaussianParams(args.sigma)
-        return _spec_from_args(args), stride, gauss
+        _check_stride(args.stride)
+        return _spec_from_args(args), GaussianParams(args.sigma)
 
-    spec, stride, gauss = _usage_guard(build)
-    model = None
-    room = None
-    max_people = None  # ground-truth heatmaps have no cap
-    if args.model:
-        model, room = _load_model_and_room(args)
-        spec = model.spec
-        max_people = model.encoder.config.max_people
-    scenes = load_scenes(args.input, spec, max_people)
-    for scene in scenes:  # each names a file in the output directory
-        fid = scene.frame_id
-        if fid in ("", ".", "..") or "\0" in fid or os.path.basename(fid) != fid:
-            raise ValueError(f"frame_id {fid!r} is not a plain file name "
-                             "(render writes <frame_id>.pgm)")
-    os.makedirs(args.output, exist_ok=True)
-    for scene in scenes:
-        if model is not None:
-            heatmap = predict_heatmap(scene, model, room)
-        else:
-            heatmap = scene_target(scene, stride, gauss, spec)
-        _write_pgm(heatmap, os.path.join(args.output, f"{scene.frame_id}.pgm"))
-        if args.csv:
-            _write_heatmap_csv(heatmap,
-                               os.path.join(args.output, f"{scene.frame_id}.csv"))
+    spec, gauss = _usage_guard(build)
+    scenes = load_scenes(args.input, spec)
+    _check_file_names(scenes)
+    maps = [scene_target(s, args.stride, gauss, spec) for s in scenes]
+    _write_heatmaps(args.output, scenes, maps, args.csv)
     print(f"rendered {len(scenes)} heatmaps into {args.output}")
     return 0
 
@@ -466,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float)
     p.add_argument("--assign-dist", type=float)
     p.add_argument("--stride", type=float)
+    p.add_argument("--heatmaps", metavar="DIR", help="also write DIR/<frame_id>.pgm")
+    p.add_argument("--csv", action="store_true", help="--heatmaps also as CSV")
     _add_room_args(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -479,17 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", help="split label for the CSV")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("render", help="export heatmaps as PGM images")
+    p = sub.add_parser("render", help="export ground-truth heatmaps as PGM images")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--model", help="render predictions from this checkpoint "
-                                   "instead of ground truth")
-    p.add_argument("--stride", type=float,
-                   help=f"ground truth only (default {DEFAULT_STRIDE_M})")
-    p.add_argument("--sigma", type=float, help="ground truth only (default 0.5)")
+    p.add_argument("--stride", type=float, default=DEFAULT_STRIDE_M)
+    p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--csv", action="store_true",
                    help="also write raw values as CSV")
-    _add_room_args(p)
     _add_spec_args(p)
     p.set_defaults(func=_cmd_render)
 

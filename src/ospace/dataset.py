@@ -116,8 +116,9 @@ def _parse_record(obj, where: str, spec: RoomSpec, max_people: int | None) -> Sc
     frame_id = get_field(obj, "", "frame_id", (str,), where)
     persons = tuple(from_obj(Person, p, f"persons.{i}", where) for i, p in
                     enumerate(get_field(obj, "", "persons", (list,), where)))
-    if max_people is not None and len(persons) > max_people:
-        raise ValueError(f"{where}: {len(persons)} persons, cap is {max_people}")
+    if max_people is not None and not 0 < len(persons) <= max_people:
+        limit = f"cap is {max_people}" if persons else "a model needs at least 1"
+        raise ValueError(f"{where}: {len(persons)} persons, {limit}")
     blocks = get_int_arrays(obj, "", "groups", where) if "groups" in obj else ()
     # anyone absent from every block is an implicit singleton
     mentioned = {i for b in blocks for i in b}
@@ -134,8 +135,9 @@ def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC,
                  max_people: int | None = None, name=None) -> list[Scene]:
     """Parse JSON-Lines scenes from a string, bytes, or byte-line iterable.
 
-    A scene over ``max_people`` persons is an error at its line, so a model's
-    cap is enforced where it breaks; ``name`` (a file) prefixes the line.
+    With ``max_people`` (a model reads the scenes), a scene with no persons
+    or over that cap is an error at its line, so it fails where it breaks;
+    ``name`` (a file) prefixes the line.
     """
     if isinstance(source, str):
         source = source.encode("utf-8")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import ospace
-from ospace.cli import main
-from ospace.network import load_model
+from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
+from ospace.dataset import load_scenes
+from ospace.network import load_model, predict_heatmap
+from ospace.room import RoomFeature
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
         '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
@@ -198,15 +201,71 @@ def test_eval_perfect_predictions(workdir, capsys):
 @pytest.mark.parametrize("side", ["pred", "gt"])
 def test_eval_malformed_group_record_is_data_error(workdir, capsys, side, line,
                                                    path, message):
-    good = '{"frame_id": "a", "groups": [[0, 1]]}\n'
+    good = {"pred": '{"frame_id": "a", "groups": [[0, 1]]}\n', "gt": DYAD}
     files = {"pred": workdir / "pred.jsonl", "gt": workdir / "gt.jsonl"}
     for name, file in files.items():
-        file.write_text(good + (line + "\n" if name == side else good))
+        file.write_text(good[name] + (line + "\n" if name == side else good[name]))
     rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
     err = capsys.readouterr().err
     assert rc == 2
     where = " ".join(filter(None, [f"{files[side]} line 2", path]))
     assert err == f"error: {where}: {message}\n"
+
+
+EVAL_GROUPS = {
+    "outside the frame": ("pred", '{"frame_id": "a", "groups": [[0, 1], [-3, 700]]}',
+                          "groups.1: person -3 is not in the 2-person frame"),
+    "repeat": ("pred", '{"frame_id": "a", "groups": [[0, 1], [1, 5]]}',
+               "groups.1: person 1 repeats"),
+    "repeat in a block": ("pred", '{"frame_id": "a", "groups": [[0, 0]]}',
+                          "groups.0: person 0 repeats"),
+    "ground truth outside": ("gt", '{"frame_id": "a", "persons": [{"x": 1, "y": 1, '
+                             '"yaw_deg": 0}], "groups": [[0, 1]]}',
+                             "groups.0: person 1 is not in the 1-person frame"),
+    "ground truth without persons": ("gt", '{"frame_id": "a", "groups": [[0, 1]]}',
+                                     "persons: missing"),
+}
+
+
+@pytest.mark.parametrize("side,line,message", EVAL_GROUPS.values(), ids=EVAL_GROUPS)
+def test_eval_group_outside_its_frame_names_file_line_and_field(workdir, capsys,
+                                                               side, line, message):
+    files = {"pred": workdir / "pred.jsonl", "gt": workdir / "gt.jsonl"}
+    files["pred"].write_text('{"frame_id": "a", "groups": [[0, 1]]}\n' * 2)
+    files["gt"].write_text(DYAD * 2)
+    files[side].write_text(files[side].read_text().splitlines()[0] + "\n"
+                           + line + "\n")
+    rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"]),
+               "-o", "m.csv"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {files[side]} line 2 {message}\n"
+    assert "Traceback" not in err
+    assert not (workdir / "m.csv").exists()
+
+
+def test_eval_scores_ground_truth_off_the_default_grid(workdir, capsys):
+    # a --rows 20 scene file: eval checks indices, never positions
+    gt = _write_scenes(workdir / "gt.jsonl", DYAD.replace('"y": 1.0', '"y": 8.0'))
+    pred = workdir / "pred.jsonl"
+    pred.write_text('{"frame_id": "a", "groups": [[0, 1]]}\n')
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "-T", "1"]) == 0
+    assert "tp=1 fp=0 fn=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "x\ny", "x\ry"],
+                         ids=["comma", "double quote", "LF", "CR"])
+def test_eval_split_that_breaks_the_csv_is_usage_error(workdir, capsys, label):
+    gt = _write_scenes(workdir / "gt.jsonl")
+    pred = workdir / "pred.jsonl"
+    pred.write_text('{"frame_id": "a", "groups": [[0, 1]]}\n')
+    rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "-o", "m.csv",
+               "--split", label])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: --split {label!r} would break the CSV: it holds a "
+                   "comma, a double quote or a line break\n")
+    assert not (workdir / "m.csv").exists()
 
 
 def test_eval_frame_order_mismatch(workdir):
@@ -407,41 +466,84 @@ def test_render_csv_option(workdir):
     assert np.isclose(vals.max(), np.exp(-0.13), atol=1e-12)
 
 
-def test_render_with_model(workdir):
+def test_predict_heatmaps_are_the_predicted_heatmaps(workdir, monkeypatch, capsys):
     model = _train_tiny(workdir)
-    _write_scenes(workdir / "gt.jsonl")
-    assert main(["render", "gt.jsonl", "-o", "maps", "--model", str(model)]) == 0
-    assert (workdir / "maps" / "a.pgm").exists()
+    scenes = workdir / "train.jsonl"
+    assert main(["predict", str(model), str(scenes), "-o", "plain.jsonl"]) == 0
+    monkeypatch.setenv("OSPACE_THREADS", "2")
+    assert main(["predict", str(model), str(scenes), "-o", "pred.jsonl",
+                 "--heatmaps", "maps", "--csv"]) == 0
+    capsys.readouterr()
+    assert (workdir / "pred.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+    weights = load_model(model)
+    room = RoomFeature(np.zeros(4))  # --room-dim 4 and no room file
+    frames = load_scenes(scenes)
+    assert len(os.listdir(workdir / "maps")) == 2 * len(frames)
+    for scene in frames:
+        heatmap = predict_heatmap(scene, weights, room)
+        _write_pgm(heatmap, workdir / "want.pgm")
+        _write_heatmap_csv(heatmap, workdir / "want.csv")
+        for ext in ("pgm", "csv"):
+            got = workdir / "maps" / f"{scene.frame_id}.{ext}"
+            assert got.read_bytes() == (workdir / f"want.{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("flag,path", [("--layout", "notjson.json"),
-                                       ("--room-file", "bad.feat")])
-def test_render_room_flags_need_model(workdir, capsys, flag, path):
+def test_predict_csv_needs_heatmaps(workdir, capsys):
+    model = _train_tiny(workdir)
+    capsys.readouterr()
+    rc = main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl", "--csv"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --csv needs --heatmaps\n"
+    assert not (workdir / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag,path", [("--model", "m.ckpt"),
+                                       ("--layout", "notjson.json"),
+                                       ("--room-file", "bad.feat")],
+                         ids=["--model", "--layout", "--room-file"])
+def test_render_takes_no_prediction_flags(workdir, capsys, flag, path):
     _write_scenes(workdir / "gt.jsonl")
     (workdir / path).write_text("not a room\n")
     rc = main(["render", "gt.jsonl", "-o", "maps", flag, path])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == (f"error: {flag} needs --model: ground-truth heatmaps take "
-                   "no room feature\n")
+    assert f"unrecognized arguments: {flag} {path}" in err
     assert not (workdir / "maps").exists()
 
 
-@pytest.mark.parametrize("frame_id", ["/abs/path/x", "sub/dir", "", ".", "..",
-                                      "a\0b"],
-                         ids=["absolute", "subdirectory", "empty", "dot",
-                              "dot-dot", "NUL"])
-def test_render_rejects_frame_id_that_is_not_a_file_name(workdir, capsys,
-                                                         frame_id):
+BAD_FRAME_IDS = pytest.mark.parametrize(
+    "frame_id", ["/abs/path/x", "sub/dir", "", ".", "..", "a\0b"],
+    ids=["absolute", "subdirectory", "empty", "dot", "dot-dot", "NUL"])
+
+
+def _assert_frame_id_rejected(workdir, capsys, argv, frame_id):
     line = json.dumps({"frame_id": frame_id, "persons": [
         {"x": 1.0, "y": 1.0, "yaw_deg": 0.0}]})
     _write_scenes(workdir / "gt.jsonl", DYAD + line + "\n")
-    rc = main(["render", "gt.jsonl", "-o", "maps"])
+    capsys.readouterr()
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err == (f"error: frame_id {frame_id!r} is not a plain file name "
-                   "(render writes <frame_id>.pgm)\n")
+                   "(heatmaps are written as <frame_id>.pgm)\n")
     assert not (workdir / "maps").exists()
+    assert not (workdir / "pred.jsonl").exists()
+
+
+@BAD_FRAME_IDS
+def test_render_rejects_frame_id_that_is_not_a_file_name(workdir, capsys,
+                                                         frame_id):
+    _assert_frame_id_rejected(workdir, capsys, ["render", "gt.jsonl", "-o", "maps"],
+                              frame_id)
+
+
+@BAD_FRAME_IDS
+def test_predict_heatmaps_reject_frame_id_that_is_not_a_file_name(workdir, capsys,
+                                                                  frame_id):
+    model = _train_tiny(workdir)
+    _assert_frame_id_rejected(workdir, capsys, [
+        "predict", str(model), "gt.jsonl", "-o", "pred.jsonl", "--heatmaps", "maps"],
+        frame_id)
 
 
 def test_scene_file_error_names_the_file(workdir, capsys):
@@ -515,20 +617,6 @@ def test_non_finite_config_flag_is_usage_error(workdir, capsys, argv, message):
     assert not (workdir / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["--stride", "--sigma"])
-def test_render_model_rejects_ground_truth_flags(workdir, capsys, flag):
-    model = _train_tiny(workdir)
-    _write_scenes(workdir / "gt.jsonl")
-    capsys.readouterr()
-    rc = main(["render", "gt.jsonl", "-o", "maps", "--model", str(model),
-               flag, "1.0"])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err == (f"error: {flag} is for ground-truth heatmaps: --model "
-                   "renders predictions, which take no stride or sigma\n")
-    assert not (workdir / "maps").exists()
-
-
 def test_train_negative_room_dim_is_usage_error(workdir, capsys):
     scenes = _write_scenes(workdir / "s.jsonl")
     rc = main(["train", str(scenes), "-o", "m.ckpt", "--room-dim", "-1"])
@@ -566,26 +654,84 @@ CROWD = json.dumps({"frame_id": "crowd", "persons": [
     {"x": 0.2 * (i + 1), "y": 1.0, "yaw_deg": 0.0} for i in range(26)]}) + "\n"
 
 
-@pytest.mark.parametrize("command", ["train", "tune", "predict", "render"])
+def _model_argv(command, model, scenes):
+    """``command`` run with ``model`` on ``scenes``, writing out (and maps)."""
+    return {"train": ["train", str(scenes), "-o", "out"],
+            "tune": ["tune", str(model), str(scenes), "-o", "out"],
+            "predict": ["predict", str(model), str(scenes), "-o", "out"],
+            "predict --heatmaps": ["predict", str(model), str(scenes), "-o", "out",
+                                   "--heatmaps", "maps"]}[command]
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict",
+                                     "predict --heatmaps"])
 def test_over_cap_frame_names_file_and_line(workdir, capsys, command):
     model = _train_tiny(workdir)  # --max-people 25, the default
     crowded = _write_scenes(workdir / "crowded.jsonl", DYAD + CROWD)
-    argv = {"train": ["train", str(crowded), "-o", "out"],
-            "tune": ["tune", str(model), str(crowded), "-o", "out"],
-            "predict": ["predict", str(model), str(crowded), "-o", "out"],
-            "render": ["render", str(crowded), "-o", "out", "--model",
-                       str(model)]}[command]
     capsys.readouterr()
-    rc = main(argv)
+    rc = main(_model_argv(command, model, crowded))
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {crowded} line 2: 26 persons, cap is 25\n"
     assert "Traceback" not in err
     assert not (workdir / "out").exists()
+    assert not (workdir / "maps").exists()
+
+
+EMPTY = '{"frame_id": "empty", "persons": []}\n'
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict",
+                                     "predict --heatmaps"])
+def test_empty_frame_names_file_and_line(workdir, capsys, command):
+    model = _train_tiny(workdir)
+    scenes = _write_scenes(workdir / "empty.jsonl", DYAD + EMPTY)
+    capsys.readouterr()
+    rc = main(_model_argv(command, model, scenes))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {scenes} line 2: 0 persons, a model needs at least 1\n"
+    assert "Traceback" not in err
+    assert not (workdir / "out").exists()
+    assert not (workdir / "maps").exists()
+
+
+def test_empty_frame_passes_ingest_eval_and_render(workdir, capsys):
+    scenes = _write_scenes(workdir / "s.jsonl", DYAD + EMPTY)
+    assert main(["ingest", str(scenes), "-o", "out.jsonl"]) == 0
+    assert main(["render", str(scenes), "-o", "maps"]) == 0
+    assert (workdir / "maps" / "empty.pgm").exists()
+    pred = workdir / "pred.jsonl"
+    pred.write_text('{"frame_id": "a", "groups": [[0, 1]]}\n'
+                    '{"frame_id": "empty", "groups": []}\n')
+    assert main(["eval", "--pred", str(pred), "--gt", "out.jsonl", "-T", "1"]) == 0
+    assert "tp=1 fp=0 fn=0" in capsys.readouterr().out
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SUBCOMMANDS = ("synth", "ingest", "train", "tune", "predict", "eval", "render")
+
+
+README = PYPROJECT.parent / "README.md"
+
+
+def _readme_command_lines():
+    """Each `ospace` line of README's "Command line" sh block, as argv."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ospace ")]
+
+
+def test_readme_command_lines_parse(capsys):
+    commands = _readme_command_lines()
+    assert {argv[0] for argv in commands} >= set(SUBCOMMANDS) - {"ingest"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: ospace {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def _declared_script():

@@ -141,6 +141,14 @@ def test_load_scenes_enforces_max_people(tmp_path):
     assert str(exc.value) == f"{path} line 1: {n} persons, cap is {n - 1}"
 
 
+def test_max_people_also_rejects_an_empty_frame():
+    line = '{"frame_id": "e", "persons": []}\n'
+    assert parse_scenes(line)[0].persons == ()  # no model, no cap: accepted
+    with pytest.raises(SceneParseError) as exc:
+        parse_scenes(LINE + "\n" + line, max_people=25, name="s.jsonl")
+    assert str(exc.value) == "s.jsonl line 2: 0 persons, a model needs at least 1"
+
+
 def test_parse_respects_room_spec():
     small = RoomSpec(rows=2, cols=2, cell_m=0.5)
     with pytest.raises(SceneParseError):
