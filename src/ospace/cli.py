@@ -3,6 +3,9 @@
 Each command has one mode.  ``predict`` writes groups and detections, and
 with ``--heatmaps DIR`` also the heatmaps it predicted them from, one PGM
 per frame; ``render`` draws ground-truth heatmaps from the annotations.
+``eval --gt`` reads ground truth with the scene reader, minus its position
+check, and holds each prediction's groups to the paired frame under the
+same rule, ``core.check_groups``.
 
 Every command is deterministic given its flags; randomness only enters
 through --seed.  Exit codes: 0 success, 1 usage error, 2 data error
@@ -19,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec
+from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, check_groups
 from .dataset import (
     SplitRatios,
     augment,
@@ -44,10 +47,10 @@ from .parallel import thread_map
 from .postprocess import AssignParams, predict_scene
 from .room import (
     RoomFeature,
+    extract_layout_features,
     load_layout,
     load_precomputed,
     pad_to_dim,
-    room_feature_from_layout,
 )
 from .synthetic import SynthConfig, SynthesisError, generate
 from .tuning import Grid, grid_search
@@ -80,22 +83,27 @@ def _add_room_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_room(args, spec: RoomSpec, dim: int) -> RoomFeature:
     if args.room_file:
+        what = f"room file {args.room_file}"
         with open(args.room_file, "rb") as f:
             text = f.read()
         try:
-            feat = load_precomputed(text)
+            values = load_precomputed(text).values
         except ValueError as e:
-            raise ValueError(f"room file {args.room_file}: {e}") from None
-        return RoomFeature(pad_to_dim(feat.values, dim))
-    if args.layout:
+            raise ValueError(f"{what}: {e}") from None
+    elif args.layout:
+        what = f"layout {args.layout}"
         layout = load_layout(args.layout)
         got = (layout.spec.rows, layout.spec.cols)
         if got != (spec.rows, spec.cols):
-            raise ValueError(f"layout {args.layout}: grid {got[0]}x{got[1]} does "
-                             f"not match the {spec.rows}x{spec.cols} grid of the run")
-        return room_feature_from_layout(layout, dim)
-    # no layout information given: a zero vector of the right width
-    return RoomFeature(np.zeros(dim))
+            raise ValueError(f"{what}: grid {got[0]}x{got[1]} does not match "
+                             f"the {spec.rows}x{spec.cols} grid of the run")
+        values = extract_layout_features(layout)
+    else:
+        # no layout information given: a zero vector of the right width
+        return RoomFeature(np.zeros(dim))
+    if len(values) > dim:
+        raise ValueError(f"{what}: {len(values)} values, the room input takes {dim}")
+    return RoomFeature(pad_to_dim(values, dim))
 
 
 def _load_model_and_room(args):
@@ -145,11 +153,17 @@ def _write_heatmap_csv(heatmap: OSpaceMap, path) -> None:
 
 
 def _check_file_names(scenes) -> None:
-    """Reject, before anything is written, a frame_id that names no plain file."""
-    for fid in (s.frame_id for s in scenes):
+    """Reject, before anything is written, a frame_id that names no plain file
+    or that an earlier frame already has (its heatmap would be overwritten)."""
+    first = {}
+    for k, fid in enumerate((s.frame_id for s in scenes), start=1):
         if fid in ("", ".", "..") or "\0" in fid or os.path.basename(fid) != fid:
             raise ValueError(f"frame_id {fid!r} is not a plain file name "
                              "(heatmaps are written as <frame_id>.pgm)")
+        if fid in first:
+            raise ValueError(f"frame_id {fid!r} is shared by frames {first[fid]} "
+                             f"and {k} (heatmaps are written as <frame_id>.pgm)")
+        first[fid] = k
 
 
 def _write_heatmaps(directory, scenes, heatmaps, csv: bool) -> None:
@@ -322,34 +336,12 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _check_groups(groups, n: int, where: str) -> None:
-    """Every index in ``groups`` names one of ``n`` persons, and only once."""
-    seen = set()
-    for j, block in enumerate(groups):
-        for i in block:
-            if i in seen or not 0 <= i < n:
-                why = "repeats" if i in seen else f"is not in the {n}-person frame"
-                raise ValueError(f"{where} groups.{j}: person {i} {why}")
-            seen.add(i)
-
-
-def _load_group_records(path, counted: bool = False) -> list[tuple]:
-    """(frame_id, groups, where) of each record of the eval file ``path``.
-
-    A ``counted`` file (the ground truth) also gives each record's count of
-    persons, after checking that its groups name only those persons.
-    """
-    def parse(obj, where):
-        frame_id = get_field(obj, "", "frame_id", (str,), where)
-        groups = get_int_arrays(obj, "", "groups", where)
-        if not counted:
-            return frame_id, groups, where
-        n = len(get_field(obj, "", "persons", (list,), where))
-        _check_groups(groups, n, where)
-        return frame_id, groups, where, n
-
+def _load_group_records(path) -> list[tuple]:
+    """(frame_id, groups, where) of each record of the predictions ``path``."""
     with open(path, "rb") as f:
-        return read_records(f, parse, path)
+        return read_records(f, lambda obj, where: (
+            get_field(obj, "", "frame_id", (str,), where),
+            get_int_arrays(obj, "", "groups", where), where), path)
 
 
 def _cmd_eval(args) -> int:
@@ -361,16 +353,18 @@ def _cmd_eval(args) -> int:
 
     tolerances = _usage_guard(build)
     pred = _load_group_records(args.pred)
-    gt = _load_group_records(args.gt, counted=True)
+    gt = load_scenes(args.gt, spec=None)
     if len(pred) != len(gt):
-        raise ValueError(f"{len(pred)} predictions vs {len(gt)} ground-truth scenes")
-    for (pf, groups, where), (gf, _, _, n) in zip(pred, gt):
-        if pf != gf:
-            raise ValueError(f"frame order mismatch: {pf!r} vs {gf!r}")
-        _check_groups(groups, n, where)
+        raise ValueError(f"{len(pred)} predictions in {args.pred} vs {len(gt)} "
+                         f"ground-truth scenes in {args.gt}")
+    for k, ((pf, groups, where), scene) in enumerate(zip(pred, gt), start=1):
+        if pf != scene.frame_id:
+            raise ValueError(f"{where}: frame_id {pf!r}, but frame {k} of {args.gt} "
+                             f"is {scene.frame_id!r}")
+        check_groups(groups, len(scene.persons), where)
     rows = []
     for t in tolerances:
-        counts = [match_scene(p[1], g[1], t) for p, g in zip(pred, gt)]
+        counts = [match_scene(p[1], g.groups, t) for p, g in zip(pred, gt)]
         rows.append(aggregate(counts, t))
     lines = ["split,T,tp,fp,fn,precision,recall,f1"]
     for m in rows:

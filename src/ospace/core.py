@@ -27,6 +27,7 @@ __all__ = [
     "point_to_cell",
     "grid_centers",
     "canonical_partition",
+    "check_groups",
     "non_singleton_blocks",
     "validate_positions",
 ]
@@ -108,21 +109,30 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "persons", tuple(self.persons))
         object.__setattr__(self, "groups", tuple(tuple(b) for b in self.groups))
-        seen: set[int] = set()
-        for block in self.groups:
-            if not block:
-                raise ValueError("empty group block")
-            for idx in block:
-                if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise ValueError(f"group member {idx!r} is not an int index")
-                if not 0 <= idx < len(self.persons):
-                    raise ValueError(f"person index {idx} out of range")
-                if idx in seen:
-                    raise ValueError(f"person {idx} appears in more than one group")
-                seen.add(idx)
+        seen = check_groups(self.groups, len(self.persons))
         if len(seen) != len(self.persons):
             missing = sorted(set(range(len(self.persons))) - seen)
             raise ValueError(f"groups do not cover persons {missing}")
+
+
+def check_groups(groups, n: int | None = None, what: str = "") -> set:
+    """The persons named in ``groups``: non-empty blocks of integer (never
+    boolean) indices, none repeated and, if the frame size ``n`` is given, all
+    in ``0..n-1``.  Else ValueError "<what> groups.J: ...", J the block."""
+    at = f"{what} groups" if what else "groups"
+    seen: set = set()
+    for j, block in enumerate(groups):
+        if not len(block):
+            raise ValueError(f"{at}.{j}: empty")
+        for i in block:
+            if type(i) is not int and not isinstance(i, np.integer):  # no bools
+                raise ValueError(f"{at}.{j}: {i!r} is not a person index")
+            if i in seen:
+                raise ValueError(f"{at}.{j}: person {i} repeats")
+            if n is not None and not 0 <= i < n:
+                raise ValueError(f"{at}.{j}: person {i} is not in the {n}-person frame")
+            seen.add(i)
+    return seen
 
 
 @dataclass(frozen=True, eq=False)

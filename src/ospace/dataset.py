@@ -6,7 +6,9 @@ Scenes travel as JSON-Lines, one object per line:
      "persons": [{"x": 1.0, "y": 2.0, "yaw_deg": 90.0}, ...],
      "groups": [[0, 1], [2]]}
 
-``groups`` may omit people; anyone not mentioned becomes a singleton block.
+``groups`` may omit people, or be absent; anyone not mentioned becomes a
+singleton block.  Its blocks must pass ``core.check_groups``: non-empty,
+disjoint, and naming only the frame's persons.
 Each line is decoded as UTF-8 and its fields are read through ``jsondoc``,
 so a bad record raises SceneParseError "<file> line N <field path>: ...".
 Person features are 18-dim: z-scored x and y (stats fit on the training
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SPEC, Person, RoomSpec, Scene, validate_positions
+from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups,
+                   validate_positions)
 from .jsondoc import from_obj, get_field, get_int_arrays
 
 __all__ = [
@@ -112,7 +115,8 @@ def read_records(lines, parse, name=None) -> list:
     return records
 
 
-def _parse_record(obj, where: str, spec: RoomSpec, max_people: int | None) -> Scene:
+def _parse_record(obj, where: str, spec: RoomSpec | None,
+                  max_people: int | None) -> Scene:
     frame_id = get_field(obj, "", "frame_id", (str,), where)
     persons = tuple(from_obj(Person, p, f"persons.{i}", where) for i, p in
                     enumerate(get_field(obj, "", "persons", (list,), where)))
@@ -120,24 +124,26 @@ def _parse_record(obj, where: str, spec: RoomSpec, max_people: int | None) -> Sc
         limit = f"cap is {max_people}" if persons else "a model needs at least 1"
         raise ValueError(f"{where}: {len(persons)} persons, {limit}")
     blocks = get_int_arrays(obj, "", "groups", where) if "groups" in obj else ()
+    mentioned = check_groups(blocks, len(persons), where)
     # anyone absent from every block is an implicit singleton
-    mentioned = {i for b in blocks for i in b}
     blocks += tuple((i,) for i in range(len(persons)) if i not in mentioned)
-    try:
-        scene = Scene(frame_id, persons, blocks)
-        validate_positions(scene, spec)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+    scene = Scene(frame_id, persons, blocks)
+    if spec is not None:
+        try:
+            validate_positions(scene, spec)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
     return scene
 
 
-def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC,
+def parse_scenes(source, spec: RoomSpec | None = DEFAULT_SPEC,
                  max_people: int | None = None, name=None) -> list[Scene]:
     """Parse JSON-Lines scenes from a string, bytes, or byte-line iterable.
 
-    With ``max_people`` (a model reads the scenes), a scene with no persons
-    or over that cap is an error at its line, so it fails where it breaks;
-    ``name`` (a file) prefixes the line.
+    Persons must lie in the room of ``spec``, unless it is None (eval only
+    needs group indices).  With ``max_people`` (a model reads the scenes), a
+    scene with no persons or over that cap is an error at its line, so it
+    fails where it breaks; ``name`` (a file) prefixes the line.
     """
     if isinstance(source, str):
         source = source.encode("utf-8")
@@ -147,7 +153,8 @@ def parse_scenes(source, spec: RoomSpec = DEFAULT_SPEC,
         obj, where, spec, max_people), name)
 
 
-def load_scenes(path, spec: RoomSpec = DEFAULT_SPEC, max_people=None) -> list[Scene]:
+def load_scenes(path, spec: RoomSpec | None = DEFAULT_SPEC,
+                max_people=None) -> list[Scene]:
     """Parse the JSON-Lines scene file ``path``; errors read "<path> line N"."""
     with open(path, "rb") as f:
         return parse_scenes(f, spec, max_people, path)
@@ -161,7 +168,7 @@ def save_scenes(scenes, path) -> None:
                 "persons": [{"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg}
                             for p in s.persons],
                 "groups": [list(b) for b in s.groups],
-            }))
+            }, default=int))  # numpy indices, which Scene takes, as plain ints
             f.write("\n")
 
 

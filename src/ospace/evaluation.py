@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import check_groups
+
 __all__ = [
     "GroupMetrics",
     "snap_tolerance",
@@ -75,15 +77,6 @@ def group_matches(pred, gt, t) -> bool:
         false_subjects <= max_false(len(gt), t)
 
 
-def _check_no_overlap(blocks, label: str) -> None:
-    seen = set()
-    for b in blocks:
-        for i in b:
-            if i in seen:
-                raise ValueError(f"{label} groups are not disjoint: {i} repeats")
-            seen.add(i)
-
-
 def _match_order(blocks):
     return sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (-len(b), b[0]))
 
@@ -92,11 +85,11 @@ def match_scene(pred_groups, gt_groups, t) -> tuple[int, int, int]:
     """Greedy one-to-one matching of one scene's groups: (tp, fp, fn).
 
     Inputs may include singleton blocks or omit them; only blocks of 2+
-    people are scored.
+    people are scored.  Each side must pass ``core.check_groups``.
     """
     t = snap_tolerance(t)
-    _check_no_overlap(pred_groups, "predicted")
-    _check_no_overlap(gt_groups, "ground-truth")
+    check_groups(pred_groups, what="predicted")
+    check_groups(gt_groups, what="ground-truth")
     pred = _match_order(b for b in pred_groups if len(b) >= 2)
     gt = _match_order(b for b in gt_groups if len(b) >= 2)
 

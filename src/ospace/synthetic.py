@@ -65,35 +65,23 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def _sample_center(rng, cfg: SynthConfig, spec: RoomSpec, placed, scene_i: int):
-    r = cfg.circle_radius_m
-    if spec.width_m < 2 * r or spec.height_m < 2 * r:
+def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
+                  where: str) -> Point2:
+    """A uniform point at least ``margin`` inside the walls and
+    min_intergroup_dist_m from every point in ``placed``; ``where`` names it
+    when none is found."""
+    if spec.width_m < 2 * margin or spec.height_m < 2 * margin:
         raise SynthesisError(
             f"room {spec.width_m}x{spec.height_m} m cannot fit a circle of "
-            f"radius {r}"
+            f"radius {margin}"
         )
     min_sq = cfg.min_intergroup_dist_m ** 2
     for _ in range(MAX_ATTEMPTS):
-        cx = rng.uniform(r, spec.width_m - r)
-        cy = rng.uniform(r, spec.height_m - r)
-        if all((cx - c.x) ** 2 + (cy - c.y) ** 2 >= min_sq for c in placed):
-            return Point2(cx, cy)
-    raise SynthesisError(
-        f"scene {scene_i}: no room for group {len(placed)} after "
-        f"{MAX_ATTEMPTS} attempts"
-    )
-
-
-def _sample_singleton(rng, cfg: SynthConfig, spec: RoomSpec, centers, scene_i: int):
-    min_sq = cfg.min_intergroup_dist_m ** 2
-    for _ in range(MAX_ATTEMPTS):
-        px = rng.uniform(0.0, spec.width_m)
-        py = rng.uniform(0.0, spec.height_m)
-        if all((px - c.x) ** 2 + (py - c.y) ** 2 >= min_sq for c in centers):
-            return px, py
-    raise SynthesisError(
-        f"scene {scene_i}: no room for a singleton after {MAX_ATTEMPTS} attempts"
-    )
+        x = rng.uniform(margin, spec.width_m - margin)
+        y = rng.uniform(margin, spec.height_m - margin)
+        if all((x - c.x) ** 2 + (y - c.y) ** 2 >= min_sq for c in placed):
+            return Point2(x, y)
+    raise SynthesisError(f"{where} after {MAX_ATTEMPTS} attempts")
 
 
 def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
@@ -115,7 +103,8 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
         centers: list[Point2] = []
         for _ in range(n_groups):
             size = int(rng.integers(cfg.group_size[0], cfg.group_size[1] + 1))
-            c = _sample_center(rng, cfg, spec, centers, i)
+            c = _sample_point(rng, cfg, spec, cfg.circle_radius_m, centers,
+                              f"scene {i}: no room for group {len(centers)}")
             centers.append(c)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             start = len(persons)
@@ -133,10 +122,11 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
                 ))
             blocks.append(tuple(range(start, start + size)))
         for _ in range(n_single):
-            px, py = _sample_singleton(rng, cfg, spec, centers, i)
+            p = _sample_point(rng, cfg, spec, 0.0, centers,
+                              f"scene {i}: no room for a singleton")
             yaw = rng.uniform(0.0, 360.0)
             blocks.append((len(persons),))
-            persons.append(Person(px, py, yaw))
+            persons.append(Person(p.x, p.y, yaw))
         scenes.append(Scene(f"synth-{cfg.seed}-{i:05d}", tuple(persons),
                             tuple(blocks)))
         all_centers.append(centers)

@@ -13,7 +13,9 @@ import pytest
 
 import ospace
 from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
-from ospace.dataset import load_scenes
+from ospace.core import Person, Scene
+from ospace.dataset import SceneParseError, load_scenes, parse_scenes
+from ospace.evaluation import match_scene
 from ospace.network import load_model, predict_heatmap
 from ospace.room import RoomFeature
 
@@ -201,12 +203,21 @@ def test_eval_perfect_predictions(workdir, capsys):
 @pytest.mark.parametrize("side", ["pred", "gt"])
 def test_eval_malformed_group_record_is_data_error(workdir, capsys, side, line,
                                                    path, message):
+    if side == "gt" and line.startswith("{"):
+        # ground truth is a scene file: give the record the dyad's persons,
+        # which are read first, so each case reaches its field
+        line = DYAD[:DYAD.index(', "groups"')] + ", " + line[1:]
     good = {"pred": '{"frame_id": "a", "groups": [[0, 1]]}\n', "gt": DYAD}
     files = {"pred": workdir / "pred.jsonl", "gt": workdir / "gt.jsonl"}
     for name, file in files.items():
         file.write_text(good[name] + (line + "\n" if name == side else good[name]))
     rc = main(["eval", "--pred", str(files["pred"]), "--gt", str(files["gt"])])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if side == "gt" and message == "missing":
+        # a scene without groups is all singletons: the dyad is a false positive
+        assert (rc, err) == (0, "")
+        assert "tp=1 fp=1 fn=0" in out
+        return
     assert rc == 2
     where = " ".join(filter(None, [f"{files[side]} line 2", path]))
     assert err == f"error: {where}: {message}\n"
@@ -241,6 +252,56 @@ def test_eval_group_outside_its_frame_names_file_line_and_field(workdir, capsys,
     assert rc == 2
     assert err == f"error: {files[side]} line 2 {message}\n"
     assert "Traceback" not in err
+    assert not (workdir / "m.csv").exists()
+
+
+BAD_GROUPS = {
+    "repeat": ([[0, 1], [1, 2]], "groups.1: person 1 repeats"),
+    "out of range": ([[0, 1], [2, 7]],
+                     "groups.1: person 7 is not in the 3-person frame"),
+    "negative": ([[0, -1]], "groups.0: person -1 is not in the 3-person frame"),
+    "empty block": ([[0, 1], []], "groups.1: empty"),
+}
+
+
+@pytest.mark.parametrize("groups,message", BAD_GROUPS.values(), ids=BAD_GROUPS)
+def test_every_group_reader_words_a_bad_group_list_alike(workdir, capsys, groups,
+                                                         message):
+    persons = [{"x": 1.0 + i, "y": 1.0, "yaw_deg": 0.0} for i in range(3)]
+    with pytest.raises(ValueError) as exc:
+        Scene("a", [Person(**p) for p in persons], groups)
+    assert str(exc.value) == message
+    bad = json.dumps({"frame_id": "a", "persons": persons, "groups": groups})
+    with pytest.raises(SceneParseError) as exc:
+        parse_scenes(bad)
+    assert str(exc.value) == f"line 1 {message}"
+    records = {"pred": '{"frame_id": "a", "groups": [[0, 1]]}',
+               "gt": json.dumps({"frame_id": "a", "persons": persons})}
+    for side in records:
+        for name, record in records.items():
+            (workdir / f"{name}.jsonl").write_text(
+                (bad if name == side else record) + "\n")
+        rc = main(["eval", "--pred", "pred.jsonl", "--gt", "gt.jsonl"])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {side}.jsonl line 1 {message}\n")
+    if "frame" in message:
+        return  # match_scene knows no frame size, so cannot tell
+    for label, args in [("predicted", (groups, [])), ("ground-truth", ([], groups))]:
+        with pytest.raises(ValueError) as exc:
+            match_scene(*args, 1)
+        assert str(exc.value) == f"{label} {message}"
+
+
+@pytest.mark.parametrize("pred,message", [
+    ('{"frame_id": "b", "groups": [[0, 1]]}\n',
+     "pred.jsonl line 1: frame_id 'b', but frame 1 of gt.jsonl is 'a'"),
+    ("", "0 predictions in pred.jsonl vs 1 ground-truth scenes in gt.jsonl"),
+], ids=["frame_id", "count"])
+def test_eval_pairing_error_names_the_files(workdir, capsys, pred, message):
+    _write_scenes(workdir / "gt.jsonl")
+    (workdir / "pred.jsonl").write_text(pred)
+    rc = main(["eval", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "-o", "m.csv"])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
     assert not (workdir / "m.csv").exists()
 
 
@@ -424,7 +485,8 @@ def test_layout_grid_must_match_the_run(workdir, capsys):
     ("dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
                             "string to float: 'abc'"),
     ("dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
-], ids=["bad dimension", "bad float", "value count"])
+    ("dim 5\n1\n2\n3\n4\n5\n", "5 values, the room input takes 4"),
+], ids=["bad dimension", "bad float", "value count", "wider than the input"])
 def test_train_bad_room_file_names_it(workdir, capsys, text, message):
     scenes = _write_scenes(workdir / "s.jsonl")
     (workdir / "bad.feat").write_text(text)
@@ -435,6 +497,17 @@ def test_train_bad_room_file_names_it(workdir, capsys, text, message):
     assert rc == 2
     assert err == f"error: room file bad.feat: {message}\n"
     assert not (workdir / "m.ckpt").exists()
+
+
+def test_predict_layout_wider_than_the_checkpoint_room_names_it(workdir, capsys):
+    model = _train_tiny(workdir)  # its room input takes 4 values
+    (workdir / "lay.json").write_text(json.dumps({"cells": CELLS}))
+    capsys.readouterr()
+    rc = main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl",
+               "--layout", "lay.json"])
+    assert (rc, capsys.readouterr().err) == (
+        2, "error: layout lay.json: 628 values, the room input takes 4\n")
+    assert not (workdir / "pred.jsonl").exists()
 
 
 def test_render_ground_truth_pgm(workdir):
@@ -544,6 +617,23 @@ def test_predict_heatmaps_reject_frame_id_that_is_not_a_file_name(workdir, capsy
     _assert_frame_id_rejected(workdir, capsys, [
         "predict", str(model), "gt.jsonl", "-o", "pred.jsonl", "--heatmaps", "maps"],
         frame_id)
+
+
+@pytest.mark.parametrize("command", ["render", "predict"])
+def test_heatmaps_reject_frame_ids_that_repeat(workdir, capsys, command):
+    # ingest --augment gives every flip its scene's frame_id
+    _write_scenes(workdir / "s.jsonl")
+    assert main(["ingest", "s.jsonl", "-o", "aug.jsonl", "--augment"]) == 0
+    argv = ["render", "aug.jsonl", "-o", "maps"]
+    if command == "predict":
+        argv = ["predict", str(_train_tiny(workdir)), "aug.jsonl", "-o", "pred.jsonl",
+                "--heatmaps", "maps"]
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr().err) == (
+        2, "error: frame_id 'a' is shared by frames 1 and 2 "
+           "(heatmaps are written as <frame_id>.pgm)\n")
+    assert not (workdir / "maps").exists()
+    assert not (workdir / "pred.jsonl").exists()
 
 
 def test_scene_file_error_names_the_file(workdir, capsys):

@@ -64,9 +64,9 @@ def test_parse_accepts_bytes():
     ('{"frame_id": "a", "persons": [{"x": 1, "y": 1}]}', "yaw_deg"),
     ('{"frame_id": "a", "persons": [{"x": "1", "y": 1, "yaw_deg": 0}]}', "number"),
     ('{"frame_id": "a", "persons": [{"x": 1, "y": 1, "yaw_deg": 0}], '
-     '"groups": [[0, 0]]}', "more than one group"),
+     '"groups": [[0, 0]]}', "line 1 groups.0: person 0 repeats"),
     ('{"frame_id": "a", "persons": [{"x": 1, "y": 1, "yaw_deg": 0}], '
-     '"groups": [[1]]}', "out of range"),
+     '"groups": [[1]]}', "line 1 groups.0: person 1 is not in the 1-person frame"),
     ('{"frame_id": "a", "persons": [{"x": 99, "y": 1, "yaw_deg": 0}]}', "outside"),
     pytest.param('{"frame_id": "a", "persons": [{"x": 1' + "0" * 400
                  + ', "y": 1, "yaw_deg": 0}]}', "line 1 persons.0.x: out of range",
@@ -102,6 +102,13 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "scenes.jsonl"
     save_scenes(scenes, path)
     assert load_scenes(path) == scenes
+
+
+def test_save_writes_numpy_group_indices_as_integers(tmp_path):
+    scene = Scene("a", (Person(1, 1, 0), Person(2, 1, 0)),
+                  ((np.int64(1), np.int32(0)),))
+    save_scenes([scene], tmp_path / "s.jsonl")
+    assert load_scenes(tmp_path / "s.jsonl") == [scene]
 
 
 PERSONS = st.lists(st.builds(
