@@ -7,6 +7,10 @@ per frame; ``render`` draws ground-truth heatmaps from the annotations.
 check, and holds each prediction's groups to the paired frame under the
 same rule, ``core.check_groups``.
 
+The room input is as wide as the room given, zero-wide with no room flag:
+``train`` sizes the head to it, and ``tune`` and ``predict`` refuse a room
+of another width than the checkpoint's.
+
 Every command is deterministic given its flags; randomness only enters
 through --seed.  Exit codes: 0 success, 1 usage error, 2 data error
 (missing or malformed files, shape mismatches), 3 numeric failure
@@ -47,10 +51,9 @@ from .parallel import thread_map
 from .postprocess import AssignParams, predict_scene
 from .room import (
     RoomFeature,
-    extract_layout_features,
     load_layout,
     load_precomputed,
-    pad_to_dim,
+    room_feature_from_layout,
 )
 from .synthetic import SynthConfig, SynthesisError, generate
 from .tuning import Grid, grid_search
@@ -81,36 +84,39 @@ def _add_room_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--layout", help="layout map JSON for occupancy features")
 
 
-def _resolve_room(args, spec: RoomSpec, dim: int) -> RoomFeature:
+def _resolve_room(args, spec: RoomSpec) -> tuple[RoomFeature, str | None]:
+    """The room of ``--room-file`` or ``--layout`` and the file it came from;
+    with neither, a zero-wide room and None."""
     if args.room_file:
         what = f"room file {args.room_file}"
         with open(args.room_file, "rb") as f:
             text = f.read()
         try:
-            values = load_precomputed(text).values
+            return load_precomputed(text), what
         except ValueError as e:
             raise ValueError(f"{what}: {e}") from None
-    elif args.layout:
+    if args.layout:
         what = f"layout {args.layout}"
         layout = load_layout(args.layout)
         got = (layout.spec.rows, layout.spec.cols)
         if got != (spec.rows, spec.cols):
             raise ValueError(f"{what}: grid {got[0]}x{got[1]} does not match "
                              f"the {spec.rows}x{spec.cols} grid of the run")
-        values = extract_layout_features(layout)
-    else:
-        # no layout information given: a zero vector of the right width
-        return RoomFeature(np.zeros(dim))
-    if len(values) > dim:
-        raise ValueError(f"{what}: {len(values)} values, the room input takes {dim}")
-    return RoomFeature(pad_to_dim(values, dim))
+        return room_feature_from_layout(layout), what
+    return RoomFeature(np.zeros(0)), None
 
 
 def _load_model_and_room(args):
-    """The ``args.model`` checkpoint and the room feature its head takes."""
+    """The ``args.model`` checkpoint and the room given, as wide as its input."""
     model = load_model(args.model)
-    room_dim = model.head.config.input_dim - model.encoder.config.output_dim
-    return model, _resolve_room(args, model.spec, room_dim)
+    room, what = _resolve_room(args, model.spec)
+    want = model.head.config.input_dim - model.encoder.config.output_dim
+    if room.dim != want:
+        given = (f"{what} holds {room.dim}" if what
+                 else "no room flag was given (0 values)")
+        raise ValueError(f"checkpoint {args.model} takes a room of {want} "
+                         f"values, but {given}")
+    return model, room
 
 
 def _csv_floats(raw: str) -> tuple[float, ...]:
@@ -228,22 +234,21 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     def build():
-        if args.room_dim < 0:
-            raise ValueError(f"--room-dim must be non-negative, got {args.room_dim}")
         _check_stride(args.stride)
         spec = _spec_from_args(args)
         enc_cfg = EncoderConfig(max_people=args.max_people,
                                 layer_widths=_csv_ints(args.enc_widths))
-        head_cfg = HeadConfig(input_dim=args.room_dim + enc_cfg.output_dim,
-                              hidden_widths=_csv_ints(args.hidden),
-                              output_dim=spec.n_cells)
         cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
                           learning_rate=args.lr, optimizer=args.optimizer,
                           multi_group_weight=args.weight, seed=args.seed)
-        return (spec, SplitRatios(*args.split), enc_cfg, head_cfg, cfg,
+        return (spec, SplitRatios(*args.split), enc_cfg, cfg,
                 GaussianParams(sigma_m=args.sigma))
 
-    spec, ratios, enc_cfg, head_cfg, cfg, gauss = _usage_guard(build)
+    spec, ratios, enc_cfg, cfg, gauss = _usage_guard(build)
+    room, _ = _resolve_room(args, spec)
+    head_cfg = _usage_guard(lambda: HeadConfig(
+        input_dim=room.dim + enc_cfg.output_dim,
+        hidden_widths=_csv_ints(args.hidden), output_dim=spec.n_cells))
     scenes = load_scenes(args.input, spec, enc_cfg.max_people)
     if not scenes:
         raise ValueError(f"no scenes in {args.input}")
@@ -254,7 +259,6 @@ def _cmd_train(args) -> int:
     elif args.augment == "train":
         train_scenes = augment(train_scenes, spec)
 
-    room = _resolve_room(args, spec, args.room_dim)
     model, trace = train(train_scenes, room, enc_cfg, head_cfg, cfg,
                          val_scenes=val_scenes, spec=spec, stride_m=args.stride,
                          gauss=gauss)
@@ -354,9 +358,13 @@ def _cmd_eval(args) -> int:
     tolerances = _usage_guard(build)
     pred = _load_group_records(args.pred)
     gt = load_scenes(args.gt, spec=None)
-    if len(pred) != len(gt):
-        raise ValueError(f"{len(pred)} predictions in {args.pred} vs {len(gt)} "
-                         f"ground-truth scenes in {args.gt}")
+    if len(pred) > len(gt):
+        pf, _, where = pred[len(gt)]
+        raise ValueError(f"{where}: frame_id {pf!r}, but {args.gt} has no "
+                         f"frame {len(gt) + 1}")
+    if len(gt) > len(pred):
+        raise ValueError(f"{args.pred} has no prediction for frame {len(pred) + 1} "
+                         f"of {args.gt} ({gt[len(pred)].frame_id!r})")
     for k, ((pf, groups, where), scene) in enumerate(zip(pred, gt), start=1):
         if pf != scene.frame_id:
             raise ValueError(f"{where}: frame_id {pf!r}, but frame {k} of {args.gt} "
@@ -454,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-people", type=int, default=25)
     p.add_argument("--hidden", default="1024",
                    help="comma-separated head hidden widths")
-    p.add_argument("--room-dim", type=int, default=1024)
     p.add_argument("--trace", help="write per-epoch loss CSV here")
     _add_room_args(p)
     _add_spec_args(p)

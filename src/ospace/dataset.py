@@ -226,29 +226,31 @@ def flip_scene(scene: Scene, axis: str, spec: RoomSpec = DEFAULT_SPEC) -> Scene:
     """Mirror a scene across the room's vertical axis ("horizontal" flip:
     x -> width-x, yaw -> 180-yaw), horizontal axis ("vertical" flip:
     y -> height-y, yaw -> -yaw), or "both". Group labels are unchanged."""
+    return Scene(scene.frame_id, _flip_persons(scene.persons, axis, spec),
+                 scene.groups)
+
+
+def _flip_persons(persons, axis: str, spec: RoomSpec) -> tuple[Person, ...]:
     if axis == "both":
-        return flip_scene(flip_scene(scene, "horizontal", spec), "vertical", spec)
+        return _flip_persons(_flip_persons(persons, "horizontal", spec),
+                             "vertical", spec)
     if axis == "horizontal":
-        persons = tuple(
-            Person(spec.width_m - p.x, p.y, (180.0 - p.yaw_deg) % 360.0)
-            for p in scene.persons
-        )
-    elif axis == "vertical":
-        persons = tuple(
-            Person(p.x, spec.height_m - p.y, (360.0 - p.yaw_deg) % 360.0)
-            for p in scene.persons
-        )
-    else:
-        raise ValueError(f"unknown flip axis {axis!r}")
-    return Scene(scene.frame_id, persons, scene.groups)
+        return tuple(Person(spec.width_m - p.x, p.y, (180.0 - p.yaw_deg) % 360.0)
+                     for p in persons)
+    if axis == "vertical":
+        return tuple(Person(p.x, spec.height_m - p.y, (360.0 - p.yaw_deg) % 360.0)
+                     for p in persons)
+    raise ValueError(f"unknown flip axis {axis!r}")
 
 
 def augment(scenes, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
-    """Each scene followed by its horizontal, vertical, and double flips."""
+    """Each scene followed by its horizontal, vertical, and double flips,
+    whose frame_ids are the scene's plus "-h", "-v" and "-hv"."""
     out = []
     for s in scenes:
         out.append(s)
-        out.append(flip_scene(s, "horizontal", spec))
-        out.append(flip_scene(s, "vertical", spec))
-        out.append(flip_scene(s, "both", spec))
+        for axis, suffix in (("horizontal", "-h"), ("vertical", "-v"),
+                             ("both", "-hv")):
+            out.append(Scene(s.frame_id + suffix,
+                             _flip_persons(s.persons, axis, spec), s.groups))
     return out

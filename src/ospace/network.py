@@ -21,8 +21,8 @@ allocates nothing.  The arithmetic per element, and its order, is that of
 the textbook per-array update, so the result is the same bits.  Adam skips
 a block whose gradients have all been exactly zero so far, which changes
 no bit either: its moments are still zero, so the update is
-lr 0 / (0 + eps) = 0.  The zero room vector the CLI feeds when no layout
-is given makes the head's room rows such blocks for the whole run.
+lr 0 / (0 + eps) = 0.  A room vector of zeros makes the head's room rows
+such blocks for the whole run.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid

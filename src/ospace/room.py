@@ -1,11 +1,11 @@
 """Room-layout features: occupancy pyramid extraction, PCA reduction, and a
 precomputed-feature file loader.
 
-The head consumes a fixed R-dim room vector (default 1024).  Two providers
-satisfy that contract: a feature file written by some external extractor, or
+The head's room input is as wide as the room vector it was trained on.  Two
+providers give one: a feature file written by some external extractor, or
 an occupancy pyramid computed here from an annotated layout map (per-class
-cell fractions pooled at four grid resolutions).  Either path may be reduced
-with the from-scratch PCA and is zero-padded up to R.
+cell fractions pooled at four grid resolutions), optionally reduced with the
+from-scratch PCA.  A model trained without a room takes a zero-wide vector.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ __all__ = [
     "extract_layout_features",
     "pca_fit",
     "pca_project",
-    "pad_to_dim",
     "load_precomputed",
     "save_precomputed",
     "room_feature_from_layout",
@@ -61,7 +60,7 @@ class LayoutMap:
 
 @dataclass(frozen=True, eq=False)
 class RoomFeature:
-    """Fixed-dimension room descriptor fed to the network head."""
+    """Room descriptor fed to the network head; it may be zero-wide."""
 
     values: np.ndarray
 
@@ -237,16 +236,6 @@ def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
     return model.components @ (v - model.mean)
 
 
-def pad_to_dim(values: np.ndarray, dim: int) -> np.ndarray:
-    """Zero-pad a feature vector up to ``dim``; longer input is an error."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] > dim:
-        raise ValueError(f"feature of dim {values.shape[0]} exceeds target {dim}")
-    out = np.zeros(dim)
-    out[: values.shape[0]] = values
-    return out
-
-
 def load_precomputed(source) -> RoomFeature:
     """Read a feature file: header line ``dim N`` then N decimal floats."""
     if isinstance(source, bytes):
@@ -278,10 +267,10 @@ def save_precomputed(feature: RoomFeature, path) -> None:
             f.write("\n")
 
 
-def room_feature_from_layout(layout: LayoutMap, dim: int,
+def room_feature_from_layout(layout: LayoutMap,
                              pca: PcaModel | None = None) -> RoomFeature:
-    """Occupancy pyramid, optional PCA reduction, zero-padded to ``dim``."""
+    """Occupancy pyramid, optionally reduced by ``pca``."""
     raw = extract_layout_features(layout)
     if pca is not None:
         raw = pca_project(pca, raw)
-    return RoomFeature(pad_to_dim(raw, dim))
+    return RoomFeature(raw)

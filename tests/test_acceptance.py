@@ -400,8 +400,7 @@ def test_determinism_checkpoints_and_metric_tables(tmp_path, capsys):
         table = tmp_path / f"table-{tag}.csv"
         assert main(["train", str(scenes), "-o", str(model),
                      "--epochs", "3", "--batch", "8", "--seed", "9",
-                     "--enc-widths", "8,16", "--hidden", "16",
-                     "--room-dim", "4"]) == 0
+                     "--enc-widths", "8,16", "--hidden", "16"]) == 0
         assert main(["tune", str(model), str(scenes), "-T", "2/3",
                      "--thresholds", "0.3,0.5", "--separations", "1.0,1.5",
                      "--assign-dists", "0.8,1.5", "--strides", "0.7,1.0",

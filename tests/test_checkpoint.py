@@ -164,11 +164,14 @@ def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys,
 
     scenes = tmp_path / "scenes.jsonl"
     scenes.write_text(SCENES)
+    room = tmp_path / "room.feat"  # HEAD_CFG's room input takes 4 values
+    room.write_text("dim 4\n0\n0\n0\n0\n")
     pred = tmp_path / "pred.jsonl"
-    assert main(["predict", str(good), str(scenes), "-o", str(pred)]) == 0
+    argv = [str(scenes), "-o", str(pred), "--room-file", str(room)]
+    assert main(["predict", str(good), *argv]) == 0
     pred.unlink()
     capsys.readouterr()
-    rc = main(["predict", str(bad), str(scenes), "-o", str(pred)])
+    rc = main(["predict", str(bad), *argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: checkpoint")

@@ -17,7 +17,7 @@ from ospace.core import Person, Scene
 from ospace.dataset import SceneParseError, load_scenes, parse_scenes
 from ospace.evaluation import match_scene
 from ospace.network import load_model, predict_heatmap
-from ospace.room import RoomFeature
+from ospace.room import RoomFeature, save_precomputed
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
         '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
@@ -68,8 +68,8 @@ def test_ingest_roundtrip_and_augment(workdir):
     assert len(lines) == 8
     # flips of the first scene follow it before scene b appears
     ids = [json.loads(l)["frame_id"] for l in lines]
-    assert ids[:4] == ["a", "a", "a", "a"]
-    assert ids[4:] == ["b", "b", "b", "b"]
+    assert ids[:4] == ["a", "a-h", "a-v", "a-hv"]
+    assert ids[4:] == ["b", "b-h", "b-v", "b-hv"]
 
 
 def test_synth_deterministic_with_centers(workdir):
@@ -94,7 +94,7 @@ def _train_tiny(workdir, out="model.json", extra=()):
     rc = main(["train", str(scenes), "-o", out,
                "--epochs", "2", "--batch", "4",
                "--enc-widths", "8,16", "--hidden", "16",
-               "--room-dim", "4", "--split", "0.8", "0.1", "0.1",
+               "--split", "0.8", "0.1", "0.1",
                *extra])
     assert rc == 0
     return workdir / out
@@ -132,8 +132,7 @@ def test_train_divergence_exit_code(workdir):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", str(scenes), "-o", "m.json",
                    "--epochs", "5", "--batch", "4", "--optimizer", "sgd",
-                   "--lr", "1e120", "--enc-widths", "8,16", "--hidden", "16",
-                   "--room-dim", "4"])
+                   "--lr", "1e120", "--enc-widths", "8,16", "--hidden", "16"])
     assert rc == 3
 
 
@@ -295,8 +294,10 @@ def test_every_group_reader_words_a_bad_group_list_alike(workdir, capsys, groups
 @pytest.mark.parametrize("pred,message", [
     ('{"frame_id": "b", "groups": [[0, 1]]}\n',
      "pred.jsonl line 1: frame_id 'b', but frame 1 of gt.jsonl is 'a'"),
-    ("", "0 predictions in pred.jsonl vs 1 ground-truth scenes in gt.jsonl"),
-], ids=["frame_id", "count"])
+    ("", "pred.jsonl has no prediction for frame 1 of gt.jsonl ('a')"),
+    ('{"frame_id": "a", "groups": [[0, 1]]}\n{"frame_id": "b", "groups": []}\n',
+     "pred.jsonl line 2: frame_id 'b', but gt.jsonl has no frame 2"),
+], ids=["frame_id", "count", "extra prediction"])
 def test_eval_pairing_error_names_the_files(workdir, capsys, pred, message):
     _write_scenes(workdir / "gt.jsonl")
     (workdir / "pred.jsonl").write_text(pred)
@@ -430,7 +431,7 @@ def _train_with_layout(workdir, text):
     (workdir / "lay.json").write_text(text)
     return main(["train", str(scenes), "-o", "m.ckpt", "--epochs", "0",
                  "--split", "1", "0", "0", "--enc-widths", "4", "--hidden", "4",
-                 "--room-dim", "628", "--layout", "lay.json"])
+                 "--layout", "lay.json"])
 
 
 @pytest.mark.parametrize("text,message", [
@@ -485,29 +486,68 @@ def test_layout_grid_must_match_the_run(workdir, capsys):
     ("dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
                             "string to float: 'abc'"),
     ("dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
-    ("dim 5\n1\n2\n3\n4\n5\n", "5 values, the room input takes 4"),
-], ids=["bad dimension", "bad float", "value count", "wider than the input"])
+], ids=["bad dimension", "bad float", "value count"])
 def test_train_bad_room_file_names_it(workdir, capsys, text, message):
     scenes = _write_scenes(workdir / "s.jsonl")
     (workdir / "bad.feat").write_text(text)
     rc = main(["train", str(scenes), "-o", "m.ckpt", "--epochs", "0",
                "--split", "1", "0", "0", "--enc-widths", "4", "--hidden", "4",
-               "--room-dim", "4", "--room-file", "bad.feat"])
+               "--room-file", "bad.feat"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: room file bad.feat: {message}\n"
     assert not (workdir / "m.ckpt").exists()
 
 
-def test_predict_layout_wider_than_the_checkpoint_room_names_it(workdir, capsys):
-    model = _train_tiny(workdir)  # its room input takes 4 values
+def _write_rooms(workdir):
+    """A default-grid layout (628 pyramid values) and room files of 3 and 4."""
     (workdir / "lay.json").write_text(json.dumps({"cells": CELLS}))
+    save_precomputed(RoomFeature([0.5, -1.0, 2.0]), workdir / "r3.feat")
+    save_precomputed(RoomFeature([0.5, -1.0, 2.0, 0.25]), workdir / "r4.feat")
+
+
+@pytest.mark.parametrize("flags,room_width", [
+    ((), 0), (("--layout", "lay.json"), 628), (("--room-file", "r3.feat"), 3),
+], ids=["no room", "layout", "room file"])
+def test_train_room_input_is_as_wide_as_the_room(workdir, capsys, flags,
+                                                  room_width):
+    _write_rooms(workdir)
+    model = _train_tiny(workdir, extra=flags)  # encoder output 16
+    assert load_model(model).head.config.input_dim == room_width + 16
+    assert main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl",
+                 *flags]) == 0
     capsys.readouterr()
-    rc = main(["predict", str(model), "train.jsonl", "-o", "pred.jsonl",
-               "--layout", "lay.json"])
+
+
+ROOM_MISMATCHES = {
+    "room checkpoint, no room flag": (
+        ("--layout", "lay.json"), (),
+        "takes a room of 628 values, but no room flag was given (0 values)"),
+    "no-room checkpoint, layout": (
+        (), ("--layout", "lay.json"),
+        "takes a room of 0 values, but layout lay.json holds 628"),
+    "room file of another width": (
+        ("--room-file", "r3.feat"), ("--room-file", "r4.feat"),
+        "takes a room of 3 values, but room file r4.feat holds 4"),
+}
+
+
+@pytest.mark.parametrize("command", ["tune", "predict"])
+@pytest.mark.parametrize("trained,given,message", ROOM_MISMATCHES.values(),
+                         ids=ROOM_MISMATCHES)
+def test_room_mismatch_names_checkpoint_room_and_widths(workdir, capsys, command,
+                                                        trained, given, message):
+    _write_rooms(workdir)
+    model = _train_tiny(workdir, extra=trained)
+    capsys.readouterr()
+    # the scene file does not exist: the room is checked before it is read
+    outputs = {"tune": ["--table", "table.csv"], "predict": ["--heatmaps", "maps"]}
+    rc = main([command, str(model), "missing.jsonl", "-o", "out",
+               *outputs[command], *given])
     assert (rc, capsys.readouterr().err) == (
-        2, "error: layout lay.json: 628 values, the room input takes 4\n")
-    assert not (workdir / "pred.jsonl").exists()
+        2, f"error: checkpoint {model} {message}\n")
+    for name in ("out", "table.csv", "maps"):
+        assert not (workdir / name).exists()
 
 
 def test_render_ground_truth_pgm(workdir):
@@ -549,7 +589,7 @@ def test_predict_heatmaps_are_the_predicted_heatmaps(workdir, monkeypatch, capsy
     capsys.readouterr()
     assert (workdir / "pred.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
     weights = load_model(model)
-    room = RoomFeature(np.zeros(4))  # --room-dim 4 and no room file
+    room = RoomFeature(np.zeros(0))  # trained with no room flag
     frames = load_scenes(scenes)
     assert len(os.listdir(workdir / "maps")) == 2 * len(frames)
     for scene in frames:
@@ -621,19 +661,29 @@ def test_predict_heatmaps_reject_frame_id_that_is_not_a_file_name(workdir, capsy
 
 @pytest.mark.parametrize("command", ["render", "predict"])
 def test_heatmaps_reject_frame_ids_that_repeat(workdir, capsys, command):
-    # ingest --augment gives every flip its scene's frame_id
-    _write_scenes(workdir / "s.jsonl")
-    assert main(["ingest", "s.jsonl", "-o", "aug.jsonl", "--augment"]) == 0
-    argv = ["render", "aug.jsonl", "-o", "maps"]
+    _write_scenes(workdir / "twice.jsonl", DYAD + DYAD)
+    argv = ["render", "twice.jsonl", "-o", "maps"]
     if command == "predict":
-        argv = ["predict", str(_train_tiny(workdir)), "aug.jsonl", "-o", "pred.jsonl",
-                "--heatmaps", "maps"]
+        argv = ["predict", str(_train_tiny(workdir)), "twice.jsonl", "-o",
+                "pred.jsonl", "--heatmaps", "maps"]
     capsys.readouterr()
     assert (main(argv), capsys.readouterr().err) == (
         2, "error: frame_id 'a' is shared by frames 1 and 2 "
            "(heatmaps are written as <frame_id>.pgm)\n")
     assert not (workdir / "maps").exists()
     assert not (workdir / "pred.jsonl").exists()
+
+
+def test_augmented_scenes_go_through_render_and_predict_heatmaps(workdir, capsys):
+    _write_scenes(workdir / "s.jsonl")
+    assert main(["ingest", "s.jsonl", "-o", "aug.jsonl", "--augment"]) == 0
+    assert main(["render", "aug.jsonl", "-o", "gt_maps"]) == 0
+    assert main(["predict", str(_train_tiny(workdir)), "aug.jsonl", "-o",
+                 "pred.jsonl", "--heatmaps", "maps"]) == 0
+    capsys.readouterr()
+    for maps in ("gt_maps", "maps"):
+        assert sorted(os.listdir(workdir / maps)) == [
+            "a-h.pgm", "a-hv.pgm", "a-v.pgm", "a.pgm"]
 
 
 def test_scene_file_error_names_the_file(workdir, capsys):
@@ -707,12 +757,12 @@ def test_non_finite_config_flag_is_usage_error(workdir, capsys, argv, message):
     assert not (workdir / "out").exists()
 
 
-def test_train_negative_room_dim_is_usage_error(workdir, capsys):
+def test_train_room_dim_is_an_unknown_flag(workdir, capsys):
     scenes = _write_scenes(workdir / "s.jsonl")
-    rc = main(["train", str(scenes), "-o", "m.ckpt", "--room-dim", "-1"])
+    rc = main(["train", str(scenes), "-o", "m.ckpt", "--room-dim", "4"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == "error: --room-dim must be non-negative, got -1\n"
+    assert "unrecognized arguments: --room-dim 4" in err
     assert not (workdir / "m.ckpt").exists()
 
 
@@ -815,7 +865,7 @@ def _readme_command_lines():
 
 def test_readme_command_lines_parse(capsys):
     commands = _readme_command_lines()
-    assert {argv[0] for argv in commands} >= set(SUBCOMMANDS) - {"ingest"}
+    assert {argv[0] for argv in commands} >= set(SUBCOMMANDS)
     for argv in commands:
         try:
             build_parser().parse_args(argv)

@@ -1,15 +1,23 @@
-"""Contract fuzzer: a mutated scene record through ``ingest`` and ``eval``.
+"""Contract fuzzers: a mutated scene record through ``ingest`` and ``eval``,
+and a mutated room through ``train`` and ``predict``.
 
-Each example breaks one valid record and feeds it, in process, to ``ingest``,
+The first breaks one valid record and feeds it, in process, to ``ingest``,
 to ``eval --gt`` against a valid prediction and to ``eval --pred`` against a
 valid scene.  Whatever the mutation, each command either works (exit 0) or
 fails as a data error (exit 2) whose message names the file and the line
-(a frame_id that no longer pairs names the prediction's line).
+(a frame_id that no longer pairs names the prediction's line, and a line cut
+to nothing, which leaves no record, names the frame left without a pair).
+
+The second breaks a ``--room-file`` or a ``--layout`` and runs it through
+``train --epochs 0`` and then ``predict``, with a checkpoint trained on the
+unbroken room.  Each run works or exits 2 naming the room's file, and a room
+that ``train`` takes, ``predict`` takes with the checkpoint it wrote.
 """
 import copy
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ospace.cli import main
@@ -50,8 +58,7 @@ def mutated_lines(draw) -> bytes:
         i = draw(st.integers(0, len(line)))
         line = line[:i] + b"\xff" + line[i:]
     elif cut == "truncate":
-        # a line cut to nothing is a deleted record, not a truncated one
-        line = line[:draw(st.integers(1, len(line) - 1))]
+        line = line[:draw(st.integers(0, len(line) - 1))]
     return line
 
 
@@ -73,4 +80,113 @@ def test_mutated_scene_record_works_or_names_its_file_and_line(tmp_path, capsys,
         assert rc in (0, 2), (argv, err)
         assert "Traceback" not in err
         if rc == 2:
-            assert "bad.jsonl" in err and " line 1" in err, (argv, err)
+            place = " line 1" if line else "frame 1"
+            assert "bad.jsonl" in err and place in err, (argv, err)
+
+
+ROOM_FILE = [b"dim 3", b"0.5", b"-1.0", b"2.0"]
+HEADERS = [b"", b"dim", b"dim x", b"dim -1", b"dim 0", b"dim 2", b"dim 4",
+           b"dim 3.0", b"dim 1e999", b"DIM 3", b"3", b"dim 3 3"]
+FLOATS = [b"nan", b"-inf", b"1e999", b"abc", b"0x10", b"1,5", b"", b"1e-400",
+          b"\xff", b"--1"]
+LAYOUT = {"spec": {"rows": 10, "cols": 12, "cell_m": 0.5}, "cells": ["free"] * 120}
+LAYOUT_KEYS = [("spec",), ("cells",), ("spec", "rows"), ("spec", "cols"),
+               ("spec", "cell_m")]
+LAYOUT_PLACES = LAYOUT_KEYS + [("cells", 0), ("cells", 119)]
+LAYOUT_VALUES = VALUES + ["sofa", "wall", "Free", 6, 24, 0.25, ["free"] * 119,
+                          ["free"] * 60, ["table"] * 120, [None] * 120]
+
+
+@st.composite
+def mutated_room_files(draw) -> bytes:
+    """A 3-value room file with its header, a value or its width changed,
+    or with a non-UTF-8 byte inserted or the file cut short."""
+    lines = list(ROOM_FILE)
+    kind = draw(st.sampled_from(["header", "value", "count", "non-UTF-8",
+                                 "truncate"]))
+    if kind == "header":
+        lines[0] = draw(st.sampled_from(HEADERS))
+    elif kind == "value":
+        lines[draw(st.integers(1, 3))] = draw(st.sampled_from(FLOATS))
+    elif kind == "count":  # a well-formed room of another width, or none
+        n = draw(st.integers(0, 6))
+        lines = [b"dim %d" % n] + [b"1.5"] * n
+    text = b"\n".join(lines) + b"\n"
+    if kind == "non-UTF-8":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + b"\xff" + text[i:]
+    elif kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@st.composite
+def mutated_layouts(draw) -> bytes:
+    """The default-grid layout with one field dropped or replaced, or moved
+    whole onto another grid."""
+    layout = copy.deepcopy(LAYOUT)
+    kind = draw(st.sampled_from(["drop", "replace", "regrid"]))
+    if kind == "drop":
+        path = draw(st.sampled_from(LAYOUT_KEYS))
+        del _parent(layout, path)[path[-1]]
+    elif kind == "replace":
+        path = draw(st.sampled_from(LAYOUT_PLACES))
+        _parent(layout, path)[path[-1]] = draw(st.sampled_from(LAYOUT_VALUES))
+    else:
+        layout["spec"] = {"rows": 5, "cols": 24}
+    return json.dumps(layout).encode()
+
+
+def _train_argv(out, flag, path):
+    return ["train", "s.jsonl", "-o", out, "--epochs", "0", "--split", "1", "0",
+            "0", "--enc-widths", "4", "--hidden", "4", flag, path]
+
+
+@pytest.fixture(scope="module")
+def room_checkpoints(tmp_path_factory):
+    """Checkpoints trained on the unbroken room file and layout."""
+    root = tmp_path_factory.mktemp("rooms")
+    (root / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (root / "good.feat").write_bytes(b"\n".join(ROOM_FILE) + b"\n")
+    (root / "good.json").write_text(json.dumps(LAYOUT))
+    models = {}
+    for flag, path in (("--room-file", "good.feat"), ("--layout", "good.json")):
+        models[flag] = root / f"{flag[2:]}.ckpt"
+        argv = _train_argv(str(models[flag]), flag, str(root / path))
+        argv[1] = str(root / "s.jsonl")
+        assert main(argv) == 0
+    return models
+
+
+def _run(capsys, argv, name) -> int:
+    """Exit code of ``argv``, which works or exits 2 naming the file ``name``."""
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert name in err, (argv, err)
+    return rc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(room=st.one_of(st.tuples(st.just("--room-file"), mutated_room_files()),
+                      st.tuples(st.just("--layout"), mutated_layouts())))
+def test_mutated_room_works_or_names_its_file(tmp_path, capsys, monkeypatch,
+                                              room_checkpoints, room):
+    flag, text = room
+    name = {"--room-file": "bad.feat", "--layout": "bad.json"}[flag]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(text)
+    (tmp_path / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (tmp_path / "m.ckpt").unlink(missing_ok=True)
+
+    def predict(model):
+        return ["predict", str(model), "s.jsonl", "-o", "pred.jsonl", flag, name]
+
+    trained = _run(capsys, _train_argv("m.ckpt", flag, name), name) == 0
+    _run(capsys, predict(room_checkpoints[flag]), name)
+    if trained:  # a room train takes, predict takes with that checkpoint
+        assert _run(capsys, predict("m.ckpt"), name) == 0

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,8 +361,8 @@ def test_augment_counts_and_order():
     out = augment([s])
     assert len(out) == 4
     assert out[0] == s
-    assert out[1] == flip_scene(s, "horizontal")
-    assert out[2] == flip_scene(s, "vertical")
-    assert out[3] == flip_scene(s, "both")
+    for flip, axis, frame_id in zip(out[1:], ("horizontal", "vertical", "both"),
+                                    ("f-h", "f-v", "f-hv")):
+        assert flip == replace(flip_scene(s, axis), frame_id=frame_id)
     assert augment([]) == []
     assert len(augment(_dummy_scenes(320))) == 1280

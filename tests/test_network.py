@@ -31,6 +31,7 @@ from ospace.network import (
     _Adam,
     _Sgd,
 )
+from ospace.postprocess import predict_scene
 from ospace.room import RoomFeature
 
 ROOM4 = RoomFeature(np.zeros(4))
@@ -470,6 +471,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     a = predict_heatmap(_scenes()[0], model, ROOM4)
     b = predict_heatmap(_scenes()[0], back, ROOM4)
     assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_zero_wide_room_trains_round_trips_and_predicts(tmp_path):
+    room = RoomFeature(np.zeros(0))  # what the CLI trains on without a room
+    head_cfg = HeadConfig(input_dim=ENC_CFG.output_dim, hidden_widths=(16,),
+                          output_dim=120)
+    model, trace = train(_scenes(), room, ENC_CFG, head_cfg, _quick_cfg())
+    assert len(trace) == 3
+    save_model(model, tmp_path / "m.ckpt")
+    back = load_model(tmp_path / "m.ckpt")
+    assert back.head.config.input_dim == ENC_CFG.output_dim
+    scene = _scenes()[0]
+    heatmap, _, groups = predict_scene(scene, back, room)
+    assert heatmap.values.tobytes() == \
+        predict_heatmap(scene, model, room).values.tobytes()
+    assert sorted(i for g in groups for i in g) == list(range(len(scene.persons)))
 
 
 def _edit_header(path, edit) -> None:

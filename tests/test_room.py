@@ -12,7 +12,6 @@ from ospace.room import (
     layout_from_obj,
     load_layout,
     load_precomputed,
-    pad_to_dim,
     pca_fit,
     pca_project,
     room_feature_from_layout,
@@ -104,18 +103,16 @@ def test_layout_from_obj_errors():
         layout_from_obj({"cells": ["free"] * 119})
 
 
-def test_pad_to_dim():
-    padded = pad_to_dim(np.array([1.0, 2.0]), 5)
-    assert np.array_equal(padded, [1.0, 2.0, 0.0, 0.0, 0.0])
-    assert pad_to_dim(np.array([1.0, 2.0]), 2).tolist() == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        pad_to_dim(np.array([1.0, 2.0]), 1)
-
-
-def test_room_feature_from_layout_pads():
-    feat = room_feature_from_layout(_uniform_layout(), dim=1024)
-    assert feat.dim == 1024
-    assert np.all(feat.values[628:] == 0.0)
+def test_room_feature_from_layout_is_the_pyramid_as_it_is():
+    layout = _uniform_layout("table")
+    raw = extract_layout_features(layout)
+    feat = room_feature_from_layout(layout)
+    assert feat.dim == 628
+    assert feat.values.tobytes() == raw.tobytes()
+    samples = np.stack([raw, extract_layout_features(_uniform_layout())])
+    pca = pca_fit(samples, 1)
+    reduced = room_feature_from_layout(layout, pca)
+    assert reduced.values.tobytes() == pca_project(pca, raw).tobytes()
 
 
 def test_feature_file_roundtrip(tmp_path):
