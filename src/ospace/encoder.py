@@ -14,8 +14,13 @@ permutation of a set yields the same matrix, and so the same bits.
 
 Backward routes each pooled dimension's gradient to its argmax person, ties
 to the lowest index.  The batched path pads sets to a common length and
-masks padded rows out of the max with -inf; their activations are never
-selected, so they receive zero gradient and the padding stays inert.
+masks padded rows out of the max by writing -inf over them in place, in the
+last layer's output, which no cache keeps; their activations are never
+selected, so they receive zero gradient and the padding stays inert.  The
+pool is ``max(axis=1)``, and the argmax person is the first row equal to
+the max.  That is the row ``argmax`` picks, without its compare-and-branch
+per element, because the ReLU output holds neither NaN nor -0.0 (see
+``layers``): equality then singles out exactly the maximal values.
 """
 from __future__ import annotations
 
@@ -105,9 +110,9 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     x, xs, relu_masks = relu_stack_forward(batch.reshape(b * p_max, d),
                                            weights.layers)
     per_person = x.reshape(b, p_max, -1)
-    masked = np.where(mask[:, :, None], per_person, -np.inf)
-    arg = masked.argmax(axis=1)
-    pooled = np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :]
+    per_person[~mask] = -np.inf
+    pooled = per_person.max(axis=1)
+    arg = (per_person == pooled[:, None, :]).argmax(axis=1)
     return pooled, (xs, relu_masks, arg, (b, p_max))
 
 

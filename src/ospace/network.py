@@ -190,7 +190,8 @@ def head_forward(x: np.ndarray, weights: HeadWeights):
         )
     x, xs, relu_masks = relu_stack_forward(x, weights.layers[:-1])
     xs.append(x)
-    z = x @ weights.layers[-1].W + weights.layers[-1].b
+    z = x @ weights.layers[-1].W
+    z += weights.layers[-1].b
     y = sigmoid(z)
     return y, (xs, relu_masks, y)
 

@@ -81,8 +81,9 @@ class RoomFeature:
 def layout_from_obj(obj, what: str = "layout") -> LayoutMap:
     """A layout map from its JSON form; errors name ``what`` and the field.
 
-    ``cells`` holds the class names row-major.  ``spec`` is optional, and
-    fields missing from it take their values from ``DEFAULT_SPEC``.
+    ``cells`` holds the class names row-major, and a bad one is named by its
+    index (``cells.I``).  ``spec`` is optional, and fields missing from it
+    take their values from ``DEFAULT_SPEC``.
     """
     cells = get_field(obj, "", "cells", (list,), what)
     given = get_field(obj, "", "spec", (dict,), what) if "spec" in obj else {}
@@ -90,13 +91,15 @@ def layout_from_obj(obj, what: str = "layout") -> LayoutMap:
     if len(cells) != spec.n_cells:
         raise ValueError(f"{what} cells: {len(cells)} cells, the "
                          f"{spec.rows}x{spec.cols} grid has {spec.n_cells}")
+    for i, name in enumerate(cells):
+        # cell i is read as field "i" of an object, so its errors name cells.i
+        get_field({str(i): name}, "cells", str(i), (str,), what)
+        if name not in OCCUPANCY_CLASSES:
+            raise ValueError(f"{what} cells.{i}: unknown occupancy class {name!r}")
     rows = tuple(
         tuple(cells[r * spec.cols: (r + 1) * spec.cols]) for r in range(spec.rows)
     )
-    try:
-        return LayoutMap(rows, spec)
-    except ValueError as e:  # an unknown occupancy class
-        raise ValueError(f"{what} cells: {e}") from None
+    return LayoutMap(rows, spec)
 
 
 def load_layout(path) -> LayoutMap:
@@ -237,9 +240,16 @@ def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
 
 
 def load_precomputed(source) -> RoomFeature:
-    """Read a feature file: header line ``dim N`` then N decimal floats."""
+    """Read a feature file: header line ``dim N`` then N decimal floats.
+
+    ``source`` is the file's text or bytes.  Errors say what is wrong and
+    where, by byte or value number from 1; the caller adds the file name.
+    """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"not UTF-8 (byte {e.start + 1}: {e.reason})") from None
     tokens = source.split()
     if len(tokens) < 2 or tokens[0] != "dim":
         raise ValueError("feature file must start with a 'dim N' header")
@@ -256,6 +266,9 @@ def load_precomputed(source) -> RoomFeature:
         arr = np.array([float(t) for t in vals])
     except ValueError as e:
         raise ValueError(f"bad float in feature file: {e}") from None
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"non-finite value {bad[0] + 1}: {vals[bad[0]]}")
     return RoomFeature(arr)
 
 

@@ -450,13 +450,17 @@ def _train_with_layout(workdir, text):
     (json.dumps({"cells": CELLS[1:]}),
      "lay.json cells: 119 cells, the 10x12 grid has 120\n"),
     (json.dumps({"cells": CELLS[1:] + ["sofa"]}),
-     "lay.json cells: unknown occupancy class 'sofa'\n"),
+     "lay.json cells.119: unknown occupancy class 'sofa'\n"),
+    (json.dumps({"cells": [CELLS[1:]] + CELLS[1:]}),
+     "lay.json cells.0: expected string, got array\n"),
+    (json.dumps({"cells": CELLS[:7] + [None] + CELLS[8:]}),
+     "lay.json cells.7: expected string, got null\n"),
     (json.dumps({"spec": {"rows": 0}, "cells": []}),
      "lay.json spec: grid must be at least 1x1, got 0x12\n"),
     ("{nope", "lay.json: not JSON ("),
 ], ids=["rows object", "rows boolean", "rows float", "cells integer",
         "no cells", "spec list", "top-level list", "cell count",
-        "unknown class", "empty grid", "not JSON"])
+        "unknown class", "cell array", "cell null", "empty grid", "not JSON"])
 def test_train_bad_layout_file_is_data_error(workdir, capsys, text, message):
     rc = _train_with_layout(workdir, text)
     err = capsys.readouterr().err
@@ -482,14 +486,19 @@ def test_layout_grid_must_match_the_run(workdir, capsys):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("dim x\n1.0\n", "bad dimension 'x' in feature header"),
-    ("dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
-                            "string to float: 'abc'"),
-    ("dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
-], ids=["bad dimension", "bad float", "value count"])
+    (b"dim x\n1.0\n", "bad dimension 'x' in feature header"),
+    (b"dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
+                             "string to float: 'abc'"),
+    (b"dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
+    (b"dim 2\n1.0\n\xff\n", "not UTF-8 (byte 11: invalid start byte)"),
+    (b"dim 2\n1.0\nnan\n", "non-finite value 2: nan"),
+    (b"dim 3\n1.0\n-inf\n2.0\n", "non-finite value 2: -inf"),
+    (b"dim 1\n1e999\n", "non-finite value 1: 1e999"),
+], ids=["bad dimension", "bad float", "value count", "non-UTF-8", "nan",
+        "inf", "overflow"])
 def test_train_bad_room_file_names_it(workdir, capsys, text, message):
     scenes = _write_scenes(workdir / "s.jsonl")
-    (workdir / "bad.feat").write_text(text)
+    (workdir / "bad.feat").write_bytes(text)
     rc = main(["train", str(scenes), "-o", "m.ckpt", "--epochs", "0",
                "--split", "1", "0", "0", "--enc-widths", "4", "--hidden", "4",
                "--room-file", "bad.feat"])

@@ -12,6 +12,9 @@ The second breaks a ``--room-file`` or a ``--layout`` and runs it through
 ``train --epochs 0`` and then ``predict``, with a checkpoint trained on the
 unbroken room.  Each run works or exits 2 naming the room's file, and a room
 that ``train`` takes, ``predict`` takes with the checkpoint it wrote.
+
+The third breaks a ``--params`` file and runs it through ``predict``, which
+works or exits 2 naming the file.
 """
 import copy
 import json
@@ -190,3 +193,55 @@ def test_mutated_room_works_or_names_its_file(tmp_path, capsys, monkeypatch,
     _run(capsys, predict(room_checkpoints[flag]), name)
     if trained:  # a room train takes, predict takes with that checkpoint
         assert _run(capsys, predict("m.ckpt"), name) == 0
+
+
+PARAMS = {"nms_threshold": 0.5, "min_group_separation_m": 1.0,
+          "max_assign_dist_m": 0.8, "stride_m": 0.7}
+PARAMS_VALUES = VALUES + [-0.5, 1.5, 1e-300, 1e308, 10 ** 20]
+
+
+@st.composite
+def mutated_params(draw) -> bytes:
+    """The params file with one field dropped or replaced, or as a top-level
+    list, then optionally with a non-UTF-8 byte inserted or cut short."""
+    params = dict(PARAMS)
+    kind = draw(st.sampled_from(["drop", "replace", "list"]))
+    if kind == "drop":
+        del params[draw(st.sampled_from(sorted(PARAMS)))]
+    elif kind == "replace":
+        params[draw(st.sampled_from(sorted(PARAMS)))] = draw(
+            st.sampled_from(PARAMS_VALUES))
+    else:
+        params = list(params.values())
+    text = json.dumps(params).encode()
+    cut = draw(st.sampled_from(["none", "non-UTF-8", "truncate"]))
+    if cut == "non-UTF-8":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + b"\xff" + text[i:]
+    elif cut == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def plain_checkpoint(tmp_path_factory):
+    """A checkpoint trained with no room."""
+    root = tmp_path_factory.mktemp("params")
+    (root / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    model = root / "m.ckpt"
+    assert main(["train", str(root / "s.jsonl"), "-o", str(model), "--epochs",
+                 "0", "--split", "1", "0", "0", "--enc-widths", "4",
+                 "--hidden", "4"]) == 0
+    return model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_params())
+def test_mutated_params_work_or_name_their_file(tmp_path, capsys, monkeypatch,
+                                                plain_checkpoint, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(text)
+    (tmp_path / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    _run(capsys, ["predict", str(plain_checkpoint), "s.jsonl", "-o",
+                  "pred.jsonl", "--params", "bad.json"], "bad.json")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ospace.encoder import (
     EncoderConfig,
@@ -10,7 +14,7 @@ from ospace.encoder import (
     init_encoder,
     pad_features,
 )
-from ospace.layers import Dense
+from ospace.layers import Dense, relu_stack_forward
 
 
 def _random_encoder(rng, input_dim=6, widths=(5, 4), max_people=8):
@@ -187,3 +191,50 @@ def test_lipschitz_no_blowup():
         f2[2, 3] += eps
         delta = np.linalg.norm(encode(f2, w) - base)
         assert delta <= bound * eps * (1 + 1e-9)
+
+
+def where_pool(batch, mask, weights):
+    """Reference: the pooling as a masked copy and its argmax computed it."""
+    b, p_max, d = batch.shape
+    x, _, _ = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
+    masked = np.where(mask[:, :, None], x.reshape(b, p_max, -1), -np.inf)
+    arg = masked.argmax(axis=1)
+    return np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :], arg
+
+
+# zeros of both signs, subnormals, the smallest normal and the non-finite
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
+           -math.inf, math.nan]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4))
+
+
+@st.composite
+def padded_batches(draw):
+    """Sets of 1-P persons padded to P rows anywhere, and a 1-2 layer encoder
+    of random widths."""
+    widths = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
+    d = draw(st.integers(1, 5))
+    b, p_max = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    batch = draw(hnp.arrays(float, (b, p_max, d), elements=VALUES))
+    mask = draw(hnp.arrays(bool, (b, p_max)))
+    mask[np.arange(b), draw(hnp.arrays(np.intp, b,
+                                       elements=st.integers(0, p_max - 1)))] = True
+    dims = (d,) + widths
+    layers = [Dense(draw(hnp.arrays(float, (m, n), elements=VALUES)),
+                    draw(hnp.arrays(float, n, elements=VALUES)))
+              for m, n in zip(dims, dims[1:])]
+    return batch, mask, EncoderWeights(EncoderConfig(d, p_max, widths), layers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=padded_batches())
+def test_pooling_is_bit_equal_to_masked_argmax(case):
+    batch, mask, w = case
+    before = batch.copy()
+    with np.errstate(all="ignore"):
+        pooled, cache = encode_batch(batch, mask, w)
+        want, want_arg = where_pool(batch, mask, w)
+    arg = cache[2]
+    assert pooled.tobytes() == want.tobytes() and pooled.shape == want.shape
+    assert arg.tobytes() == want_arg.tobytes() and arg.dtype == want_arg.dtype
+    assert batch.tobytes() == before.tobytes()

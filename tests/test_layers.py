@@ -1,12 +1,66 @@
+import math
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ospace.layers import (
+    Dense,
+    _relu_in_place,
     flatten,
     init_dense,
     relu_stack_backward,
     relu_stack_forward,
     sigmoid,
 )
+
+# zeros of both signs, subnormals, the smallest normal and the non-finite
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+           -2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+
+
+def where_forward(x, layers):
+    """Reference: the ReLU stack as np.where computed it."""
+    xs = []
+    masks = []
+    for layer in layers:
+        xs.append(x)
+        z = x @ layer.W + layer.b
+        m = z > 0
+        masks.append(m)
+        x = np.where(m, z, 0.0)
+    return x, xs, masks
+
+
+def where_backward(g, layers, xs, masks):
+    """Reference: the ReLU stack's backward as np.where computed it."""
+    for layer, x, m in zip(reversed(layers), reversed(xs), reversed(masks)):
+        g = np.where(m, g, 0.0)
+        np.matmul(x.T, g, out=layer.grad_W)
+        np.sum(g, axis=0, out=layer.grad_b)
+        g = g @ layer.W.T
+    return g
+
+
+def values(finite=False):
+    specials = [v for v in SPECIAL if math.isfinite(v) or not finite]
+    return st.one_of(st.sampled_from(specials), st.floats(-4, 4))
+
+
+@st.composite
+def relu_stacks(draw, finite=False):
+    """A batch of rows and a stack of 1-3 layers, all of random shape."""
+    dims = draw(st.lists(st.integers(1, 11), min_size=2, max_size=4))
+    x = draw(hnp.arrays(float, (draw(st.integers(1, 13)), dims[0]),
+                        elements=values(finite)))
+    layers = [Dense(draw(hnp.arrays(float, (a, b), elements=values(finite))),
+                    draw(hnp.arrays(float, b, elements=values(finite))))
+              for a, b in zip(dims, dims[1:])]
+    return x, layers
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_sigmoid_extremes_safe():
@@ -64,6 +118,51 @@ def test_relu_stack_backward_overwrites_gradient_buffers():
     assert np.array_equal(layers[1].grad_b, g1.sum(axis=0))
     assert np.array_equal(layers[0].grad_W, xs[0].T @ g0)
     assert np.array_equal(layers[0].grad_b, g0.sum(axis=0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=40),
+                    elements=values()))
+def test_relu_kernel_is_bit_equal_to_where(z):
+    want = np.where(z > 0, z, 0.0)
+    out = z.copy()
+    assert _relu_in_place(out) is out
+    assert _same(out, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=relu_stacks())
+def test_relu_stack_forward_is_bit_equal_to_where(stack):
+    x, layers = stack
+    x_before = x.copy()
+    with np.errstate(all="ignore"):
+        out, xs, masks = relu_stack_forward(x, layers)
+        want, want_xs, want_masks = where_forward(x, layers)
+    assert _same(out, want)
+    assert all(_same(a, b) for a, b in zip(xs, want_xs))
+    assert all(_same(a, b) for a, b in zip(masks, want_masks))
+    assert xs[0] is x and _same(x, x_before)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=relu_stacks(finite=True), data=st.data())
+def test_relu_stack_backward_is_bit_equal_to_where(stack, data):
+    x, layers = stack
+    out, xs, masks = relu_stack_forward(x, layers)
+    # the gradient may hold NaN and inf too: the bit select keeps them
+    # where the mask is set and writes +0.0 elsewhere, as np.where does
+    g = data.draw(hnp.arrays(float, out.shape, elements=values()))
+    g_before = g.copy()
+    xs_before = [a.copy() for a in xs]
+    ref = [Dense(l.W.copy(), l.b.copy()) for l in layers]
+    with np.errstate(all="ignore"):
+        got = relu_stack_backward(g, layers, xs, masks)
+        want = where_backward(g, ref, xs, masks)
+    assert _same(got, want)
+    for layer, r in zip(layers, ref):
+        assert _same(layer.grad_W, r.grad_W) and _same(layer.grad_b, r.grad_b)
+    assert _same(g, g_before)
+    assert all(_same(a, b) for a, b in zip(xs, xs_before))
 
 
 def test_init_dense_fan_in_bounds():
