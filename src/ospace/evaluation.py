@@ -13,8 +13,12 @@ with deterministic (smallest-member) tie ordering on both sides.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .core import check_groups
 
@@ -42,12 +46,23 @@ class GroupMetrics:
 
 
 def snap_tolerance(t) -> Fraction:
-    """Tolerance as an exact fraction; floats snap to the nearest simple ratio."""
-    if isinstance(t, float):
-        frac = Fraction(t).limit_denominator(10 ** 6)
+    """Tolerance as an exact fraction; floats (numpy's too) snap to the
+    nearest simple ratio and strings parse as fractions ("2/3", "0.7").
+    A boolean or any other non-number is a ValueError naming the value."""
+    if type(t) is Fraction:
+        frac = t
+    elif isinstance(t, (bool, np.bool_)):  # the rule of core.check_groups
+        raise ValueError(f"tolerance {t!r} is a boolean, not a number")
+    elif isinstance(t, (float, np.floating)):
+        if not math.isfinite(t):
+            raise ValueError(f"tolerance {t} outside (0, 1]")
+        frac = Fraction(float(t)).limit_denominator(10 ** 6)
     else:
-        frac = Fraction(t)
-    if not 0 < frac <= 1:
+        try:
+            frac = Fraction(t)
+        except TypeError:
+            raise ValueError(f"tolerance {t!r} is not a number") from None
+    if not 0 < frac.numerator <= frac.denominator:  # (0, 1], in integers
         raise ValueError(f"tolerance {t} outside (0, 1]")
     return frac
 
@@ -64,6 +79,14 @@ def max_false(group_size: int, t: Fraction) -> int:
     return _ceil_frac((1 - t) * group_size)
 
 
+@lru_cache(maxsize=4096)
+def _thresholds(group_size: int, num: int, den: int) -> tuple[int, int]:
+    """(required_correct, max_false) of a true group's size at T = num/den,
+    keyed by integers because hashing a Fraction is slow."""
+    t = Fraction(num, den)
+    return required_correct(group_size, t), max_false(group_size, t)
+
+
 def group_matches(pred, gt, t) -> bool:
     """True when pred has enough of gt's members and few enough outsiders."""
     pred = set(pred)
@@ -71,10 +94,9 @@ def group_matches(pred, gt, t) -> bool:
     if not pred or not gt:
         raise ValueError("empty group")
     t = snap_tolerance(t)
+    need, allow = _thresholds(len(gt), t.numerator, t.denominator)
     correct = len(pred & gt)
-    false_subjects = len(pred - gt)
-    return correct >= required_correct(len(gt), t) and \
-        false_subjects <= max_false(len(gt), t)
+    return correct >= need and len(pred) - correct <= allow
 
 
 def _match_order(blocks):
@@ -85,19 +107,25 @@ def match_scene(pred_groups, gt_groups, t) -> tuple[int, int, int]:
     """Greedy one-to-one matching of one scene's groups: (tp, fp, fn).
 
     Inputs may include singleton blocks or omit them; only blocks of 2+
-    people are scored.  Each side must pass ``core.check_groups``.
+    people are scored.  Each side must pass ``core.check_groups``, so no
+    block repeats a member and a block's size is its set's size.
     """
     t = snap_tolerance(t)
     check_groups(pred_groups, what="predicted")
     check_groups(gt_groups, what="ground-truth")
-    pred = _match_order(b for b in pred_groups if len(b) >= 2)
+    pred = [set(b) for b in _match_order(b for b in pred_groups if len(b) >= 2)]
     gt = _match_order(b for b in gt_groups if len(b) >= 2)
 
     claimed = [False] * len(pred)
     tp = 0
     for g in gt:
+        need, allow = _thresholds(len(g), t.numerator, t.denominator)
+        g = set(g)
         for i, p in enumerate(pred):
-            if not claimed[i] and group_matches(p, g, t):
+            if claimed[i]:
+                continue
+            correct = len(p & g)
+            if correct >= need and len(p) - correct <= allow:
                 claimed[i] = True
                 tp += 1
                 break

@@ -19,10 +19,8 @@ from .core import (
     OSpaceMap,
     Point2,
     Scene,
-    canonical_partition,
-    cell_center,
 )
-from .groundtruth import DEFAULT_STRIDE_M, propose_center
+from .groundtruth import DEFAULT_STRIDE_M
 from .network import ModelWeights, predict_heatmap
 from .room import RoomFeature
 
@@ -58,38 +56,52 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     Candidates are cells >= all 8 neighbors (borders padded with -inf) and
     >= nms_threshold, visited in descending score with row-major tie order;
     each is kept iff it lies at least min_group_separation_m from every
-    already-kept center.  Result is sorted by descending score.
+    already-kept center.  Result is sorted by descending score.  Centers
+    are ``core.cell_center``'s expressions; only a kept candidate becomes a
+    ``Detection``.
     """
     v = heatmap.values
     n_rows, n_cols = v.shape
     framed = np.full((n_rows + 2, n_cols + 2), -np.inf)
     framed[1:-1, 1:-1] = v
-    is_peak = v >= params.nms_threshold
-    for dr in range(3):
-        for dc in range(3):
-            if (dr, dc) != (1, 1):
-                is_peak &= v >= framed[dr:dr + n_rows, dc:dc + n_cols]
-    rows, cols = np.nonzero(is_peak)
+    # each cell's 3x3 window max, one axis at a time: a cell is >= that
+    # max iff it is >= all 8 neighbors
+    win = np.maximum(np.maximum(framed[:, :-2], framed[:, 2:]), framed[:, 1:-1])
+    win = np.maximum(np.maximum(win[:-2], win[2:]), win[1:-1])
+    rows, cols = np.nonzero((v >= win) & (v >= params.nms_threshold))
     scores = v[rows, cols]
-    order = np.lexsort((cols, rows, -scores))
+    order = np.argsort(-scores, kind="stable")  # nonzero is row-major
 
-    kept: list[Detection] = []
+    kept: list[tuple[float, float, float]] = []
+    cell_m = heatmap.spec.cell_m
     min_sep_sq = params.min_group_separation_m ** 2
     for r, c, score in zip(rows[order].tolist(), cols[order].tolist(),
                            scores[order].tolist()):
-        center = cell_center(r, c, heatmap.spec)
-        if all((center.x - d.center.x) ** 2 + (center.y - d.center.y) ** 2
-               >= min_sep_sq for d in kept):
-            kept.append(Detection(center, score))
-    return kept
+        x, y = (c + 0.5) * cell_m, (r + 0.5) * cell_m
+        for kx, ky, _ in kept:
+            if (x - kx) ** 2 + (y - ky) ** 2 < min_sep_sq:
+                break
+        else:
+            kept.append((x, y, score))
+    return [Detection(Point2(x, y), score) for x, y, score in kept]
 
 
 def propose_centers(persons, stride_m: float) -> np.ndarray:
-    """Every person's o-space proposal at one stride, as an (n, 2) array."""
-    out = np.empty((len(persons), 2))
-    for i, person in enumerate(persons):
-        prop = propose_center(person, stride_m)
-        out[i] = prop.x, prop.y
+    """Every person's o-space proposal at one stride, as an (n, 2) array.
+
+    Row i is ``groundtruth.propose_center(persons[i], stride_m)`` bit for
+    bit, by the same ``math`` expressions, and the same ValueError rises
+    for a negative stride or a non-finite proposal.
+    """
+    if len(persons) and stride_m < 0:
+        raise ValueError(f"stride must be non-negative, got {stride_m}")
+    cos, sin, radians = math.cos, math.sin, math.radians
+    points = [(p.x + stride_m * cos(rad), p.y + stride_m * sin(rad))
+              for p in persons for rad in (radians(p.yaw_deg),)]
+    out = np.array(points).reshape(len(points), 2)
+    if not np.isfinite(out).all():
+        x, y = next(q for q in points if not all(map(math.isfinite, q)))
+        raise ValueError(f"non-finite point ({x}, {y})")
     return out
 
 
@@ -104,8 +116,7 @@ def nearest_detections(props: np.ndarray, detections):
         return np.full(len(props), -1, dtype=np.intp), np.full(len(props), np.inf)
     centers = np.array([[d.center.x, d.center.y] for d in detections])
     dist = np.hypot(centers[:, 0] - props[:, :1], centers[:, 1] - props[:, 1:])
-    j = np.argmin(dist, axis=1)
-    return j, dist[np.arange(len(props)), j]
+    return np.argmin(dist, axis=1), dist.min(axis=1)
 
 
 def assign_groups(persons, detections, params: AssignParams):
@@ -130,7 +141,8 @@ def assign_groups(persons, detections, params: AssignParams):
             groups.append(tuple(members))
         else:
             groups.extend((m,) for m in members)
-    return canonical_partition(groups)
+    groups.sort()  # members already ascend: this is canonical_partition
+    return tuple(groups)
 
 
 def predict_scene(scene: Scene, model: ModelWeights, room: RoomFeature,

@@ -14,14 +14,20 @@ Each stage runs once per combination of the grid axes it depends on:
   over the matrix's columns for its prefix, so ties still go to the lower
   index.
 
-The assignment distance is then only a cutoff on that distance: the
+The assignment distance is then only a cutoff on that distance: the key
 vector ``where(dist <= max_assign_dist_m, nearest, -1)`` fixes the
-partition ``assign_groups`` would return.  Its bytes key a per-scene memo
-of ``match_scene`` counts, so ``assign_groups`` and ``match_scene`` run
-once per distinct partition of a scene, not once per grid point.  The
-table lists every grid point in grid order.  Ties on F1 break toward
-higher threshold, larger separation, smaller assignment distance, then
-smaller stride.
+partition ``assign_groups`` would return.  Every grid point's key vector
+is one row of a points x persons array.  Per scene, one ``np.unique`` over
+its columns, each row viewed as raw bytes, finds the distinct key rows and
+which one each grid point has; no Python loop runs per (grid point,
+scene).  ``assign_groups`` then runs once per distinct (scene, key row), at
+the row's first grid point, and ``match_scene`` once per distinct (scene,
+partition): key rows that differ only in detection indices, or in a
+detection one person alone claims, give one partition.  Each grid point's
+``aggregate`` gets its (tp, fp, fn) summed over the scenes.  The table
+lists every grid point in grid order.  Ties on F1 break toward higher
+threshold, larger separation, smaller assignment distance, then smaller
+stride.
 """
 from __future__ import annotations
 
@@ -89,6 +95,18 @@ def _prefix_candidates(heatmaps, sep, lowest, owner, props):
     return detections, scores, dists
 
 
+def _distinct_rows(rows):
+    """(index of each distinct row's first occurrence, each row's index
+    into those) of a 2-D array, comparing rows as raw bytes."""
+    if len(rows) == 1 or not rows.shape[1]:  # no void view of zero width
+        return np.zeros(1, np.intp), np.zeros(len(rows), np.intp)
+    rows = np.ascontiguousarray(rows)
+    void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(void.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse
+
+
 def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     """Search the grid given precomputed per-scene heatmaps.
 
@@ -110,33 +128,46 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     lowest = min(grid.nms_thresholds)
     by_sep = [_prefix_candidates(heatmaps, sep, lowest, owner, props)
               for sep in grid.separations_m]
-    memos: list[dict[bytes, tuple[int, int, int]]] = [{} for _ in scenes]
-    table: list[GridResult] = []
-    for thr in grid.nms_thresholds:
-        for sep, (detections, scores, dists) in zip(grid.separations_m, by_sep):
+
+    # every grid point's key vector, in grid order: points x persons, in
+    # the smallest signed type that holds -1 .. width - 1
+    shape = (len(grid.nms_thresholds), len(grid.separations_m),
+             len(grid.assign_dists_m), len(grid.strides_m))
+    width = max(scores.shape[1] for _, scores, _ in by_sep)
+    keys = np.empty(shape + (len(owner),), np.min_scalar_type(-width))
+    n_live = np.empty(shape[:2] + (len(scenes),), np.intp)
+    ads = np.array(grid.assign_dists_m)[:, None]
+    for a, thr in enumerate(grid.nms_thresholds):
+        for b, (_, scores, dists) in enumerate(by_sep):
             live = scores >= thr
-            ks = np.count_nonzero(live, axis=1).tolist()
+            n_live[a, b] = np.count_nonzero(live, axis=1)
             live_rows = live[owner]
-            nearest = []
-            for dist in dists:
+            for d, dist in enumerate(dists):
                 dist = np.where(live_rows, dist, np.inf)
-                nearest.append((np.argmin(dist, axis=1), dist.min(axis=1)))
-            for ad in grid.assign_dists_m:
-                for st, (j, dist) in zip(grid.strides_m, nearest):
-                    params = AssignParams(nms_threshold=thr,
-                                          min_group_separation_m=sep,
-                                          max_assign_dist_m=ad, stride_m=st)
-                    keys = np.where(dist <= ad, j, -1)
-                    counts = []
-                    for i, (s, memo) in enumerate(zip(scenes, memos)):
-                        key = keys[bounds[i]:bounds[i + 1]].tobytes()
-                        if key not in memo:
-                            memo[key] = match_scene(
-                                assign_groups(s.persons, detections[i][:ks[i]],
-                                              params),
-                                s.groups, t)
-                        counts.append(memo[key])
-                    table.append(GridResult(params, aggregate(counts, t)))
+                keys[a, b, :, d] = np.where(dist.min(axis=1) <= ads,
+                                            np.argmin(dist, axis=1), -1)
+    keys = keys.reshape(-1, len(owner))
+    points = [(AssignParams(nms_threshold=thr, min_group_separation_m=sep,
+                            max_assign_dist_m=ad, stride_m=st), a, b)
+              for a, thr in enumerate(grid.nms_thresholds)
+              for b, sep in enumerate(grid.separations_m)
+              for ad in grid.assign_dists_m for st in grid.strides_m]
+
+    totals = np.zeros((len(points), 3), np.int64)
+    for i, s in enumerate(scenes):
+        first, inverse = _distinct_rows(keys[:, bounds[i]:bounds[i + 1]])
+        matched: dict[tuple, tuple[int, int, int]] = {}
+        counts = []
+        for g in first.tolist():
+            params, a, b = points[g]
+            detections = by_sep[b][0][i][:n_live[a, b, i]]
+            partition = assign_groups(s.persons, detections, params)
+            if partition not in matched:
+                matched[partition] = match_scene(partition, s.groups, t)
+            counts.append(matched[partition])
+        totals += np.array(counts, np.int64)[inverse]
+    table = [GridResult(p, aggregate([c], t))
+             for (p, _, _), c in zip(points, totals.tolist())]
 
     best = min(table, key=lambda r: (-r.metrics.f1, -r.params.nms_threshold,
                                      -r.params.min_group_separation_m,

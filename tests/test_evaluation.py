@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospace.evaluation import (
+    _thresholds,
     aggregate,
     format_tolerance,
     group_matches,
@@ -199,3 +201,34 @@ def test_match_scene_equals_greedy_set_algebra(pair, tolerance):
     num, den = tolerance
     assert match_scene(pred, gt, Fraction(num, den)) == \
         _greedy_over_sets(pred, gt, num, den)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 2), T23,
+                               Fraction(1), Fraction(7, 10)])
+def test_cached_thresholds_equal_exact_formula(t):
+    for size in range(1, 61):
+        exact = (math.ceil(t * size), math.ceil((1 - t) * size))
+        assert _thresholds(size, t.numerator, t.denominator) == exact
+        assert (required_correct(size, t), max_false(size, t)) == exact
+
+
+def test_snap_tolerance_rejects_booleans_and_non_numbers():
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="boolean"):
+            snap_tolerance(bad)
+    for bad in (None, [0.5], 0.5j, object()):
+        with pytest.raises(ValueError, match="is not a number") as err:
+            snap_tolerance(bad)
+        assert repr(bad) in str(err.value)
+    for bad in (float("nan"), float("inf"), np.float32("inf"), "1/0x", "1.5"):
+        with pytest.raises(ValueError):
+            snap_tolerance(bad)
+
+
+def test_snap_tolerance_numpy_and_string_inputs():
+    assert snap_tolerance(np.float32(0.7)) == Fraction(7, 10)
+    assert snap_tolerance(np.float64(2 / 3)) == T23
+    assert snap_tolerance(np.int64(1)) == Fraction(1)
+    assert snap_tolerance("2/3") == T23
+    assert snap_tolerance("0.7") == Fraction(7, 10)
+    assert snap_tolerance(Fraction(3, 4)) == Fraction(3, 4)

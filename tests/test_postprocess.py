@@ -277,3 +277,34 @@ def test_nearest_detections_without_detections():
     assert np.isinf(dist).all()
     near, dist = nearest_detections(propose_centers([], 0.7), [])
     assert near.shape == dist.shape == (0,)
+
+
+def _bits(a) -> list[bytes]:
+    return [np.float64(v).tobytes() for v in np.ravel(a)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(persons=st.lists(st.builds(
+           Person, st.floats(-50, 50), st.floats(-50, 50),
+           st.one_of(st.floats(-720, 720),
+                     st.integers(-8, 8).map(lambda k: 90.0 * k))),
+           max_size=8),
+       stride=st.one_of(st.just(0.0), st.floats(0, 5)))
+def test_propose_centers_equals_propose_center_bit_for_bit(persons, stride):
+    got = propose_centers(persons, stride)
+    assert got.shape == (len(persons), 2)
+    for row, person in zip(got, persons):
+        want = propose_center(person, stride)
+        assert _bits(row) == _bits((want.x, want.y))
+
+
+def test_propose_centers_raises_what_propose_center_raises():
+    huge = [Person(1.0, 1.0, 0.0), Person(1.7e308, 2.0, 0.0)]
+    with pytest.raises(ValueError) as want:
+        [propose_center(p, 1e308) for p in huge]
+    with pytest.raises(ValueError) as got:
+        propose_centers(huge, 1e308)
+    assert str(got.value) == str(want.value) == "non-finite point (inf, 2.0)"
+    with pytest.raises(ValueError, match="stride must be non-negative"):
+        propose_centers(huge, -0.5)
+    assert propose_centers([], -0.5).shape == (0, 2)

@@ -1,13 +1,21 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospace import tuning
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Scene
 from ospace.evaluation import aggregate, match_scene, snap_tolerance
 from ospace.groundtruth import scene_target
-from ospace.postprocess import AssignParams, assign_groups, nms
+from ospace.postprocess import (
+    AssignParams,
+    assign_groups,
+    nearest_detections,
+    nms,
+    propose_centers,
+)
 from ospace.tuning import Grid, GridResult, grid_search_heatmaps
 
 
@@ -222,3 +230,106 @@ def test_nms_runs_once_per_scene_and_separation(monkeypatch):
     assert len(table) == 216
     assert calls == [min(grid.nms_thresholds)] * (len(scenes)
                                                   * len(grid.separations_m))
+
+
+def _oracle_misses(heatmaps, scenes, grid):
+    """What the search must compute, counted grid point by grid point:
+    the distinct (scene, key row) and (scene, partition) pairs."""
+    rows, partitions = set(), set()
+    for thr in grid.nms_thresholds:
+        for sep in grid.separations_m:
+            base = AssignParams(nms_threshold=thr, min_group_separation_m=sep)
+            for i, (h, s) in enumerate(zip(heatmaps, scenes)):
+                dets = nms(h, base)
+                for ad in grid.assign_dists_m:
+                    for st_m in grid.strides_m:
+                        near, dist = nearest_detections(
+                            propose_centers(s.persons, st_m), dets)
+                        rows.add((i, tuple(np.where(dist <= ad, near, -1))))
+                        params = AssignParams(thr, sep, ad, st_m)
+                        partitions.add((i, assign_groups(s.persons, dets,
+                                                         params)))
+    return len(rows), len(partitions)
+
+
+def test_misses_run_once_per_distinct_key_row_and_partition(monkeypatch):
+    """assign_groups runs once per distinct (scene, key row) and
+    match_scene once per distinct (scene, partition), so a trace's call
+    counts say how much assignment and matching the search really did."""
+    rng = np.random.default_rng(3)
+    scenes, heatmaps = _exact_scenes()
+    flat_scenes, flat_maps = _flat_scenes()
+    scenes += flat_scenes
+    heatmaps += flat_maps
+    for i in range(6):
+        s = _random_scene(rng, f"r{i}")
+        scenes.append(s)
+        heatmaps.append(OSpaceMap(np.clip(
+            scene_target(s, 0.7).values
+            + rng.normal(0, 0.15, (DEFAULT_SPEC.rows, DEFAULT_SPEC.cols)),
+            0, 1), DEFAULT_SPEC))
+    grid = Grid(nms_thresholds=(0.3, 0.5, 0.7), separations_m=(0.5, 1.0),
+                assign_dists_m=(0.5, 1.0, 1.5), strides_m=(0.4, 0.7))
+    calls = Counter()
+    for name in ("assign_groups", "match_scene"):
+        def spy(*args, _real=getattr(tuning, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tuning, name, spy)
+    got = grid_search_heatmaps(heatmaps, scenes, grid, Fraction(2, 3))
+    assert got == _per_point_search(heatmaps, scenes, grid, Fraction(2, 3))
+    n_rows, n_partitions = _oracle_misses(heatmaps, scenes, grid)
+    assert (calls["assign_groups"], calls["match_scene"]) == (n_rows,
+                                                              n_partitions)
+    # the case is not degenerate: some key rows share a partition
+    assert n_partitions < n_rows
+
+
+_COORDS = st.floats(0, 1, allow_nan=False)
+
+
+@st.composite
+def _search_cases(draw):
+    """Scenes with a zero-person scene among them, each with a heatmap of
+    noise over its own ground truth, in drawn order; a grid with at least
+    one repeated axis value."""
+    scenes, heatmaps = [], []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        persons = tuple(Person(6 * draw(_COORDS), 5 * draw(_COORDS),
+                               draw(st.sampled_from((0.0, 90.0, 180.0, 270.0)))
+                               + draw(st.floats(-30, 30)))
+                        for _ in range(n))
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = {}
+        for k, label in enumerate(labels):
+            blocks.setdefault(label, []).append(k)
+        scenes.append(Scene(f"s{i}", persons, tuple(blocks.values())))
+    scenes.insert(draw(st.integers(0, len(scenes))), Scene("none", (), ()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for s in scenes:
+        noise = rng.normal(0, draw(st.sampled_from((0.1, 0.3))),
+                           (DEFAULT_SPEC.rows, DEFAULT_SPEC.cols))
+        heatmaps.append(OSpaceMap(np.clip(scene_target(s, 0.7).values + noise,
+                                          0, 1), DEFAULT_SPEC))
+    order = draw(st.permutations(range(len(scenes))))
+    axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=2))
+            for values in ((0.3, 0.5, 0.7), (0.5, 1.0, 1.5),
+                           (0.5, 1.0, 1.5), (0.4, 0.7, 1.0))]
+    repeated = draw(st.integers(0, 3))
+    axes[repeated] = axes[repeated] + axes[repeated][:1]
+    return [heatmaps[k] for k in order], [scenes[k] for k in order], axes
+
+
+@pytest.mark.parametrize("tolerance", [Fraction(2, 3), 1, 0.7])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=_search_cases())
+def test_search_equals_per_point_reference_property(case, tolerance):
+    heatmaps, scenes, axes = case
+    grid = Grid(*axes)
+    assert (grid_search_heatmaps(heatmaps, scenes, grid, tolerance)
+            == _per_point_search(heatmaps, scenes, grid, tolerance))
+    # the one-point grid of the wide workload's shape
+    point = Grid(*([values[0]] for values in axes))
+    assert (grid_search_heatmaps(heatmaps, scenes, point, tolerance)
+            == _per_point_search(heatmaps, scenes, point, tolerance))
