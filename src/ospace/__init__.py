@@ -62,6 +62,7 @@ from .network import (
     forward,
     load_model,
     predict_heatmap,
+    predict_heatmaps,
     save_model,
     train,
 )

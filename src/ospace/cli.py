@@ -3,6 +3,10 @@
 Each command has one mode.  ``predict`` writes groups and detections, and
 with ``--heatmaps DIR`` also the heatmaps it predicted them from, one PGM
 per frame; ``render`` draws ground-truth heatmaps from the annotations.
+``tune`` and ``predict`` get every frame's heatmap from one
+``network.predict_heatmaps`` call: in a file of two or more frames, a
+frame's heatmap bits depend on that frame alone, not on the others or on
+their order.
 ``eval --gt`` reads ground truth with the scene reader, minus its position
 check, and holds each prediction's groups to the paired frame under the
 same rule, ``core.check_groups``.
@@ -44,11 +48,11 @@ from .network import (
     TrainConfig,
     TrainingDivergedError,
     load_model,
+    predict_heatmaps,
     save_model,
     train,
 )
-from .parallel import thread_map
-from .postprocess import AssignParams, predict_scene
+from .postprocess import AssignParams, assign_groups, nms
 from .room import (
     RoomFeature,
     load_layout,
@@ -322,9 +326,11 @@ def _cmd_predict(args) -> int:
     params = _params_from_args(args)
     if args.heatmaps:
         _check_file_names(scenes)
-    results = thread_map(lambda s: predict_scene(s, model, room, params), scenes)
+    heatmaps = predict_heatmaps(scenes, model, room)
     with open(args.output, "w", encoding="utf-8") as f:
-        for scene, (_, detections, groups) in zip(scenes, results):
+        for scene, heatmap in zip(scenes, heatmaps):
+            detections = nms(heatmap, params)
+            groups = assign_groups(scene.persons, detections, params)
             f.write(json.dumps({
                 "frame_id": scene.frame_id,
                 "detections": [
@@ -335,7 +341,7 @@ def _cmd_predict(args) -> int:
             }))
             f.write("\n")
     if args.heatmaps:
-        _write_heatmaps(args.heatmaps, scenes, [r[0] for r in results], args.csv)
+        _write_heatmaps(args.heatmaps, scenes, heatmaps, args.csv)
     print(f"wrote predictions for {len(scenes)} scenes to {args.output}")
     return 0
 

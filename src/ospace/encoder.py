@@ -38,6 +38,7 @@ __all__ = [
     "encode_batch",
     "encode_batch_backward",
     "pad_features",
+    "sort_rows",
 ]
 
 
@@ -127,11 +128,16 @@ def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
     return g.reshape(b, p_max, weights.config.input_dim)
 
 
-def encode(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    """Encode one (P, d) person-feature set into a D-dim vector."""
+def sort_rows(features) -> np.ndarray:
+    """A (P, d) feature set's rows in lexicographic order, column 0 first."""
     features = np.asarray(features, dtype=float)
     # column 0 is the primary key: lexsort sorts by its last key first
-    rows = features[np.lexsort(features.T[::-1])]
+    return features[np.lexsort(features.T[::-1])]
+
+
+def encode(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
+    """Encode one (P, d) person-feature set into a D-dim vector."""
+    rows = sort_rows(features)
     pooled, _ = encode_batch(rows[None], np.ones((1, rows.shape[0]), bool),
                              weights)
     return pooled[0]

@@ -1,9 +1,10 @@
 """Order-preserving thread map with an environment-controlled worker cap.
 
 OSPACE_THREADS sets the worker count (default 1, which runs inline); a map
-never starts more workers than it has items or the machine has CPUs.  All
-mapped functions in this package are pure per item, so results only need
-to come back in input order for the pipeline to stay deterministic.
+never starts more workers than it has items or the machine has CPUs.
+Results come back in input order.  No ospace code maps with it any more
+(``network.predict_heatmaps`` batches scenes instead); the benchmark's
+traced mode still reads ``worker_count``.
 """
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
 from ospace.core import Person, Scene
 from ospace.dataset import SceneParseError, load_scenes, parse_scenes
 from ospace.evaluation import match_scene
-from ospace.network import load_model, predict_heatmap
+from ospace.network import load_model, predict_heatmaps
 from ospace.room import RoomFeature, save_precomputed
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
@@ -347,7 +347,14 @@ def test_eval_deterministic_bytes(workdir, capsys):
     assert (workdir / "m1.csv").read_bytes() == (workdir / "m2.csv").read_bytes()
 
 
-def test_tune_outputs(workdir, monkeypatch, capsys):
+def _reversed_lines(path, out):
+    """``path``'s lines in reverse order, written to ``out``."""
+    lines = path.read_text().splitlines(keepends=True)
+    out.write_text("".join(reversed(lines)))
+    return out
+
+
+def test_tune_outputs(workdir, capsys):
     model = _train_tiny(workdir)
     scenes = workdir / "train.jsonl"
     args = ["tune", str(model), str(scenes), "-T", "2/3",
@@ -361,8 +368,10 @@ def test_tune_outputs(workdir, monkeypatch, capsys):
                            "max_assign_dist_m", "stride_m"}
     table = (workdir / "table.csv").read_text().splitlines()
     assert len(table) == 5  # header + 2x1x2x1 combos
-    # the same search on 2 worker threads lands on identical bytes
-    monkeypatch.setenv("OSPACE_THREADS", "2")
+    # a scene's heatmap bits do not depend on the others in the file, so
+    # the same search over the file's lines reversed lands on the same bytes
+    backwards = _reversed_lines(scenes, workdir / "backwards.jsonl")
+    args[2] = str(backwards)
     assert main(args[:-2] + ["--table", "table2.csv"]) == 0
     capsys.readouterr()
     assert (workdir / "table.csv").read_bytes() == (workdir / "table2.csv").read_bytes()
@@ -588,26 +597,32 @@ def test_render_csv_option(workdir):
     assert np.isclose(vals.max(), np.exp(-0.13), atol=1e-12)
 
 
-def test_predict_heatmaps_are_the_predicted_heatmaps(workdir, monkeypatch, capsys):
+def test_predict_heatmaps_are_the_predicted_heatmaps(workdir, capsys):
     model = _train_tiny(workdir)
     scenes = workdir / "train.jsonl"
+    backwards = _reversed_lines(scenes, workdir / "backwards.jsonl")
     assert main(["predict", str(model), str(scenes), "-o", "plain.jsonl"]) == 0
-    monkeypatch.setenv("OSPACE_THREADS", "2")
     assert main(["predict", str(model), str(scenes), "-o", "pred.jsonl",
                  "--heatmaps", "maps", "--csv"]) == 0
+    assert main(["predict", str(model), str(backwards), "-o", "back.jsonl",
+                 "--heatmaps", "back", "--csv"]) == 0
     capsys.readouterr()
     assert (workdir / "pred.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+    back = (workdir / "back.jsonl").read_text().splitlines()
+    assert back[::-1] == (workdir / "pred.jsonl").read_text().splitlines()
     weights = load_model(model)
     room = RoomFeature(np.zeros(0))  # trained with no room flag
     frames = load_scenes(scenes)
+    assert len(frames) > 1  # the batched path
     assert len(os.listdir(workdir / "maps")) == 2 * len(frames)
-    for scene in frames:
-        heatmap = predict_heatmap(scene, weights, room)
+    for scene, heatmap in zip(frames, predict_heatmaps(frames, weights, room)):
         _write_pgm(heatmap, workdir / "want.pgm")
         _write_heatmap_csv(heatmap, workdir / "want.csv")
         for ext in ("pgm", "csv"):
-            got = workdir / "maps" / f"{scene.frame_id}.{ext}"
-            assert got.read_bytes() == (workdir / f"want.{ext}").read_bytes()
+            want = (workdir / f"want.{ext}").read_bytes()
+            for directory in ("maps", "back"):
+                got = workdir / directory / f"{scene.frame_id}.{ext}"
+                assert got.read_bytes() == want
 
 
 def test_predict_csv_needs_heatmaps(workdir, capsys):

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ospace import tuning
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
-from ospace.encoder import EncoderConfig, init_encoder
+from ospace.dataset import scene_features
+from ospace.encoder import EncoderConfig, encode, init_encoder
 from ospace.layers import Dense, flatten
 from ospace import network
 from ospace.network import (
@@ -26,6 +28,7 @@ from ospace.network import (
     init_head,
     load_model,
     predict_heatmap,
+    predict_heatmaps,
     save_model,
     train,
     _Adam,
@@ -551,3 +554,98 @@ def test_checkpoint_rejects_non_finite_weight(tmp_path):
             with pytest.raises(ValueError,
                                match=f"{section} layer {i}: non-finite"):
                 load_model(path)
+
+
+# predict_heatmaps at the acceptance widths, where the BLAS paths that the
+# chunking steers around (a head gemm under 9 rows, an encoder at one row)
+# give other bits
+CHUNK = network._CHUNK
+ACC_ENC = EncoderConfig(input_dim=18, max_people=25, layer_widths=(64, 128, 256))
+ACC_HEAD = HeadConfig(input_dim=16 + 256, hidden_widths=(256,), output_dim=120)
+ROOM16 = RoomFeature(np.linspace(-1.0, 1.0, 16))
+ACCEPTANCE_MODEL, _ = train(_scenes(), ROOM16, ACC_ENC, ACC_HEAD,
+                            _quick_cfg(epochs=0))
+
+
+def _random_scenes(sizes, seed):
+    """One scene per size, persons at uniform places and headings."""
+    rng = np.random.default_rng(seed)
+    return [Scene(f"r{i}", [Person(*xy, yaw) for xy, yaw in
+                            zip(rng.uniform((0, 0), (6, 5), (n, 2)),
+                                rng.uniform(-180, 180, n))],
+                  [(k,) for k in range(n)])
+            for i, n in enumerate(sizes)]
+
+
+def _bits(heatmaps):
+    return [h.values.tobytes() for h in heatmaps]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1,
+                          2 * CHUNK, 2 * CHUNK + 1]),
+       seed=st.integers(0, 2**32 - 1), lone=st.integers(0, 10**6),
+       crowd=st.integers(0, 10**6), cut=st.integers(0, 10**6))
+@example(n=CHUNK + 1, seed=0, lone=CHUNK, crowd=0, cut=CHUNK - 1)
+@example(n=2 * CHUNK + 1, seed=1, lone=2 * CHUNK, crowd=CHUNK, cut=2)
+def test_batched_heatmap_bits_depend_on_the_scene_alone(n, seed, lone, crowd, cut):
+    """A scene's heatmap bytes from a multi-scene call are the same whatever
+    scenes share the call: shuffled, or split into two calls at a cut."""
+    model = ACCEPTANCE_MODEL
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, ACC_ENC.max_people + 1, n)
+    lone %= n  # with n = kC + 1 and lone = kC, alone in the last chunk
+    sizes[lone] = 1
+    sizes[(lone + 1 + crowd % (n - 1)) % n] = ACC_ENC.max_people
+    scenes = _random_scenes(sizes, seed)
+    want = _bits(predict_heatmaps(scenes, model, ROOM16))
+    order = rng.permutation(n)
+    shuffled = _bits(predict_heatmaps([scenes[i] for i in order], model, ROOM16))
+    assert [shuffled[k] for k in np.argsort(order)] == want
+    cut = 2 + cut % (n - 3)  # both calls hold two or more scenes
+    split = (_bits(predict_heatmaps(scenes[:cut], model, ROOM16))
+             + _bits(predict_heatmaps(scenes[cut:], model, ROOM16)))
+    assert split == want
+
+
+def _one_scene_oracle(scene, model, room):
+    """``predict_heatmap`` as it was before ``predict_heatmaps``: the
+    scene's features through ``encode`` and ``forward``."""
+    people = encode(scene_features(scene, model.norm_stats), model.encoder)
+    y = forward(room, people, model.head)
+    return y.reshape(model.spec.rows, model.spec.cols)
+
+
+def test_one_scene_call_keeps_the_encode_forward_bits():
+    model = ACCEPTANCE_MODEL
+    scenes = _random_scenes([1, 2, 7, 25], seed=3)
+    batched = predict_heatmaps(scenes, model, ROOM16)
+    for scene, multi in zip(scenes, batched):
+        want = _one_scene_oracle(scene, model, ROOM16)
+        (alone,) = predict_heatmaps([scene], model, ROOM16)
+        assert alone.values.tobytes() == want.tobytes()
+        assert predict_heatmap(scene, model, ROOM16).values.tobytes() == \
+            want.tobytes()
+        # a multi-scene call may round otherwise, by a few ulps at most
+        np.testing.assert_allclose(multi.values, want, rtol=0,
+                                   atol=16 * np.finfo(float).eps)
+
+
+def test_predict_heatmaps_of_no_scenes_is_empty():
+    assert predict_heatmaps([], ACCEPTANCE_MODEL, ROOM16) == []
+
+
+@pytest.mark.parametrize("size,message", [
+    (0, "frame 'bad': 0 persons, a model needs at least 1"),
+    (26, "frame 'bad': 26 persons, cap is 25"),
+], ids=["no persons", "over the cap"])
+def test_grid_search_error_names_the_frame(size, message):
+    model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
+    scenes = _scenes(2 * CHUNK + 8)
+    bad = _random_scenes([size], seed=0)[0]
+    scenes[CHUNK + 5] = Scene("bad", bad.persons, bad.groups)  # middle chunk
+    with pytest.raises(ValueError) as exc:
+        tuning.grid_search(model, scenes, ROOM4, tuning.Grid(), 1)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="empty validation set"):
+        tuning.grid_search(model, [], ROOM4, tuning.Grid(), 1)
