@@ -15,11 +15,12 @@ permutation of a set yields the same matrix, and so the same bits.
 Backward routes each pooled dimension's gradient to its argmax person, ties
 to the lowest index.  The batched path pads sets to a common length and
 masks padded rows out of the max by writing -inf over them in place, in the
-last layer's output, which no cache keeps; their activations are never
-selected, so they receive zero gradient and the padding stays inert.  The
-pool is ``max(axis=1)``, and the argmax person is the first row equal to
-the max.  That is the row ``argmax`` picks, without its compare-and-branch
-per element, because the ReLU output holds neither NaN nor -0.0 (see
+last layer's output.  The cache keeps that output and the pooled vector,
+and backward finds the argmax from them.  A padded row is never selected,
+so it receives zero gradient and the padding stays inert.  The pool is
+``max(axis=1)``, and the argmax person is the first row equal to the max.
+That is the row ``argmax`` picks, without its compare-and-branch per
+element, because the ReLU output holds neither NaN nor -0.0 (see
 ``layers``): equality then singles out exactly the maximal values.
 """
 from __future__ import annotations
@@ -95,6 +96,9 @@ def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
 def _check_batch(batch: np.ndarray, mask: np.ndarray, cfg: EncoderConfig) -> None:
     if batch.ndim != 3 or batch.shape[2] != cfg.input_dim:
         raise ValueError(f"bad feature batch shape {batch.shape}")
+    if mask.dtype != bool or mask.shape != batch.shape[:2]:
+        raise ValueError(f"mask must be bool of shape {batch.shape[:2]}, got "
+                         f"{mask.dtype} of shape {mask.shape}")
     counts = mask.sum(axis=1)
     if np.any(counts < 1):
         raise ValueError("a scene has zero persons")
@@ -108,24 +112,23 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache)."""
     _check_batch(batch, mask, weights.config)
     b, p_max, d = batch.shape
-    x, xs, relu_masks = relu_stack_forward(batch.reshape(b * p_max, d),
-                                           weights.layers)
-    per_person = x.reshape(b, p_max, -1)
+    xs = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
+    per_person = xs[-1].reshape(b, p_max, -1)
     per_person[~mask] = -np.inf
     pooled = per_person.max(axis=1)
-    arg = (per_person == pooled[:, None, :]).argmax(axis=1)
-    return pooled, (xs, relu_masks, arg, (b, p_max))
+    return pooled, (xs, pooled)
 
 
 def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
     """Assign layer gradients of <upstream, pooled>; returns input grads."""
-    xs, relu_masks, arg, (b, p_max) = cache
-    d_out = weights.config.output_dim
-    g = np.zeros((b, p_max, d_out))
+    xs, pooled = cache
+    b, d_out = pooled.shape
+    per_person = xs[-1].reshape(b, -1, d_out)
+    arg = (per_person == pooled[:, None, :]).argmax(axis=1)
+    g = np.zeros(per_person.shape)
     np.put_along_axis(g, arg[:, None, :], upstream[:, None, :], axis=1)
-    g = relu_stack_backward(g.reshape(b * p_max, d_out), weights.layers,
-                            xs, relu_masks)
-    return g.reshape(b, p_max, weights.config.input_dim)
+    g = relu_stack_backward(g.reshape(-1, d_out), weights.layers, xs)
+    return g.reshape(b, -1, weights.config.input_dim)
 
 
 def sort_rows(features) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Minimal differentiable layers on bare numpy.
 
 Everything here works on batches: inputs are (n, d_in), outputs (n, d_out).
-A ReLU stack's forward returns the inputs and activation masks its backward
-needs, and the caller passes them back, so the layers themselves hold no
-per-batch state.
+A ReLU stack's forward returns its activations, input first and output
+last, and the caller passes them back, so the layers themselves hold no
+per-batch state.  Backward reads each layer's mask off its output, which
+is > 0 exactly where z > 0 (see below), so no mask is stored.
 
 Parameters live in float64 arrays that an optimizer updates in place.
 ``flatten`` moves a model's layers into one parameter store: every W and b
@@ -85,33 +86,30 @@ def _relu_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def relu_stack_forward(x: np.ndarray, layers):
+def relu_stack_forward(x: np.ndarray, layers) -> list[np.ndarray]:
     """Apply relu(x W + b) for each layer in turn.
 
-    Returns (out, xs, masks): each layer's input and its ReLU mask, which
-    ``relu_stack_backward`` takes back.
+    Returns xs, every activation: ``x`` first, then each layer's output, so
+    the stack's output is ``xs[-1]``.  ``relu_stack_backward`` takes it back.
     """
-    xs = []
-    masks = []
+    xs = [x]
     for layer in layers:
-        xs.append(x)
-        z = x @ layer.W
+        z = xs[-1] @ layer.W
         z += layer.b
-        masks.append(z > 0)
-        x = _relu_in_place(z)
-    return x, xs, masks
+        xs.append(_relu_in_place(z))
+    return xs
 
 
-def relu_stack_backward(g: np.ndarray, layers, xs, masks) -> np.ndarray:
+def relu_stack_backward(g: np.ndarray, layers, xs) -> np.ndarray:
     """Assign grad_W/grad_b of every layer; returns the input gradient.
 
     Never writes ``g`` or any array in ``xs``: the first mask goes into a
     fresh buffer, and each later one into the fresh ``g @ W.T`` before it.
     """
     out = None
-    for layer, x, m in zip(reversed(layers), reversed(xs), reversed(masks)):
-        g = np.multiply(g.view(np.int64), m, out=out).view(np.float64)
-        np.matmul(x.T, g, out=layer.grad_W)
+    for i, layer in reversed(list(enumerate(layers))):
+        g = np.multiply(g.view(np.int64), xs[i + 1] > 0, out=out).view(np.float64)
+        np.matmul(xs[i].T, g, out=layer.grad_W)
         np.sum(g, axis=0, out=layer.grad_b)
         g = g @ layer.W.T
         out = g.view(np.int64)

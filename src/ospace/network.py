@@ -10,12 +10,12 @@ seeded shuffle per epoch; everything is deterministic given the seed.  The
 returned weights are the epoch snapshot with the lowest validation loss
 (training loss stands in when no validation split is given).
 
-Prediction takes scenes in bulk: ``predict_heatmaps`` sends two or more
-through the encoder and head in chunks of a fixed number of scenes, the
-last chunk padded.  The head then always runs at the chunk's row count
-and the encoder at a multiple of it, whatever scenes share a chunk, and a
-scene's heatmap bits depend on that scene alone.  One scene runs through
-``encode`` and ``forward``, the head at one row.
+``batch_forward`` is the only code that runs the encoder and head
+together, in training, validation and prediction, and its cache keeps
+activations only.  ``predict_heatmaps`` sends two or more scenes through
+it in chunks of a fixed number of scenes, the last chunk padded, so a
+scene's heatmap bits depend on that scene alone; one scene is a chunk of
+one, the head at one row.
 
 ``train`` runs on one flat parameter vector (``layers.flatten``): every
 layer's weights are views of it, and backward assigns each step's gradients
@@ -59,7 +59,9 @@ import numpy as np
 
 from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, Scene, non_singleton_blocks
 from .dataset import NormStats, fit_norm_stats, scene_features
-from .encoder import (
+# nothing here calls ``encode``: it stays because perfbench's probe table
+# names ``network.encode``, and its traced-run test looks up every target
+from .encoder import (  # noqa: F401
     EncoderConfig,
     EncoderWeights,
     encode,
@@ -204,27 +206,30 @@ def head_forward(x: np.ndarray, weights: HeadWeights):
         raise ValueError(
             f"head input shape {x.shape} does not match dim {weights.config.input_dim}"
         )
-    x, xs, relu_masks = relu_stack_forward(x, weights.layers[:-1])
-    xs.append(x)
-    z = x @ weights.layers[-1].W
+    xs = relu_stack_forward(x, weights.layers[:-1])
+    z = xs[-1] @ weights.layers[-1].W
     z += weights.layers[-1].b
     y = sigmoid(z)
-    return y, (xs, relu_masks, y)
+    return y, (xs, y)
 
 
 def head_backward(upstream: np.ndarray, cache, weights: HeadWeights) -> np.ndarray:
     """Assign head gradients; returns gradient w.r.t. the concat input."""
-    xs, relu_masks, y = cache
+    xs, y = cache
     g = upstream * y * (1.0 - y)
     last = weights.layers[-1]
     np.matmul(xs[-1].T, g, out=last.grad_W)
     np.sum(g, axis=0, out=last.grad_b)
     g = g @ last.W.T
-    return relu_stack_backward(g, weights.layers[:-1], xs[:-1], relu_masks)
+    return relu_stack_backward(g, weights.layers[:-1], xs)
 
 
 def forward(room: RoomFeature, people: np.ndarray, weights: HeadWeights) -> np.ndarray:
-    """Single-example head output in (0,1)."""
+    """Single-example head output in (0,1).
+
+    Nothing in ``ospace`` calls it; it stays because ``ospace`` exports it,
+    tests use it as the head at one row and perfbench's probe table names it.
+    """
     x = np.concatenate([room.values, np.asarray(people, dtype=float)])[None, :]
     y, _ = head_forward(x, weights)
     return y[0]
@@ -425,18 +430,16 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
 def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSpaceMap]:
     """Network heatmaps for ``scenes``, in their order.
 
-    One scene goes through ``encode`` and ``forward``, the head at one row,
-    as ``predict_heatmap`` always has.  Two or more go through the network
-    in chunks of exactly ``_CHUNK`` scenes, the last one padded with
-    one-person sets of zeros: each scene's rows are sorted as ``encode``
-    sorts them, then ``pad_features``, ``encode_batch`` and
-    ``head_forward`` run on the chunk.  The head then always runs at
-    ``_CHUNK`` rows and the encoder at a multiple of them, whatever scenes
-    share the chunk, so a scene's bits depend on that scene alone; they can
-    differ in the last few places from a one-scene call's.  An unpadded last
-    chunk would break that: on OpenBLAS a gemm of fewer than 9 rows, or the
-    gemv of one, rounds differently, and a lone one-person scene would put
-    the encoder at one row.
+    Each scene's rows are sorted as ``encode`` sorts them, and every chunk
+    goes through ``batch_forward``.  One scene is a chunk of one, unpadded:
+    the bits of ``encode`` and ``forward``, the head at one row.  Two or
+    more go in chunks of exactly ``_CHUNK``, the last one padded with
+    one-person sets of zeros, so the head always runs at ``_CHUNK`` rows
+    and the encoder at a multiple of them, and a scene's bits depend on
+    that scene alone; they can differ in the last few places from a
+    one-scene call's.  An unpadded last chunk would break that: on OpenBLAS
+    a gemm of fewer than 9 rows, or the gemv of one, rounds differently,
+    and a lone one-person scene would put the encoder at one row.
 
     A scene with no persons, or more than the encoder's ``max_people``,
     raises ValueError naming its frame before any network work.
@@ -450,21 +453,15 @@ def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSp
             raise ValueError(f"frame {scene.frame_id!r}: "
                              f"{len(scene.persons)} persons, {limit}")
     spec = model.spec
-    if len(scenes) == 1:
-        people = encode(scene_features(scenes[0], model.norm_stats), model.encoder)
-        y = forward(room, people, model.head)
-        return [OSpaceMap(y.reshape(spec.rows, spec.cols), spec)]
     feats = [sort_rows(scene_features(s, model.norm_stats)) for s in scenes]
     filler = np.zeros((1, model.encoder.config.input_dim))
-    room_rows = np.broadcast_to(room.values, (_CHUNK, room.dim))
+    size = _CHUNK if len(feats) > 1 else 1
     out = []
-    for lo in range(0, len(feats), _CHUNK):
-        chunk = feats[lo:lo + _CHUNK]
+    for lo in range(0, len(feats), size):
+        chunk = feats[lo:lo + size]
         n = len(chunk)
-        batch, mask = pad_features(chunk + [filler] * (_CHUNK - n))
-        people, _ = encode_batch(batch, mask, model.encoder)
-        y, _ = head_forward(np.concatenate([room_rows, people], axis=1),
-                            model.head)
+        y, _ = batch_forward(chunk + [filler] * (size - n), room.values,
+                             model.encoder, model.head)
         out.extend(OSpaceMap(row.reshape(spec.rows, spec.cols), spec)
                    for row in y[:n])
     return out

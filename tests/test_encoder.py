@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ospace import encoder
 from ospace.encoder import (
     EncoderConfig,
     EncoderWeights,
@@ -14,7 +16,7 @@ from ospace.encoder import (
     init_encoder,
     pad_features,
 )
-from ospace.layers import Dense, relu_stack_forward
+from ospace.layers import Dense, relu_stack_backward, relu_stack_forward
 
 
 def _random_encoder(rng, input_dim=6, widths=(5, 4), max_people=8):
@@ -110,6 +112,24 @@ def test_oversized_set_rejected():
         encode(np.zeros((4, 6)), w)
 
 
+def test_integer_mask_rejected():
+    # ~mask of 0/1 integers is -1/-2: it would index rows, not mask them
+    w = _random_encoder(np.random.default_rng(11))
+    batch, mask = pad_features([np.ones((p, 6)) for p in (2, 1, 3)])
+    with pytest.raises(ValueError, match=re.escape(
+            "mask must be bool of shape (3, 3), got int64 of shape (3, 3)")):
+        encode_batch(batch, mask.astype(np.int64), w)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (3, 3, 1)])
+def test_mask_of_another_shape_rejected(shape):
+    w = _random_encoder(np.random.default_rng(12))
+    batch, _ = pad_features([np.ones((p, 6)) for p in (2, 1, 3)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"mask must be bool of shape (3, 3), got bool of shape {shape}")):
+        encode_batch(batch, np.ones(shape, bool), w)
+
+
 def test_identity_layer_pools_elementwise_max():
     cfg = EncoderConfig(input_dim=4, max_people=5, layer_widths=(4,))
     w = EncoderWeights(cfg, [Dense(np.eye(4), np.zeros(4))])
@@ -162,14 +182,13 @@ def test_gradient_matches_finite_differences():
         w = _random_encoder(rng)
         p = int(rng.integers(1, 5))
         f = rng.standard_normal((p, 6))
-        pooled, (xs, _, _, _) = encode_batch(f[None], np.ones((1, p), bool), w)
+        pooled, (xs, _) = encode_batch(f[None], np.ones((1, p), bool), w)
         # stay away from ReLU kinks and pooling ties, where the derivative jumps
         pre = [x @ l.W + l.b for x, l in zip(xs, w.layers)]
         if min(np.abs(z).min() for z in pre) < 1e-4:
             continue
         if p > 1:
-            per = np.maximum(xs[-1] @ w.layers[-1].W + w.layers[-1].b, 0.0)
-            top2 = np.sort(per, axis=0)[-2:]
+            top2 = np.sort(xs[-1], axis=0)[-2:]
             if np.min(top2[1] - top2[0]) < 1e-4:
                 continue
         upstream = rng.standard_normal(4)
@@ -196,10 +215,23 @@ def test_lipschitz_no_blowup():
 def where_pool(batch, mask, weights):
     """Reference: the pooling as a masked copy and its argmax computed it."""
     b, p_max, d = batch.shape
-    x, _, _ = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
+    x = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)[-1]
     masked = np.where(mask[:, :, None], x.reshape(b, p_max, -1), -np.inf)
     arg = masked.argmax(axis=1)
     return np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :], arg
+
+
+def routed_backward(upstream, batch, mask, weights):
+    """Reference: ``upstream`` routed to ``where_pool``'s argmax rows, then
+    back through the stack, activations unmasked.  Returns the routed
+    gradient and the input gradient."""
+    b, p_max, d = batch.shape
+    _, arg = where_pool(batch, mask, weights)
+    g = np.zeros((b, p_max, weights.config.output_dim))
+    np.put_along_axis(g, arg[:, None, :], upstream[:, None, :], axis=1)
+    xs = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
+    g_in = relu_stack_backward(g.reshape(b * p_max, -1), weights.layers, xs)
+    return g, g_in.reshape(b, p_max, d)
 
 
 # zeros of both signs, subnormals, the smallest normal and the non-finite
@@ -227,14 +259,35 @@ def padded_batches(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=padded_batches())
-def test_pooling_is_bit_equal_to_masked_argmax(case):
+@given(case=padded_batches(), data=st.data())
+def test_pooling_is_bit_equal_to_masked_argmax(case, data):
     batch, mask, w = case
     before = batch.copy()
     with np.errstate(all="ignore"):
         pooled, cache = encode_batch(batch, mask, w)
-        want, want_arg = where_pool(batch, mask, w)
-    arg = cache[2]
+        want, _ = where_pool(batch, mask, w)
     assert pooled.tobytes() == want.tobytes() and pooled.shape == want.shape
-    assert arg.tobytes() == want_arg.tobytes() and arg.dtype == want_arg.dtype
     assert batch.tobytes() == before.tobytes()
+    # Backward finds the argmax.  Distinct non-zero upstream values make the
+    # routed gradient name the argmax row of every pooled dimension; drawn
+    # ones carry zeros of both signs, NaN and inf through the stack.
+    for upstream in (np.arange(1.0, pooled.size + 1).reshape(pooled.shape),
+                     data.draw(hnp.arrays(float, pooled.shape,
+                                          elements=VALUES))):
+        ref = EncoderWeights(w.config, [Dense(l.W.copy(), l.b.copy())
+                                        for l in w.layers])
+        routed = []
+
+        def spy(g, *args):
+            routed.append(g.copy())
+            return relu_stack_backward(g, *args)
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(encoder, "relu_stack_backward", spy)
+            got = encode_batch_backward(upstream, cache, w)
+            want_routed, want_in = routed_backward(upstream, batch, mask, ref)
+        assert routed[0].tobytes() == want_routed.tobytes()
+        assert got.tobytes() == want_in.tobytes() and got.shape == want_in.shape
+        for layer, r in zip(w.layers, ref.layers):
+            assert layer.grad_W.tobytes() == r.grad_W.tobytes()
+            assert layer.grad_b.tobytes() == r.grad_b.tobytes()

@@ -106,12 +106,13 @@ def test_relu_stack_backward_overwrites_gradient_buffers():
     rng = np.random.default_rng(2)
     layers = [init_dense(5, 6, rng), init_dense(6, 3, rng)]
     x = rng.standard_normal((4, 5))
-    out, xs, masks = relu_stack_forward(x, layers)
-    g = rng.standard_normal(out.shape)
+    xs = relu_stack_forward(x, layers)
+    _, _, masks = where_forward(x, layers)
+    g = rng.standard_normal(xs[-1].shape)
     for layer in layers:
         layer.grad_W.fill(np.nan)
         layer.grad_b.fill(np.nan)
-    relu_stack_backward(g, layers, xs, masks)
+    relu_stack_backward(g, layers, xs)
     g1 = np.where(masks[1], g, 0.0)
     g0 = np.where(masks[0], g1 @ layers[1].W.T, 0.0)
     assert np.array_equal(layers[1].grad_W, xs[1].T @ g1)
@@ -128,6 +129,8 @@ def test_relu_kernel_is_bit_equal_to_where(z):
     out = z.copy()
     assert _relu_in_place(out) is out
     assert _same(out, want)
+    # backward reads the mask off the output: it must be z > 0 everywhere
+    assert np.array_equal(out > 0, z > 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -136,11 +139,13 @@ def test_relu_stack_forward_is_bit_equal_to_where(stack):
     x, layers = stack
     x_before = x.copy()
     with np.errstate(all="ignore"):
-        out, xs, masks = relu_stack_forward(x, layers)
+        xs = relu_stack_forward(x, layers)
         want, want_xs, want_masks = where_forward(x, layers)
-    assert _same(out, want)
+    assert len(xs) == len(layers) + 1
+    assert _same(xs[-1], want)
     assert all(_same(a, b) for a, b in zip(xs, want_xs))
-    assert all(_same(a, b) for a, b in zip(masks, want_masks))
+    # the masks backward reads off the outputs are the pre-activation ones
+    assert all(_same(a > 0, m) for a, m in zip(xs[1:], want_masks))
     assert xs[0] is x and _same(x, x_before)
 
 
@@ -148,16 +153,18 @@ def test_relu_stack_forward_is_bit_equal_to_where(stack):
 @given(stack=relu_stacks(finite=True), data=st.data())
 def test_relu_stack_backward_is_bit_equal_to_where(stack, data):
     x, layers = stack
-    out, xs, masks = relu_stack_forward(x, layers)
+    xs = relu_stack_forward(x, layers)
+    _, want_xs, masks = where_forward(x, layers)
     # the gradient may hold NaN and inf too: the bit select keeps them
     # where the mask is set and writes +0.0 elsewhere, as np.where does
-    g = data.draw(hnp.arrays(float, out.shape, elements=values()))
+    g = data.draw(hnp.arrays(float, xs[-1].shape, elements=values()))
     g_before = g.copy()
     xs_before = [a.copy() for a in xs]
     ref = [Dense(l.W.copy(), l.b.copy()) for l in layers]
     with np.errstate(all="ignore"):
-        got = relu_stack_backward(g, layers, xs, masks)
-        want = where_backward(g, ref, xs, masks)
+        # the kernel reads its masks off xs, the oracle takes z > 0
+        got = relu_stack_backward(g, layers, xs)
+        want = where_backward(g, ref, want_xs, masks)
     assert _same(got, want)
     for layer, r in zip(layers, ref):
         assert _same(layer.grad_W, r.grad_W) and _same(layer.grad_b, r.grad_b)

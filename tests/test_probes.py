@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ospace import tuning
+from ospace import network, postprocess, tuning
 from ospace.core import Person, Scene
 from ospace.encoder import EncoderConfig
 from ospace.network import HeadConfig, TrainConfig, train
@@ -25,6 +25,11 @@ PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 # so their spans read zero under tuning.  ``tuning`` keeps both names only
 # because perfbench's traced-run test looks up every target the table names.
 RETIRED = {"thread_map", "predict_heatmap"}
+
+# Network targets the probe table still names that no prediction calls:
+# every scene goes through ``network.batch_forward``.  ``network`` keeps both
+# names for the same reason as ``tuning`` keeps its retired ones.
+NETWORK_RETIRED = {"encode", "forward"}
 
 
 def _probes():
@@ -66,3 +71,32 @@ def test_grid_search_calls_every_tuning_probe_target(monkeypatch):
                      TrainConfig(epochs=0))
     tuning.grid_search(model, scenes, room, tuning.Grid(), 1)
     assert sorted(a for a in attrs if calls[a] == 0) == sorted(RETIRED)
+
+
+def test_prediction_calls_no_retired_network_target(monkeypatch):
+    """``network.encode`` and ``network.forward`` still resolve, so the probe
+    table finds them, but neither runs when one scene or many are
+    predicted; ``batch_forward`` does, once per chunk."""
+    targets = {attr for module, attr, _, _ in _probes().TARGETS
+               if module is network}
+    assert NETWORK_RETIRED | {"batch_forward"} <= targets
+    assert all(callable(getattr(network, attr)) for attr in NETWORK_RETIRED)
+    calls = Counter()
+    for attr in NETWORK_RETIRED | {"batch_forward"}:
+        def spy(*args, _real=getattr(network, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(network, attr, spy)
+    scenes = [Scene(str(i), (Person(1.0, 1.0, 0.0), Person(2.4, 1.0, 180.0)),
+                    ((0, 1),)) for i in range(3)]
+    room = RoomFeature(np.zeros(4))
+    model, _ = train(scenes, room,
+                     EncoderConfig(input_dim=18, max_people=25,
+                                   layer_widths=(8, 16)),
+                     HeadConfig(input_dim=20, hidden_widths=(16,),
+                                output_dim=120),
+                     TrainConfig(epochs=0))
+    network.predict_heatmaps(scenes[:1], model, room)
+    network.predict_heatmaps(scenes, model, room)
+    postprocess.predict_scene(scenes[0], model, room)
+    assert calls == Counter(batch_forward=3)
