@@ -16,8 +16,10 @@ Backward routes each pooled dimension's gradient to its argmax person, ties
 to the lowest index.  The batched path pads sets to a common length and
 masks padded rows out of the max by writing -inf over them in place, in the
 last layer's output.  The cache keeps that output and the pooled vector,
-and backward finds the argmax from them.  A padded row is never selected,
-so it receives zero gradient and the padding stays inert.  The pool is
+and backward finds the real rows and the argmax from them.  A padded row is
+never selected, so it would receive zero gradient: backward runs on the
+real rows only, packed, and the padding stays inert.  The forward pass
+stays padded, so packing moves no inference bit.  The pool is
 ``max(axis=1)``, and the argmax person is the first row equal to the max.
 That is the row ``argmax`` picks, without its compare-and-branch per
 element, because the ReLU output holds neither NaN nor -0.0 (see
@@ -119,16 +121,52 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     return pooled, (xs, pooled)
 
 
-def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
-    """Assign layer gradients of <upstream, pooled>; returns input grads."""
+def _route(upstream: np.ndarray, cache):
+    """The real rows of a batch, and ``upstream`` routed to them.
+
+    Returns (rows, g): the flat indices of the real rows, in batch order,
+    and the (len(rows), D) gradient that holds each pooled dimension's
+    upstream value at its argmax row and +0.0 everywhere else.
+    """
     xs, pooled = cache
     b, d_out = pooled.shape
-    per_person = xs[-1].reshape(b, -1, d_out)
-    arg = (per_person == pooled[:, None, :]).argmax(axis=1)
-    g = np.zeros(per_person.shape)
-    np.put_along_axis(g, arg[:, None, :], upstream[:, None, :], axis=1)
-    g = relu_stack_backward(g.reshape(-1, d_out), weights.layers, xs)
-    return g.reshape(b, -1, weights.config.input_dim)
+    last = xs[-1]
+    p_max = last.shape[0] // b
+    real = last[:, 0] != -np.inf  # a padded row is -inf throughout
+    rows = np.flatnonzero(real)
+    packed = np.cumsum(real) - 1  # a real row's index among the real rows
+    # A row's weight falls with its index, so the largest weight among a
+    # dimension's maximal rows is that of the first: argmax's choice, without
+    # its call per (scene, dimension).
+    weight = np.arange(p_max, 0, -1, dtype=np.min_scalar_type(p_max))
+    is_max = (last.reshape(b, p_max, d_out) == pooled[:, None, :]).view(np.uint8)
+    arg = p_max - (is_max * weight[:, None]).max(axis=1).astype(np.intp)
+    arg += p_max * np.arange(b)[:, None]
+    g = np.zeros((rows.size, d_out))
+    g.ravel()[packed[arg] * d_out + np.arange(d_out)] = upstream
+    return rows, g
+
+
+def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
+    """Assign layer gradients of <upstream, pooled>; returns input grads.
+
+    Only the real rows go back through the stack: a padded row gets no
+    gradient, so its gemm rows would only add zeros.  The last layer's ReLU
+    mask at an argmax row is ``pooled > 0``, so that layer's output is never
+    gathered.  Padded rows of the returned (B, P, d) input gradient are +0.0.
+    """
+    xs, pooled = cache
+    # bits of upstream where pooled > 0 and +0.0 elsewhere, as layers' masks do
+    masked = np.multiply(upstream.view(np.int64), pooled > 0).view(np.float64)
+    rows, g = _route(masked, cache)
+    *inner, last = weights.layers
+    x = xs[-2][rows]
+    np.matmul(x.T, g, out=last.grad_W)
+    np.sum(g, axis=0, out=last.grad_b)
+    g = relu_stack_backward(g @ last.W.T, inner, [a[rows] for a in xs[:-2]] + [x])
+    out = np.zeros((xs[0].shape[0], weights.config.input_dim))
+    out[rows] = g
+    return out.reshape(pooled.shape[0], -1, weights.config.input_dim)
 
 
 def sort_rows(features) -> np.ndarray:

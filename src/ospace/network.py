@@ -24,12 +24,12 @@ vector, and the best-epoch snapshot is a copy of it.  Adam walks the vector
 in fixed blocks of ``_ADAM_BLOCK`` elements, small enough that the block's
 parameters, gradients, moments and two preallocated scratch blocks stay in
 the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
-allocates nothing.  The arithmetic per element, and its order, is that of
-the textbook per-array update, so the result is the same bits.  Adam skips
-a block whose gradients have all been exactly zero so far, which changes
-no bit either: its moments are still zero, so the update is
-lr 0 / (0 + eps) = 0.  A room vector of zeros makes the head's room rows
-such blocks for the whole run.
+allocates nothing.  The update is Kingma and Ba's efficient form, with the
+bias corrections folded into a step size and an epsilon per step.  Adam
+skips a block whose gradients have all been exactly zero so far, which
+changes no bit: its moments are still zero, so the update is
+alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes the head's room
+rows such blocks for the whole run.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
@@ -283,14 +283,19 @@ class _Adam:
     """Adam (Kingma & Ba, 2015) over the flat vector, one cache block at a time.
 
     Per element this is m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order.
+    p -= alpha_t m / (sqrt(v) + eps_t), evaluated in that order, with
+    c1 = 1 - b1^t, c2 = 1 - b2^t, alpha_t = lr sqrt(c2) / c1 and
+    eps_t = eps sqrt(c2): the paper's efficient ordering (its section 2) of
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), equal to it in exact arithmetic
+    and within a few ulps in floating point, with one divide per element
+    instead of two.
 
     A block whose gradients have all been zero so far is skipped: its m and
     v are still +0.0, and a zero (or -0.0) gradient leaves them +0.0 and
-    moves p by lr 0 / (0 + eps) = +0.0, so walking it would change no bit
-    (for a finite lr and eps > 0, as ``train`` uses).  The first non-zero
-    gradient in a block (NaN, or one too small to square, included) makes
-    it live for the rest of the run.
+    moves p by alpha_t 0 / (0 + eps_t) = +0.0, so walking it would change
+    no bit (for a finite lr and eps > 0, as ``train`` uses, eps_t > 0).  The
+    first non-zero gradient in a block (NaN, or one too small to square,
+    included) makes it live for the rest of the run.
     """
 
     def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray,
@@ -315,6 +320,8 @@ class _Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        alpha_t = self.lr * math.sqrt(c2) / c1
+        eps_t = self.eps * math.sqrt(c2)
         n = self.params.size
         for k, lo in enumerate(range(0, n, _ADAM_BLOCK)):
             hi = min(lo + _ADAM_BLOCK, n)
@@ -332,11 +339,9 @@ class _Adam:
             np.multiply(g, 1.0 - b2, out=a)
             a *= g
             v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, c1, out=b)
-            b *= self.lr
+            np.sqrt(v, out=a)
+            a += eps_t
+            np.multiply(m, alpha_t, out=b)
             b /= a
             p -= b
 

@@ -221,39 +221,93 @@ def where_pool(batch, mask, weights):
     return np.take_along_axis(masked, arg[:, None, :], axis=1)[:, 0, :], arg
 
 
-def routed_backward(upstream, batch, mask, weights):
-    """Reference: ``upstream`` routed to ``where_pool``'s argmax rows, then
-    back through the stack, activations unmasked.  Returns the routed
-    gradient and the input gradient."""
-    b, p_max, d = batch.shape
+def route(upstream, batch, mask, weights):
+    """Reference: ``upstream`` routed to ``where_pool``'s argmax rows, as a
+    (B, P, D) gradient."""
     _, arg = where_pool(batch, mask, weights)
-    g = np.zeros((b, p_max, weights.config.output_dim))
+    g = np.zeros(batch.shape[:2] + (weights.config.output_dim,))
     np.put_along_axis(g, arg[:, None, :], upstream[:, None, :], axis=1)
+    return g
+
+
+def routed_backward(upstream, batch, mask, weights):
+    """Reference: the padded backward.  ``route``'s gradient goes back
+    through the stack over every row, padded ones included.  Assigns the
+    layer gradients and returns the input gradient."""
+    b, p_max, d = batch.shape
+    g = route(upstream, batch, mask, weights)
     xs = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
     g_in = relu_stack_backward(g.reshape(b * p_max, -1), weights.layers, xs)
-    return g, g_in.reshape(b, p_max, d)
+    return g_in.reshape(b, p_max, d)
+
+
+def magnitudes(upstream, batch, mask, weights):
+    """``routed_backward`` in magnitudes: |upstream| back through |W| and
+    |activations|, masked alike.  Returns each layer's (grad_W, grad_b)
+    scale and the input gradient's: the sums of |term| that any order of
+    the same sums rounds within a few ulps of."""
+    b, p_max, d = batch.shape
+    g = route(np.abs(upstream), batch, mask, weights).reshape(b * p_max, -1)
+    xs = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
+    scales = []
+    for i in reversed(range(len(weights.layers))):
+        g = g * (xs[i + 1] > 0)
+        scales.append((np.abs(xs[i]).T @ g, g.sum(axis=0)))
+        g = g @ np.abs(weights.layers[i].W).T
+    return scales[::-1], g.reshape(b, p_max, d)
+
+
+ULPS = 4
+
+
+def assert_close(got, want, scale):
+    """Within ``ULPS`` ulps of ``scale``, plus as many of the smallest
+    subnormal for sums that underflow."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want)
+                  <= ULPS * (np.finfo(float).eps * scale + 5e-324))
+
+
+def _copy(weights):
+    return EncoderWeights(weights.config, [Dense(l.W.copy(), l.b.copy())
+                                           for l in weights.layers])
+
+
+def check_against_padded_backward(batch, mask, w, upstream):
+    """Packed backward against ``routed_backward``, for finite inputs."""
+    ref = _copy(w)
+    _, cache = encode_batch(batch, mask, w)
+    got = encode_batch_backward(upstream, cache, w)
+    want = routed_backward(upstream, batch, mask, ref)
+    scales, in_scale = magnitudes(upstream, batch, mask, ref)
+    assert got[~mask].tobytes() == np.zeros_like(got[~mask]).tobytes()
+    assert_close(got, want, in_scale)
+    for layer, r, (scale_W, scale_b) in zip(w.layers, ref.layers, scales):
+        assert_close(layer.grad_W, r.grad_W, scale_W)
+        assert_close(layer.grad_b, r.grad_b, scale_b)
 
 
 # zeros of both signs, subnormals, the smallest normal and the non-finite
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
            -math.inf, math.nan]
 VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4))
+FINITE = st.one_of(st.sampled_from(SPECIAL[:5]), st.floats(-4, 4))
 
 
 @st.composite
-def padded_batches(draw):
+def padded_batches(draw, elements=VALUES):
     """Sets of 1-P persons padded to P rows anywhere, and a 1-2 layer encoder
     of random widths."""
     widths = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
     d = draw(st.integers(1, 5))
     b, p_max = draw(st.integers(1, 5)), draw(st.integers(1, 7))
-    batch = draw(hnp.arrays(float, (b, p_max, d), elements=VALUES))
+    batch = draw(hnp.arrays(float, (b, p_max, d), elements=elements))
     mask = draw(hnp.arrays(bool, (b, p_max)))
     mask[np.arange(b), draw(hnp.arrays(np.intp, b,
                                        elements=st.integers(0, p_max - 1)))] = True
     dims = (d,) + widths
-    layers = [Dense(draw(hnp.arrays(float, (m, n), elements=VALUES)),
-                    draw(hnp.arrays(float, n, elements=VALUES)))
+    layers = [Dense(draw(hnp.arrays(float, (m, n), elements=elements)),
+                    draw(hnp.arrays(float, n, elements=elements)))
               for m, n in zip(dims, dims[1:])]
     return batch, mask, EncoderWeights(EncoderConfig(d, p_max, widths), layers)
 
@@ -268,26 +322,70 @@ def test_pooling_is_bit_equal_to_masked_argmax(case, data):
         want, _ = where_pool(batch, mask, w)
     assert pooled.tobytes() == want.tobytes() and pooled.shape == want.shape
     assert batch.tobytes() == before.tobytes()
-    # Backward finds the argmax.  Distinct non-zero upstream values make the
-    # routed gradient name the argmax row of every pooled dimension; drawn
-    # ones carry zeros of both signs, NaN and inf through the stack.
+    # Backward finds the argmax among the real rows.  Distinct non-zero
+    # upstream values make the routed gradient name the argmax row of every
+    # pooled dimension; drawn ones carry zeros of both signs, NaN and inf.
     for upstream in (np.arange(1.0, pooled.size + 1).reshape(pooled.shape),
                      data.draw(hnp.arrays(float, pooled.shape,
                                           elements=VALUES))):
-        ref = EncoderWeights(w.config, [Dense(l.W.copy(), l.b.copy())
-                                        for l in w.layers])
-        routed = []
-
-        def spy(g, *args):
-            routed.append(g.copy())
-            return relu_stack_backward(g, *args)
-
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            mp.setattr(encoder, "relu_stack_backward", spy)
+        rows, routed = encoder._route(upstream, cache)
+        assert np.array_equal(rows, np.flatnonzero(mask))
+        want_routed = route(upstream, batch, mask, w)[mask]
+        assert routed.tobytes() == want_routed.tobytes()
+        assert routed.shape == want_routed.shape
+        ref = _copy(w)
+        with np.errstate(all="ignore"):
             got = encode_batch_backward(upstream, cache, w)
-            want_routed, want_in = routed_backward(upstream, batch, mask, ref)
-        assert routed[0].tobytes() == want_routed.tobytes()
-        assert got.tobytes() == want_in.tobytes() and got.shape == want_in.shape
-        for layer, r in zip(w.layers, ref.layers):
-            assert layer.grad_W.tobytes() == r.grad_W.tobytes()
-            assert layer.grad_b.tobytes() == r.grad_b.tobytes()
+            routed_backward(upstream, batch, mask, ref)
+        assert got.shape == batch.shape
+        assert got[~mask].tobytes() == np.zeros_like(got[~mask]).tobytes()
+        # the last layer's mask, read off the pooled values, is the padded
+        # stack's: its grad_b sums the same values, in the same order, and
+        # only the padded rows' zeros between them (so up to zero signs)
+        assert np.array_equal(w.layers[-1].grad_b, ref.layers[-1].grad_b,
+                              equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=padded_batches(FINITE), data=st.data())
+def test_packed_backward_is_close_to_the_padded_backward(case, data):
+    batch, mask, w = case
+    upstream = data.draw(hnp.arrays(float, (batch.shape[0], w.config.output_dim),
+                                    elements=FINITE))
+    with np.errstate(under="ignore", over="ignore"):
+        check_against_padded_backward(batch, mask, w, upstream)
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 3), (4,), (1,), (1, 1, 1),
+                                    (1, 5, 2)],
+                         ids=["no padding", "one scene", "one person",
+                              "one person each", "mixed"])
+def test_packed_backward_layouts(counts):
+    rng = np.random.default_rng(13)
+    w = _random_encoder(rng, widths=(7, 5, 4))
+    batch, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
+    upstream = rng.standard_normal((len(counts), 4))
+    check_against_padded_backward(batch, mask, w, upstream)
+
+
+def test_padded_rows_do_not_reach_the_gradients():
+    # inf in a padded row: the padded backward multiplies it by that row's
+    # zero gradient and gets NaN; the packed backward never reads the row
+    rng = np.random.default_rng(14)
+    w = _random_encoder(rng)
+    batch, mask = pad_features([rng.standard_normal((p, 6)) for p in (3, 1, 2)])
+    upstream = rng.standard_normal((3, 4))
+    grads = []
+    for fill in (0.0, np.inf):
+        batch[~mask] = fill
+        with np.errstate(invalid="ignore"):
+            _, cache = encode_batch(batch, mask, w)
+        g_in = encode_batch_backward(upstream, cache, w)
+        grads.append(b"".join(a.tobytes() for a in [g_in] + [
+            x for l in w.layers for x in (l.grad_W, l.grad_b)]))
+        assert np.isfinite(g_in).all()
+        assert all(np.isfinite(l.grad_W).all() for l in w.layers)
+    assert grads[0] == grads[1]
+    with np.errstate(invalid="ignore"):
+        routed_backward(upstream, batch, mask, w)
+    assert np.isnan(w.layers[0].grad_W).all(axis=1).any()
