@@ -39,24 +39,17 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 SMALL = "--enc-widths 8,16 --hidden 16 --batch 8"
 GRID = ("--thresholds 0.3,0.5 --separations 1.0 --assign-dists 1.0,1.5 "
         "--strides 0.7")
-# model name: its train flags; every model is tuned, predicted and evaluated
+# model name: its train flags and its room flags; every model is tuned,
+# predicted and evaluated
 MODELS = {
-    "adam": f"aug1.jsonl {SMALL} --epochs 3 --seed 9",
-    "sgd-room": f"aug2.jsonl {SMALL} --epochs 3 --optimizer sgd --lr 0.05 "
-                "--room-file r5.feat",
-    "adam-layout": f"aug3.jsonl {SMALL} --epochs 2 --layout lay.json",
-    "init": f"aug1.jsonl {SMALL} --epochs 0 --room-file r5.feat",
-    "default-widths": "aug1.jsonl --epochs 1 --batch 16",
+    "adam": (f"aug1.jsonl {SMALL} --epochs 3 --seed 9", ""),
+    "sgd-room": (f"aug2.jsonl {SMALL} --epochs 3 --optimizer sgd --lr 0.05",
+                 "--room-file r5.feat"),
+    "adam-layout": (f"aug3.jsonl {SMALL} --epochs 2", "--layout lay.json"),
+    "init": (f"aug1.jsonl {SMALL} --epochs 0", "--room-file r5.feat"),
+    "default-widths": ("aug1.jsonl --epochs 1 --batch 16", ""),
 }
 HEATMAPS = ("adam", "init")  # models whose heatmaps are written as well
-
-
-def _room_flags(train_flags: str) -> str:
-    words = train_flags.split()
-    for flag in ("--room-file", "--layout"):
-        if flag in words:
-            return f"{flag} {words[words.index(flag) + 1]}"
-    return ""
 
 
 def _commands() -> list[str]:
@@ -65,9 +58,8 @@ def _commands() -> list[str]:
         cmds += [f"synth -o s{n}.jsonl --seed {n} --scenes 10 --groups 1 3 "
                  "--group-size 2 4",
                  f"ingest s{n}.jsonl -o aug{n}.jsonl --augment"]
-    for name, flags in MODELS.items():
-        room = _room_flags(flags)
-        cmds += [f"train {flags} -o {name}.ckpt --trace {name}-trace.csv",
+    for name, (flags, room) in MODELS.items():
+        cmds += [f"train {flags} {room} -o {name}.ckpt --trace {name}-trace.csv",
                  f"tune {name}.ckpt s3.jsonl {GRID} {room} -o {name}-params.json "
                  f"--table {name}-table.csv",
                  f"predict {name}.ckpt s1.jsonl {room} --params {name}-params.json "
@@ -84,7 +76,7 @@ def _commands() -> list[str]:
 def _inputs(directory: Path) -> None:
     (directory / "r5.feat").write_text("dim 5\n0.5\n-1.0\n2.0\n0.25\n-0.125\n")
     classes = ("free", "wall", "table", "furniture")
-    cells = [classes[(i * 7) % 5 % 4] for i in range(120)]
+    cells = [classes[(i * 7) % 5 % 4] for i in range(120)]  # an irregular mix
     (directory / "lay.json").write_text(json.dumps({"cells": cells}))
 
 
