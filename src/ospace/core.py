@@ -28,6 +28,7 @@ __all__ = [
     "grid_centers",
     "canonical_partition",
     "check_groups",
+    "check_person_count",
     "non_singleton_blocks",
     "validate_positions",
 ]
@@ -133,6 +134,14 @@ def check_groups(groups, n: int | None = None, what: str = "") -> set:
                 raise ValueError(f"{at}.{j}: person {i} is not in the {n}-person frame")
             seen.add(i)
     return seen
+
+
+def check_person_count(n: int, max_people: int, where: str) -> None:
+    """ValueError "<where>: N persons, ..." unless a model can read a frame
+    of ``n`` persons: at least one, at most ``max_people``."""
+    if not 0 < n <= max_people:
+        limit = f"cap is {max_people}" if n else "a model needs at least 1"
+        raise ValueError(f"{where}: {n} persons, {limit}")
 
 
 @dataclass(frozen=True, eq=False)

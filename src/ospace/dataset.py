@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups,
-                   validate_positions)
+                   check_person_count, validate_positions)
 from .jsondoc import from_obj, get_field, get_int_arrays
 
 __all__ = [
@@ -120,9 +120,8 @@ def _parse_record(obj, where: str, spec: RoomSpec | None,
     frame_id = get_field(obj, "", "frame_id", (str,), where)
     persons = tuple(from_obj(Person, p, f"persons.{i}", where) for i, p in
                     enumerate(get_field(obj, "", "persons", (list,), where)))
-    if max_people is not None and not 0 < len(persons) <= max_people:
-        limit = f"cap is {max_people}" if persons else "a model needs at least 1"
-        raise ValueError(f"{where}: {len(persons)} persons, {limit}")
+    if max_people is not None:
+        check_person_count(len(persons), max_people, where)
     blocks = get_int_arrays(obj, "", "groups", where) if "groups" in obj else ()
     mentioned = check_groups(blocks, len(persons), where)
     # anyone absent from every block is an implicit singleton

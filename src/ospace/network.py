@@ -57,7 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, Scene, non_singleton_blocks
+from .core import (DEFAULT_SPEC, OSpaceMap, RoomSpec, Scene,
+                   check_person_count, non_singleton_blocks)
 from .dataset import NormStats, fit_norm_stats, scene_features
 # nothing here calls ``encode``: it stays because perfbench's probe table
 # names ``network.encode``, and its traced-run test looks up every target
@@ -450,13 +451,9 @@ def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSp
     raises ValueError naming its frame before any network work.
     """
     scenes = list(scenes)
-    max_people = model.encoder.config.max_people
     for scene in scenes:
-        if not 1 <= len(scene.persons) <= max_people:
-            limit = (f"cap is {max_people}" if scene.persons
-                     else "a model needs at least 1")
-            raise ValueError(f"frame {scene.frame_id!r}: "
-                             f"{len(scene.persons)} persons, {limit}")
+        check_person_count(len(scene.persons), model.encoder.config.max_people,
+                           f"frame {scene.frame_id!r}")
     spec = model.spec
     feats = [sort_rows(scene_features(s, model.norm_stats)) for s in scenes]
     filler = np.zeros((1, model.encoder.config.input_dim))

@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_SPEC,
-    OSpaceMap,
-    Point2,
-    Scene,
-)
+from .core import OSpaceMap, Point2, Scene
 from .groundtruth import DEFAULT_STRIDE_M
 from .network import ModelWeights, predict_heatmap
 from .room import RoomFeature
 
 __all__ = ["Detection", "AssignParams", "nms", "propose_centers", "nearest_detections",
-           "assign_groups", "predict_scene"]
+           "partition_from_claims", "assign_groups", "predict_scene"]
 
 
 @dataclass(frozen=True)
@@ -119,21 +114,16 @@ def nearest_detections(props: np.ndarray, detections):
     return np.argmin(dist, axis=1), dist.min(axis=1)
 
 
-def assign_groups(persons, detections, params: AssignParams):
-    """Partition persons by nearest detection to each one's o-space proposal.
+def partition_from_claims(claims):
+    """The partition fixed by each person's claimed detection index, or -1
+    for none: the claimants of one detection form a block, and a detection
+    claimed by fewer than two persons dissolves into singletons.
 
     Returns a canonical full partition (singletons included): blocks sorted
     by smallest member, members ascending.
     """
-    persons = list(persons)
-    if not persons:
-        return ()
-    near, dist = nearest_detections(propose_centers(persons, params.stride_m),
-                                    detections)
-    assigned = np.where(dist <= params.max_assign_dist_m, near, -1).tolist()
-
     blocks: dict[int, list[int]] = {}
-    for i, j in enumerate(assigned):
+    for i, j in enumerate(claims):
         blocks.setdefault(j, []).append(i)
     groups = []
     for j, members in blocks.items():
@@ -143,6 +133,15 @@ def assign_groups(persons, detections, params: AssignParams):
             groups.extend((m,) for m in members)
     groups.sort()  # members already ascend: this is canonical_partition
     return tuple(groups)
+
+
+def assign_groups(persons, detections, params: AssignParams):
+    """Partition persons by nearest detection to each one's o-space
+    proposal, within ``max_assign_dist_m``: ``partition_from_claims``."""
+    near, dist = nearest_detections(
+        propose_centers(list(persons), params.stride_m), detections)
+    return partition_from_claims(
+        np.where(dist <= params.max_assign_dist_m, near, -1).tolist())
 
 
 def predict_scene(scene: Scene, model: ModelWeights, room: RoomFeature,

@@ -17,19 +17,18 @@ Each stage runs once per combination of the grid axes it depends on:
   index.
 
 The assignment distance is then only a cutoff on that distance: the key
-vector ``where(dist <= max_assign_dist_m, nearest, -1)`` fixes the
-partition ``assign_groups`` would return.  Every grid point's key vector
-is one row of a points x persons array.  Per scene, one ``np.unique`` over
-its columns, each row viewed as raw bytes, finds the distinct key rows and
-which one each grid point has; no Python loop runs per (grid point,
-scene).  ``assign_groups`` then runs once per distinct (scene, key row), at
-the row's first grid point, and ``match_scene`` once per distinct (scene,
-partition): key rows that differ only in detection indices, or in a
-detection one person alone claims, give one partition.  Each grid point's
-``aggregate`` gets its (tp, fp, fn) summed over the scenes.  The table
-lists every grid point in grid order.  Ties on F1 break toward higher
-threshold, larger separation, smaller assignment distance, then smaller
-stride.
+vector ``where(dist <= max_assign_dist_m, nearest, -1)`` holds each
+person's claimed detection, the claims ``assign_groups`` would compute.
+Every grid point's key vector is one row of a points x persons array.  Per
+scene, one ``np.unique`` over its columns, each row viewed as raw bytes,
+finds the distinct key rows and which one each grid point has; no Python
+loop runs per (grid point, scene).  Each distinct (scene, key row) is
+turned into its partition by ``partition_from_claims``, the rule
+``assign_groups`` applies, and matched by ``match_scene``, once.  Each
+grid point's ``aggregate`` gets its (tp, fp, fn) summed over the scenes.
+The table lists every grid point in grid order.  Ties on F1 break toward
+higher threshold, larger separation, smaller assignment distance, then
+smaller stride.
 """
 from __future__ import annotations
 
@@ -40,10 +39,12 @@ import numpy as np
 
 from .evaluation import GroupMetrics, aggregate, match_scene, snap_tolerance
 from .network import ModelWeights, predict_heatmap, predict_heatmaps  # noqa: F401
-# grid_search calls neither predict_heatmap nor thread_map; both names stay
-# only for perfbench's probe table, whose traced-run test looks up each one
+# grid_search calls none of predict_heatmap, thread_map and assign_groups;
+# the names stay only for perfbench's probe table, whose traced-run test
+# looks up each one
 from .parallel import thread_map  # noqa: F401
-from .postprocess import AssignParams, assign_groups, nms, propose_centers
+from .postprocess import (AssignParams, assign_groups,  # noqa: F401
+                          nms, partition_from_claims, propose_centers)
 from .room import RoomFeature
 
 __all__ = ["Grid", "GridResult", "grid_search", "grid_search_heatmaps"]
@@ -76,13 +77,13 @@ class GridResult:
 
 
 def _prefix_candidates(heatmaps, sep, lowest, owner, props):
-    """Detections at the lowest threshold and what every threshold reads
-    from them, at one separation.
+    """What every threshold reads from the detections at the lowest
+    threshold, at one separation.
 
-    Returns (detections per scene; their scores as a scenes x width matrix
-    padded with -inf; per stride, the persons x width distances from each
-    proposal to its own scene's detections, padded with inf).  Rows of
-    ``owner`` and ``props`` are every scene's persons laid end to end.
+    Returns (the detections' scores as a scenes x width matrix padded with
+    -inf; per stride, the persons x width distances from each proposal to
+    its own scene's detections, padded with inf).  Rows of ``owner`` and
+    ``props`` are every scene's persons laid end to end.
     """
     base = AssignParams(nms_threshold=lowest, min_group_separation_m=sep)
     detections = [nms(h, base) for h in heatmaps]
@@ -96,7 +97,7 @@ def _prefix_candidates(heatmaps, sep, lowest, owner, props):
     mine = centers[owner]
     dists = [np.hypot(mine[..., 0] - p[:, :1], mine[..., 1] - p[:, 1:])
              for p in props]
-    return detections, scores, dists
+    return scores, dists
 
 
 def _distinct_rows(rows):
@@ -137,41 +138,31 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     # the smallest signed type that holds -1 .. width - 1
     shape = (len(grid.nms_thresholds), len(grid.separations_m),
              len(grid.assign_dists_m), len(grid.strides_m))
-    width = max(scores.shape[1] for _, scores, _ in by_sep)
+    width = max(scores.shape[1] for scores, _ in by_sep)
     keys = np.empty(shape + (len(owner),), np.min_scalar_type(-width))
-    n_live = np.empty(shape[:2] + (len(scenes),), np.intp)
     ads = np.array(grid.assign_dists_m)[:, None]
     for a, thr in enumerate(grid.nms_thresholds):
-        for b, (_, scores, dists) in enumerate(by_sep):
-            live = scores >= thr
-            n_live[a, b] = np.count_nonzero(live, axis=1)
-            live_rows = live[owner]
+        for b, (scores, dists) in enumerate(by_sep):
+            live_rows = (scores >= thr)[owner]
             for d, dist in enumerate(dists):
                 dist = np.where(live_rows, dist, np.inf)
                 keys[a, b, :, d] = np.where(dist.min(axis=1) <= ads,
                                             np.argmin(dist, axis=1), -1)
     keys = keys.reshape(-1, len(owner))
-    points = [(AssignParams(nms_threshold=thr, min_group_separation_m=sep,
-                            max_assign_dist_m=ad, stride_m=st), a, b)
-              for a, thr in enumerate(grid.nms_thresholds)
-              for b, sep in enumerate(grid.separations_m)
+    points = [AssignParams(nms_threshold=thr, min_group_separation_m=sep,
+                           max_assign_dist_m=ad, stride_m=st)
+              for thr in grid.nms_thresholds for sep in grid.separations_m
               for ad in grid.assign_dists_m for st in grid.strides_m]
 
     totals = np.zeros((len(points), 3), np.int64)
     for i, s in enumerate(scenes):
-        first, inverse = _distinct_rows(keys[:, bounds[i]:bounds[i + 1]])
-        matched: dict[tuple, tuple[int, int, int]] = {}
-        counts = []
-        for g in first.tolist():
-            params, a, b = points[g]
-            detections = by_sep[b][0][i][:n_live[a, b, i]]
-            partition = assign_groups(s.persons, detections, params)
-            if partition not in matched:
-                matched[partition] = match_scene(partition, s.groups, t)
-            counts.append(matched[partition])
+        rows = keys[:, bounds[i]:bounds[i + 1]]
+        first, inverse = _distinct_rows(rows)
+        counts = [match_scene(partition_from_claims(claims), s.groups, t)
+                  for claims in rows[first].tolist()]
         totals += np.array(counts, np.int64)[inverse]
     table = [GridResult(p, aggregate([c], t))
-             for (p, _, _), c in zip(points, totals.tolist())]
+             for p, c in zip(points, totals.tolist())]
 
     best = min(table, key=lambda r: (-r.metrics.f1, -r.params.nms_threshold,
                                      -r.params.min_group_separation_m,

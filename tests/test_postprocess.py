@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Point2, cell_center
+from ospace.core import (DEFAULT_SPEC, OSpaceMap, Person, Point2,
+                         canonical_partition, cell_center)
 from ospace.groundtruth import propose_center
 from ospace.postprocess import (
     AssignParams,
@@ -11,6 +12,7 @@ from ospace.postprocess import (
     assign_groups,
     nearest_detections,
     nms,
+    partition_from_claims,
     propose_centers,
 )
 
@@ -171,6 +173,27 @@ def test_assign_output_is_canonical():
     got = assign_groups(persons, dets, P)
     assert got == ((0, 1), (2, 3))
     assert all(got[i][0] < got[i + 1][0] for i in range(len(got) - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(claims=st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.integers(-1, k), max_size=12)))
+def test_partition_from_claims_property(claims):
+    """Claimants of one detection form a block when there are two or more;
+    everyone else, unclaiming or a lone claimant, is a singleton."""
+    partition = partition_from_claims(claims)
+    assert sorted(m for block in partition for m in block) == list(
+        range(len(claims)))
+    assert partition == canonical_partition(partition)
+    claimants = {}
+    for i, j in enumerate(claims):
+        claimants.setdefault(j, []).append(i)
+    groups = {tuple(members) for j, members in claimants.items()
+              if j >= 0 and len(members) >= 2}
+    assert {block for block in partition if len(block) >= 2} == groups
+    grouped = {m for block in groups for m in block}
+    assert ({block for block in partition if len(block) == 1}
+            == {(i,) for i in range(len(claims)) if i not in grouped})
 
 
 def test_threshold_monotonicity():

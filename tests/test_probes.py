@@ -6,12 +6,14 @@ without any error; so would a module that still imports a probed function
 but stops calling it.  The probe table is read from its file, without
 writing anything next to it.
 """
+import ast
 import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+import ospace
 from ospace import network, postprocess, tuning
 from ospace.core import Person, Scene
 from ospace.encoder import EncoderConfig
@@ -21,10 +23,12 @@ from ospace.room import RoomFeature
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
 # Tuning targets the probe table still names that ``grid_search`` no longer
-# calls: it gets every heatmap from one ``network.predict_heatmaps`` call,
-# so their spans read zero under tuning.  ``tuning`` keeps both names only
-# because perfbench's traced-run test looks up every target the table names.
-RETIRED = {"thread_map", "predict_heatmap"}
+# calls, so their spans read zero under tuning: it gets every heatmap from
+# one ``network.predict_heatmaps`` call, and it turns each distinct key row
+# into its partition with ``postprocess.partition_from_claims`` instead of
+# ``assign_groups``.  ``tuning`` keeps these names only because perfbench's
+# traced-run test looks up every target the table names.
+RETIRED = {"thread_map", "predict_heatmap", "assign_groups"}
 
 # Network targets the probe table still names that no prediction calls:
 # every scene goes through ``network.batch_forward``.  ``network`` keeps both
@@ -54,7 +58,7 @@ def test_grid_search_calls_every_tuning_probe_target(monkeypatch):
     calls = Counter()
     attrs = [attr for module, attr, _, _ in _probes().TARGETS
              if module is tuning and attr != "grid_search"]
-    assert {"nms", "assign_groups", "match_scene"} | RETIRED <= set(attrs)
+    assert {"nms", "match_scene"} | RETIRED <= set(attrs)
     for attr in attrs:
         def spy(*args, _real=getattr(tuning, attr), _attr=attr, **kwargs):
             calls[_attr] += 1
@@ -100,3 +104,31 @@ def test_prediction_calls_no_retired_network_target(monkeypatch):
     network.predict_heatmaps(scenes, model, room)
     postprocess.predict_scene(scenes[0], model, room)
     assert calls == Counter(batch_forward=3)
+
+
+def _dead_imports(path):
+    """Names a module imports but never references (``__future__`` aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_only_retired_probe_targets_are_dead_imports():
+    """An import nothing references is deleted, unless it is a retired probe
+    target its module keeps for the probe table.  Once the table drops a
+    target, this names the import to delete with it.  ``__init__`` is
+    skipped: its imports are the package's exports."""
+    src = Path(ospace.__file__).resolve().parent
+    retired = {"tuning": RETIRED, "network": NETWORK_RETIRED}
+    dead = {(path.stem, name) for path in src.glob("*.py")
+            if path.name != "__init__.py" for name in _dead_imports(path)}
+    stray = sorted(f"{module}.{name}" for module, name in dead
+                   if name not in retired.get(module, ()))
+    assert stray == []
+    # the guard does see the imports kept on purpose
+    assert {name for module, name in dead if module == "tuning"} == RETIRED

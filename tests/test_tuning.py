@@ -232,10 +232,10 @@ def test_nms_runs_once_per_scene_and_separation(monkeypatch):
                                                   * len(grid.separations_m))
 
 
-def _oracle_misses(heatmaps, scenes, grid):
+def _oracle_key_rows(heatmaps, scenes, grid):
     """What the search must compute, counted grid point by grid point:
-    the distinct (scene, key row) and (scene, partition) pairs."""
-    rows, partitions = set(), set()
+    the distinct (scene, key row) pairs."""
+    rows = set()
     for thr in grid.nms_thresholds:
         for sep in grid.separations_m:
             base = AssignParams(nms_threshold=thr, min_group_separation_m=sep)
@@ -246,16 +246,13 @@ def _oracle_misses(heatmaps, scenes, grid):
                         near, dist = nearest_detections(
                             propose_centers(s.persons, st_m), dets)
                         rows.add((i, tuple(np.where(dist <= ad, near, -1))))
-                        params = AssignParams(thr, sep, ad, st_m)
-                        partitions.add((i, assign_groups(s.persons, dets,
-                                                         params)))
-    return len(rows), len(partitions)
+    return len(rows)
 
 
-def test_misses_run_once_per_distinct_key_row_and_partition(monkeypatch):
-    """assign_groups runs once per distinct (scene, key row) and
-    match_scene once per distinct (scene, partition), so a trace's call
-    counts say how much assignment and matching the search really did."""
+def test_misses_run_once_per_distinct_key_row(monkeypatch):
+    """partition_from_claims and match_scene each run once per distinct
+    (scene, key row), so a trace's call counts say how much assignment
+    and matching the search really did."""
     rng = np.random.default_rng(3)
     scenes, heatmaps = _exact_scenes()
     flat_scenes, flat_maps = _flat_scenes()
@@ -271,18 +268,17 @@ def test_misses_run_once_per_distinct_key_row_and_partition(monkeypatch):
     grid = Grid(nms_thresholds=(0.3, 0.5, 0.7), separations_m=(0.5, 1.0),
                 assign_dists_m=(0.5, 1.0, 1.5), strides_m=(0.4, 0.7))
     calls = Counter()
-    for name in ("assign_groups", "match_scene"):
+    for name in ("partition_from_claims", "match_scene"):
         def spy(*args, _real=getattr(tuning, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(tuning, name, spy)
     got = grid_search_heatmaps(heatmaps, scenes, grid, Fraction(2, 3))
+    n_rows = _oracle_key_rows(heatmaps, scenes, grid)
+    assert calls == Counter(partition_from_claims=n_rows, match_scene=n_rows)
     assert got == _per_point_search(heatmaps, scenes, grid, Fraction(2, 3))
-    n_rows, n_partitions = _oracle_misses(heatmaps, scenes, grid)
-    assert (calls["assign_groups"], calls["match_scene"]) == (n_rows,
-                                                              n_partitions)
-    # the case is not degenerate: some key rows share a partition
-    assert n_partitions < n_rows
+    # the case is not degenerate: some grid points share a key row
+    assert n_rows < len(got[2]) * len(scenes)
 
 
 _COORDS = st.floats(0, 1, allow_nan=False)
