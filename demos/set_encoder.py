@@ -15,7 +15,7 @@ from ospace.encoder import (
     encode_batch_backward,
     init_encoder,
 )
-from ospace.layers import Dense
+from ospace.layers import Dense, flatten
 
 rng = np.random.default_rng(0)
 
@@ -41,7 +41,12 @@ big = EncoderWeights(
 assert encode(feats, big).tobytes() == pooled.tobytes()
 print("capacity 6 -> 30: bit-identical")
 
-# gradient provenance: each pooled dim belongs to exactly one person
+# gradient provenance: each pooled dim belongs to exactly one person.
+# Backward writes into gradient buffers that only flatten makes: it moves
+# the layers into one parameter store and gives each a grad_W and grad_b.
+flatten(weights.layers)
+
+
 def input_grad(rows):
     _, cache = encode_batch(rows[None], np.ones((1, len(rows)), bool), weights)
     return encode_batch_backward(np.ones((1, pooled.shape[0])), cache, weights)[0]

@@ -7,11 +7,16 @@ per-batch state.  Backward reads each layer's mask off its output, which
 is > 0 exactly where z > 0 (see below), so no mask is stored.
 
 Parameters live in float64 arrays that an optimizer updates in place.
-``flatten`` moves a model's layers into one parameter store: every W and b
-becomes a view of one contiguous vector, and every grad_W and grad_b a view
+A ``Dense`` holds its W and b and nothing else.  ``flatten`` moves a
+model's layers into one parameter store: every W and b becomes a view of
+one contiguous vector, and it gives every layer a grad_W and grad_b, views
 of a second one, so the optimizer step, the snapshot and the restore each
-run over one array.  Backward assigns each layer's gradient (it does not
-add to it), so the gradient buffers never need zeroing between steps.
+run over one array.  ``flatten`` is the only place gradient storage is
+made, so gradients exist only between a ``flatten`` and the end of
+``network.train``, which takes them off the layers again; backward on a
+layer that was never flattened raises AttributeError.  Backward assigns
+each layer's gradient (it does not add to it), so the gradient buffers
+never need zeroing between steps.
 
 The ReLU and its mask are branch-free and work in place, and their bits
 equal ``np.where(z > 0, z, 0.0)`` and ``np.where(m, g, 0.0)`` on every
@@ -46,7 +51,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Dense:
-    """Affine map y = x W + b with W of shape (d_in, d_out)."""
+    """Affine map y = x W + b with W of shape (d_in, d_out).
+
+    It holds no gradient buffers: ``flatten`` gives it grad_W and grad_b.
+    """
 
     def __init__(self, W: np.ndarray, b: np.ndarray):
         W = np.asarray(W, dtype=float)
@@ -55,16 +63,15 @@ class Dense:
             raise ValueError(f"bad dense shapes W{W.shape} b{b.shape}")
         self.W = W
         self.b = b
-        self.grad_W = np.zeros_like(W)
-        self.grad_b = np.zeros_like(b)
 
 
 def flatten(layers) -> tuple[np.ndarray, np.ndarray]:
     """Move the layers' parameters into one contiguous store.
 
     Returns (params, grads), two float64 vectors holding each layer's W then
-    b in layer order.  Every layer's W, b, grad_W and grad_b is rebound to a
-    reshaped view of them, so writing either vector writes the layers.
+    b in layer order, grads zeroed.  Every layer's W and b is rebound to a
+    reshaped view of params, and its grad_W and grad_b set to one of grads,
+    so writing either vector writes the layers.
     """
     params = np.concatenate([a.ravel() for l in layers for a in (l.W, l.b)])
     grads = np.zeros_like(params)

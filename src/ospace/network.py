@@ -20,16 +20,19 @@ one, the head at one row.
 ``train`` runs on one flat parameter vector (``layers.flatten``): every
 layer's weights are views of it, and backward assigns each step's gradients
 into a second vector of the same layout.  The optimizer updates the whole
-vector, and the best-epoch snapshot is a copy of it.  Adam walks the vector
-in fixed blocks of ``_ADAM_BLOCK`` elements, small enough that the block's
-parameters, gradients, moments and two preallocated scratch blocks stay in
-the L2 cache across its ufuncs, each of which writes with ``out=`` so a step
-allocates nothing.  The update is Kingma and Ba's efficient form, with the
-bias corrections folded into a step size and an epsilon per step.  Adam
-skips a block whose gradients have all been exactly zero so far, which
-changes no bit: its moments are still zero, so the update is
-alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes the head's room
-rows such blocks for the whole run.
+vector, and the best-epoch snapshot is a copy of it.  Gradients exist only
+from that ``flatten`` to the end of ``train``, which takes grad_W and grad_b
+off every layer, so a trained model, like a loaded one, holds its weights
+and nothing else; running backward outside ``train`` takes a ``flatten``
+first.  Adam walks the vector in fixed blocks of ``_ADAM_BLOCK`` elements,
+small enough that the block's parameters, gradients, moments and two
+preallocated scratch blocks stay in the L2 cache across its ufuncs, each of
+which writes with ``out=`` so a step allocates nothing.  The update is
+Kingma and Ba's efficient form, with the bias corrections folded into a step
+size and an epsilon per step.  Adam skips a block whose gradients have all
+been exactly zero so far, which changes no bit: its moments are still zero,
+so the update is alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes
+the head's room rows such blocks for the whole run.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
@@ -428,6 +431,8 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
             best[...] = params
 
     params[...] = best
+    for layer in enc_w.layers + head_w.layers:
+        del layer.grad_W, layer.grad_b  # the model must not keep grads alive
     model = ModelWeights(encoder=enc_w, head=head_w, norm_stats=stats,
                          stride_m=stride_m, seed=cfg.seed, spec=spec)
     return model, trace
@@ -558,13 +563,14 @@ def load_model(path) -> ModelWeights:
             what = "truncated" if size < blob_bytes else "trailing bytes"
             raise ValueError(f"checkpoint blob: {size} bytes after the header, "
                              f"blob_bytes is {blob_bytes} ({what})")
-        buf = bytearray(blob_bytes)  # writable, and the vector's only copy
+        # writable, and the vector's only copy; readinto fills every byte
+        buf = np.empty(blob_bytes, np.uint8)
         if f.readinto(buf) != blob_bytes or f.read(1):
             raise ValueError("checkpoint blob: file changed while being read")
     if hashlib.sha256(buf).hexdigest() != sha256:
         raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
     # Every layer is a view of the blob, cut by the widths blob_bytes matched.
-    flat = np.frombuffer(buf, dtype=_BLOB_DTYPE)
+    flat = buf.view(_BLOB_DTYPE)
     start = 0
     for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
         dims = weights.config.dims

@@ -24,7 +24,7 @@ from ospace.encoder import (
 )
 from ospace.evaluation import aggregate, match_scene
 from ospace.groundtruth import scene_target
-from ospace.layers import Dense
+from ospace.layers import Dense, flatten
 from ospace.network import (
     HeadConfig,
     TrainConfig,
@@ -183,6 +183,7 @@ def test_full_model_gradients_match_finite_differences():
                               hidden_widths=hidden, output_dim=out_dim)
         enc_w = init_encoder(enc_cfg, rng)
         head_w = init_head(head_cfg, rng)
+        flatten(enc_w.layers + head_w.layers)
         room = rng.standard_normal(room_dim)
 
         ok = False

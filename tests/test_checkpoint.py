@@ -3,6 +3,7 @@ files, version 1 files among them, are data errors (exit 2)."""
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,29 @@ def test_v2_layout_is_magic_header_and_flat_blob(tmp_path):
     back = load_model(tmp_path / "m.ckpt")
     _assert_same_model(back, model)
     assert all(l.W.flags.writeable and l.b.flags.writeable for l in _layers(back))
+
+
+def test_load_retains_the_blob_and_nothing_of_its_size_more(tmp_path):
+    # about 1.1 MB of weights, so that a second buffer of their size (zeroed
+    # gradients, or a copy of the blob) is far outside the 1% slack
+    rng = np.random.default_rng(0)
+    enc_cfg = EncoderConfig(input_dim=18, max_people=25,
+                            layer_widths=(64, 128, 256))
+    head_cfg = HeadConfig(input_dim=260, hidden_widths=(256,), output_dim=120)
+    save_model(ModelWeights(init_encoder(enc_cfg, rng), init_head(head_cfg, rng),
+                            NormStats(3.1, -0.25, 1.5, 2.0)), tmp_path / "m.ckpt")
+    blob_bytes = _split((tmp_path / "m.ckpt").read_bytes())[1]["blob_bytes"]
+    load_model(tmp_path / "m.ckpt")  # one-time costs (imports, caches) first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = load_model(tmp_path / "m.ckpt")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert blob_bytes <= retained <= 1.01 * blob_bytes
+    assert not any(hasattr(l, "grad_W") or hasattr(l, "grad_b")
+                   for l in _layers(back))
 
 
 def _flip_blob_byte(data):

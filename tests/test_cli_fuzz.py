@@ -15,6 +15,12 @@ that ``train`` takes, ``predict`` takes with the checkpoint it wrote.
 
 The third breaks a ``--params`` file and runs it through ``predict``, which
 works or exits 2 naming the file.
+
+The last two break a checkpoint and run it through ``predict`` and ``tune``.
+Every header field is dropped or given each wrong JSON type in turn; the
+magic line, ``blob_bytes`` and the blob (a byte flipped, cut short, a byte
+appended) are fuzzed.  No such file loads: each run exits 2 with a message
+that starts with ``checkpoint``.
 """
 import copy
 import json
@@ -245,3 +251,140 @@ def test_mutated_params_work_or_name_their_file(tmp_path, capsys, monkeypatch,
     (tmp_path / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
     _run(capsys, ["predict", str(plain_checkpoint), "s.jsonl", "-o",
                   "pred.jsonl", "--params", "bad.json"], "bad.json")
+
+
+CHECKPOINT = "m.bin"  # so that "checkpoint" in a message is not the file name
+TUNE_GRID = ["--thresholds", "0.5", "--separations", "1", "--assign-dists", "1",
+             "--strides", "0.7"]
+# every field of a checkpoint's header, checked against a saved one below
+HEADER_FIELDS = ["version", "spec", "spec.rows", "spec.cols", "spec.cell_m",
+                 "stride_m", "seed", "norm_stats", "norm_stats.mean_x",
+                 "norm_stats.mean_y", "norm_stats.std_x", "norm_stats.std_y",
+                 "encoder", "encoder.config", "encoder.config.input_dim",
+                 "encoder.config.max_people", "encoder.config.layer_widths",
+                 "head", "head.config", "head.config.input_dim",
+                 "head.config.hidden_widths", "head.config.output_dim",
+                 "blob_bytes", "sha256"]
+# a value of every JSON type; a field is given each one not of its own type
+WRONG_TYPES = [None, True, "b", 7, 0.5, [], {}]
+MAGIC_LINES = [b"", b"ospace-checkpoint-1", b"ospace-checkpoint-3",
+               b"OSPACE-CHECKPOINT-2", b"ospace-checkpoint-2 ",
+               b" ospace-checkpoint-2", b"ospace-checkpoint-2\r",
+               b"ospace-checkpoint", b"ospace-checkpoint-2\xff", b"{}"]
+
+
+def _json_kind(value) -> str:
+    """The JSON type of a header value: integers count as numbers (a float
+    field takes them), booleans do not."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def _fields(obj, where=""):
+    """The dotted path of every field of a checkpoint header, outer first."""
+    for key, value in obj.items():
+        path = f"{where}.{key}" if where else key
+        yield path
+        if isinstance(value, dict):
+            yield from _fields(value, path)
+
+
+def _split_checkpoint(data: bytes):
+    magic, header, blob = data.split(b"\n", 2)
+    return magic, json.loads(header), blob
+
+
+def _join_checkpoint(magic: bytes, header, blob: bytes) -> bytes:
+    return magic + b"\n" + json.dumps(header).encode() + b"\n" + blob
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(plain_checkpoint):
+    """The plain checkpoint's bytes, which ``predict`` and ``tune`` take."""
+    root = plain_checkpoint.parent
+    for argv in (["predict", str(plain_checkpoint), str(root / "s.jsonl"), "-o",
+                  str(root / "pred.jsonl")],
+                 ["tune", str(plain_checkpoint), str(root / "s.jsonl"),
+                  *TUNE_GRID]):
+        assert main(argv) == 0
+    data = plain_checkpoint.read_bytes()
+    assert list(_fields(_split_checkpoint(data)[1])) == HEADER_FIELDS
+    return data
+
+
+def _fails_to_load(capsys, root, data: bytes, reason: str) -> None:
+    """``predict`` and ``tune`` of the checkpoint ``data`` both exit 2 with a
+    message that starts with "checkpoint" and holds ``reason``."""
+    (root / CHECKPOINT).write_bytes(data)
+    (root / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    for argv in (["predict", CHECKPOINT, "s.jsonl", "-o", "pred.jsonl"],
+                 ["tune", CHECKPOINT, "s.jsonl", *TUNE_GRID]):
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, (argv, err)
+        assert err.startswith("error: checkpoint") and reason in err, (argv, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", HEADER_FIELDS)
+def test_checkpoint_header_field_dropped_or_mistyped_exits_2(
+        tmp_path, capsys, monkeypatch, checkpoint_bytes, field):
+    monkeypatch.chdir(tmp_path)
+    magic, header, blob = _split_checkpoint(checkpoint_bytes)
+    path = field.split(".")
+    kind = _json_kind(_parent(header, path)[path[-1]])
+    bad = copy.deepcopy(header)
+    del _parent(bad, path)[path[-1]]
+    _fails_to_load(capsys, tmp_path, _join_checkpoint(magic, bad, blob),
+                   f"checkpoint {field}: missing")
+    for value in WRONG_TYPES:
+        if _json_kind(value) != kind:
+            bad = copy.deepcopy(header)
+            _parent(bad, path)[path[-1]] = value
+            _fails_to_load(capsys, tmp_path, _join_checkpoint(magic, bad, blob),
+                           f"checkpoint {field}: expected")
+
+
+def _mutated_checkpoint(data, checkpoint: bytes) -> tuple[bytes, str]:
+    """``checkpoint`` with its magic line, ``blob_bytes`` or blob broken, and
+    the words the error must hold."""
+    magic, header, blob = _split_checkpoint(checkpoint)
+    kind = data.draw(st.sampled_from(["magic", "blob_bytes", "flip", "cut",
+                                      "append"]))
+    if kind == "magic":
+        if data.draw(st.booleans()):
+            magic = data.draw(st.sampled_from(MAGIC_LINES))
+        else:
+            i = data.draw(st.integers(0, len(magic) - 1))
+            magic = (magic[:i] + bytes([magic[i] ^ data.draw(st.integers(1, 255))])
+                     + magic[i + 1:])
+        return _join_checkpoint(magic, header, blob), "the first line"
+    if kind == "blob_bytes":
+        need = header["blob_bytes"]
+        header["blob_bytes"] = data.draw(st.one_of(
+            st.sampled_from([0, -1, need - 1, need + 1, need - 8, need + 8,
+                             2 * need, 10 ** 30]),
+            st.integers(-2 ** 70, 2 ** 70)).filter(lambda v: v != need))
+        return _join_checkpoint(magic, header, blob), "the configs need"
+    if kind == "flip":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        blob = (blob[:i] + bytes([blob[i] ^ data.draw(st.integers(1, 255))])
+                + blob[i + 1:])
+        return _join_checkpoint(magic, header, blob), "sha256 mismatch"
+    if kind == "cut":
+        blob = blob[:-data.draw(st.integers(1, len(blob)))]
+        return _join_checkpoint(magic, header, blob), "truncated"
+    blob += bytes([data.draw(st.integers(0, 255))])
+    return _join_checkpoint(magic, header, blob), "trailing bytes"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_exits_2_naming_the_checkpoint(
+        tmp_path, capsys, monkeypatch, checkpoint_bytes, data):
+    monkeypatch.chdir(tmp_path)
+    bad, reason = _mutated_checkpoint(data, checkpoint_bytes)
+    _fails_to_load(capsys, tmp_path, bad, reason)

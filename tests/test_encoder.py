@@ -16,13 +16,16 @@ from ospace.encoder import (
     init_encoder,
     pad_features,
 )
-from ospace.layers import Dense, relu_stack_backward, relu_stack_forward
+from ospace.layers import Dense, flatten, relu_stack_backward, relu_stack_forward
 
 
 def _random_encoder(rng, input_dim=6, widths=(5, 4), max_people=8):
+    """A random encoder, flattened so backward has gradient buffers."""
     cfg = EncoderConfig(input_dim=input_dim, max_people=max_people,
                         layer_widths=widths)
-    return init_encoder(cfg, rng)
+    weights = init_encoder(cfg, rng)
+    flatten(weights.layers)
+    return weights
 
 
 def _mlp(weights, x):
@@ -269,8 +272,11 @@ def assert_close(got, want, scale):
 
 
 def _copy(weights):
-    return EncoderWeights(weights.config, [Dense(l.W.copy(), l.b.copy())
+    """A flattened copy of ``weights``."""
+    copy = EncoderWeights(weights.config, [Dense(l.W.copy(), l.b.copy())
                                            for l in weights.layers])
+    flatten(copy.layers)
+    return copy
 
 
 def check_against_padded_backward(batch, mask, w, upstream):
@@ -309,6 +315,7 @@ def padded_batches(draw, elements=VALUES):
     layers = [Dense(draw(hnp.arrays(float, (m, n), elements=elements)),
                     draw(hnp.arrays(float, n, elements=elements)))
               for m, n in zip(dims, dims[1:])]
+    flatten(layers)
     return batch, mask, EncoderWeights(EncoderConfig(d, p_max, widths), layers)
 
 

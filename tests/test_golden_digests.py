@@ -3,10 +3,13 @@
 The chain synthesizes and augments scenes, trains small models (adam and
 sgd; no room, a 5-value room file and a layout; one zero-epoch model) and
 one short model at the CLI default widths, then tunes, predicts, writes
-heatmaps, evaluates and renders.  ``golden_digests.json`` holds the sha256
-of each output, keyed by the environment that decides the bits: numpy's
-version, the BLAS build and the kernel it picked, the machine, the core
-count and the BLAS thread variables.
+heatmaps, evaluates and renders.  One more model, written as an input, has
+its output layer zeroed: every cell of its heatmaps is sigmoid(0) = 0.5, so
+every peak ties and NMS's tie order alone picks its detections.
+``golden_digests.json`` holds the sha256 of each output, keyed by the
+environment that decides the bits: numpy's version, the BLAS build and the
+kernel it picked, the machine, the core count and the BLAS thread
+variables.
 
 With a known environment the test compares every digest and names the
 first output that differs.  With an unknown one it runs the chain twice,
@@ -31,6 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from ospace.cli import main
+from ospace.dataset import NormStats
+from ospace.encoder import EncoderConfig, init_encoder
+from ospace.network import HeadConfig, ModelWeights, init_head, save_model
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -39,8 +45,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 SMALL = "--enc-widths 8,16 --hidden 16 --batch 8"
 GRID = ("--thresholds 0.3,0.5 --separations 1.0 --assign-dists 1.0,1.5 "
         "--strides 0.7")
-# model name: its train flags and its room flags; every model is tuned,
-# predicted and evaluated
+# model name: its train flags (None: not trained, ``_inputs`` writes it) and
+# its room flags; every model is tuned, predicted and evaluated
+FLAT = "flat"  # its output layer is zeroed, so every heatmap cell ties
 MODELS = {
     "adam": (f"aug1.jsonl {SMALL} --epochs 3 --seed 9", ""),
     "sgd-room": (f"aug2.jsonl {SMALL} --epochs 3 --optimizer sgd --lr 0.05",
@@ -48,8 +55,9 @@ MODELS = {
     "adam-layout": (f"aug3.jsonl {SMALL} --epochs 2", "--layout lay.json"),
     "init": (f"aug1.jsonl {SMALL} --epochs 0", "--room-file r5.feat"),
     "default-widths": ("aug1.jsonl --epochs 1 --batch 16", ""),
+    FLAT: (None, ""),
 }
-HEATMAPS = ("adam", "init")  # models whose heatmaps are written as well
+HEATMAPS = ("adam", "init", FLAT)  # models whose heatmaps are written as well
 
 
 def _commands() -> list[str]:
@@ -59,8 +67,10 @@ def _commands() -> list[str]:
                  "--group-size 2 4",
                  f"ingest s{n}.jsonl -o aug{n}.jsonl --augment"]
     for name, (flags, room) in MODELS.items():
-        cmds += [f"train {flags} {room} -o {name}.ckpt --trace {name}-trace.csv",
-                 f"tune {name}.ckpt s3.jsonl {GRID} {room} -o {name}-params.json "
+        if flags is not None:
+            cmds.append(f"train {flags} {room} -o {name}.ckpt "
+                        f"--trace {name}-trace.csv")
+        cmds += [f"tune {name}.ckpt s3.jsonl {GRID} {room} -o {name}-params.json "
                  f"--table {name}-table.csv",
                  f"predict {name}.ckpt s1.jsonl {room} --params {name}-params.json "
                  f"-o {name}-pred.jsonl",
@@ -78,6 +88,13 @@ def _inputs(directory: Path) -> None:
     classes = ("free", "wall", "table", "furniture")
     cells = [classes[(i * 7) % 5 % 4] for i in range(120)]  # an irregular mix
     (directory / "lay.json").write_text(json.dumps({"cells": cells}))
+    rng = np.random.default_rng(5)
+    model = ModelWeights(init_encoder(EncoderConfig(layer_widths=(8, 16)), rng),
+                         init_head(HeadConfig(16, (16,)), rng),
+                         NormStats(0.0, 0.0, 1.0, 1.0))
+    model.head.layers[-1].W[...] = 0.0
+    model.head.layers[-1].b[...] = 0.0
+    save_model(model, directory / f"{FLAT}.ckpt")
 
 
 def run_chain(directory: Path) -> dict[str, str]:

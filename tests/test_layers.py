@@ -86,6 +86,8 @@ def test_sigmoid_matches_naive_in_safe_range():
 def test_flatten_makes_layers_views_of_two_vectors():
     rng = np.random.default_rng(1)
     layers = [init_dense(3, 4, rng), init_dense(4, 2, rng)]
+    # a Dense holds W and b only: flatten is what makes gradient buffers
+    assert not any(hasattr(l, "grad_W") or hasattr(l, "grad_b") for l in layers)
     before = [(l.W.copy(), l.b.copy()) for l in layers]
     params, grads = flatten(layers)
     assert params.shape == grads.shape == (3 * 4 + 4 + 4 * 2 + 2,)
@@ -105,6 +107,7 @@ def test_flatten_makes_layers_views_of_two_vectors():
 def test_relu_stack_backward_overwrites_gradient_buffers():
     rng = np.random.default_rng(2)
     layers = [init_dense(5, 6, rng), init_dense(6, 3, rng)]
+    flatten(layers)
     x = rng.standard_normal((4, 5))
     xs = relu_stack_forward(x, layers)
     _, _, masks = where_forward(x, layers)
@@ -161,6 +164,8 @@ def test_relu_stack_backward_is_bit_equal_to_where(stack, data):
     g_before = g.copy()
     xs_before = [a.copy() for a in xs]
     ref = [Dense(l.W.copy(), l.b.copy()) for l in layers]
+    flatten(layers)
+    flatten(ref)
     with np.errstate(all="ignore"):
         # the kernel reads its masks off xs, the oracle takes z > 0
         got = relu_stack_backward(g, layers, xs)

@@ -131,6 +131,7 @@ def test_batch_gradients_match_finite_differences():
     head_cfg = HeadConfig(input_dim=6, hidden_widths=(5,), output_dim=6)
     enc_w = init_encoder(enc_cfg, rng)
     head_w = init_head(head_cfg, rng)
+    flatten(enc_w.layers + head_w.layers)
     feats = [rng.standard_normal((int(rng.integers(1, 5)), 5)) for _ in range(3)]
     room = rng.standard_normal(2)
     targets = rng.uniform(0.2, 0.8, size=(3, 6))
@@ -170,6 +171,7 @@ def test_head_backward_overwrites_gradient_buffers():
     rng = np.random.default_rng(4)
     w = init_head(HeadConfig(input_dim=5, hidden_widths=(6, 4), output_dim=3),
                   rng)
+    flatten(w.layers)
     x = rng.standard_normal((7, 5))
     up = rng.standard_normal((7, 3))
     y, cache = head_forward(x, w)
@@ -268,6 +270,7 @@ def test_flat_optimizer_matches_per_array_reference(flat_cls, ref_cls):
     init = [(rng.standard_normal(s), rng.standard_normal(s[1])) for s in shapes]
     ref = [Dense(W.copy(), b.copy()) for W, b in init]
     flat = [Dense(W.copy(), b.copy()) for W, b in init]
+    flatten(ref)  # the reference steps per array; this gives it gradients
     params, grads = flatten(flat)
     # several whole blocks plus a partial one
     assert params.size > 2 * _ADAM_BLOCK and params.size % _ADAM_BLOCK
@@ -324,6 +327,7 @@ def test_adam_block_skip_matches_reference(schedule, seed):
     init = [(rng.standard_normal(s), rng.standard_normal(s[1])) for s in shapes]
     ref = [Dense(W.copy(), b.copy()) for W, b in init]
     flat = [Dense(W.copy(), b.copy()) for W, b in init]
+    flatten(ref)  # the reference steps per array; this gives it gradients
     params, grads = flatten(flat)
     assert -(-params.size // _ADAM_BLOCK) == len(schedule)
     opt, ref_opt = _Adam(1e-2, params, grads), _ReferenceAdam(1e-2)
@@ -354,6 +358,19 @@ def test_trained_layers_share_one_contiguous_vector():
     assert store.ndim == 1 and store.flags.c_contiguous
     assert store.size == sum(a.size for a in arrays)
     assert all(a.base is store for a in arrays)
+
+
+def test_trained_model_holds_no_gradients_until_flattened():
+    model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=1))
+    layers = model.encoder.layers + model.head.layers
+    assert not any(hasattr(l, "grad_W") or hasattr(l, "grad_b") for l in layers)
+    weights = [(l.W.copy(), l.b.copy()) for l in layers]
+    params, grads = flatten(layers)
+    assert np.all(grads == 0)
+    for layer, (W, b) in zip(layers, weights):
+        assert layer.W.tobytes() == W.tobytes() and layer.b.tobytes() == b.tobytes()
+        assert layer.grad_W.shape == W.shape and layer.grad_b.shape == b.shape
+        assert layer.grad_W.base is grads and layer.grad_b.base is grads
 
 
 def _checkpoint_bytes(model, path) -> bytes:
