@@ -12,18 +12,27 @@ order would leak that order into the low bits of the pooled vector.
 ``encode`` therefore sorts the rows lexicographically first: every
 permutation of a set yields the same matrix, and so the same bits.
 
-Backward routes each pooled dimension's gradient to its argmax person, ties
-to the lowest index.  The batched path pads sets to a common length and
-masks padded rows out of the max by writing -inf over them in place, in the
-last layer's output.  The cache keeps that output and the pooled vector,
-and backward finds the real rows and the argmax from them.  A padded row is
-never selected, so it would receive zero gradient: backward runs on the
-real rows only, packed, and the padding stays inert.  The forward pass
-stays padded, so packing moves no inference bit.  The pool is
-``max(axis=1)``, and the argmax person is the first row equal to the max.
-That is the row ``argmax`` picks, without its compare-and-branch per
-element, because the ReLU output holds neither NaN nor -0.0 (see
-``layers``): equality then singles out exactly the maximal values.
+The batched path takes sets padded to a common length with a mask, but
+only the input is padded: the stack runs over ``batch[mask]``, the real
+rows packed in batch order, so no (B, P_max, D) activation exists, and
+each set is pooled over its own contiguous rows by one ``np.max`` per set.
+Pooling is exact, so it gives the bits of a padded forward whose padded
+rows are masked out; the gemms do too at the widths the tests and the CLI
+use.  At widths off the gemm kernel's blocking (``--enc-widths 27,18``, say)
+OpenBLAS rounds a row by its position, and a multi-scene batch's bits may
+then differ from a padded forward's, as they already depended on the
+batch's largest set.  One set is never padded, so ``encode`` is unaffected.
+
+Backward routes each pooled dimension's gradient to its argmax person,
+ties to the lowest index, and runs on the packed rows the forward cached,
+with no gather.  The routing is the one place padding is left: a uint8
+flag per (set, rank, dimension), each set's rows at its first ranks, marks
+the rows equal to the pooled value.  A flag's weight falls with its rank,
+so the largest weighted flag is the first maximal row, the row ``argmax``
+would pick, without its call per (set, dimension).  Equality singles out
+exactly the maximal values because the ReLU output holds neither NaN nor
+-0.0 (see ``layers``).  Padded rows get no gradient; the input gradient
+returned for them is +0.0.
 """
 from __future__ import annotations
 
@@ -111,62 +120,65 @@ def _check_batch(batch: np.ndarray, mask: np.ndarray, cfg: EncoderConfig) -> Non
 
 
 def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
-    """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache)."""
-    _check_batch(batch, mask, weights.config)
-    b, p_max, d = batch.shape
-    xs = relu_stack_forward(batch.reshape(b * p_max, d), weights.layers)
-    per_person = xs[-1].reshape(b, p_max, -1)
-    per_person[~mask] = -np.inf
-    pooled = per_person.max(axis=1)
-    return pooled, (xs, pooled)
+    """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache).
 
-
-def _route(upstream: np.ndarray, cache):
-    """The real rows of a batch, and ``upstream`` routed to them.
-
-    Returns (rows, g): the flat indices of the real rows, in batch order,
-    and the (len(rows), D) gradient that holds each pooled dimension's
-    upstream value at its argmax row and +0.0 everywhere else.
+    The stack runs over ``batch[mask]``, the real rows packed in batch
+    order, and each set is pooled over its own contiguous rows.
     """
-    xs, pooled = cache
-    b, d_out = pooled.shape
+    _check_batch(batch, mask, weights.config)
+    xs = relu_stack_forward(batch[mask], weights.layers)
     last = xs[-1]
-    p_max = last.shape[0] // b
-    real = last[:, 0] != -np.inf  # a padded row is -inf throughout
-    rows = np.flatnonzero(real)
-    packed = np.cumsum(real) - 1  # a real row's index among the real rows
-    # A row's weight falls with its index, so the largest weight among a
+    pooled = np.empty((batch.shape[0], last.shape[1]))
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        np.max(last[lo:hi], axis=0, out=pooled[i])
+    return pooled, (xs, pooled, mask)
+
+
+def _route(upstream: np.ndarray, cache) -> np.ndarray:
+    """``upstream`` routed to the packed rows.
+
+    Returns the (rows, D) gradient that holds each pooled dimension's
+    upstream value at its set's argmax row and +0.0 everywhere else.
+    """
+    xs, pooled, mask = cache
+    b, d_out = pooled.shape
+    counts = mask.sum(axis=1)
+    p = int(counts.max())
+    # is_max[i, r]: set i's row r is maximal; rows past a set's count stay 0
+    is_max = np.zeros((b, p, d_out), np.uint8)
+    is_max[np.arange(p) < counts[:, None]] = (
+        xs[-1] == np.repeat(pooled, counts, axis=0))
+    # A row's weight falls with its rank, so the largest weight among a
     # dimension's maximal rows is that of the first: argmax's choice, without
-    # its call per (scene, dimension).
-    weight = np.arange(p_max, 0, -1, dtype=np.min_scalar_type(p_max))
-    is_max = (last.reshape(b, p_max, d_out) == pooled[:, None, :]).view(np.uint8)
-    arg = p_max - (is_max * weight[:, None]).max(axis=1).astype(np.intp)
-    arg += p_max * np.arange(b)[:, None]
-    g = np.zeros((rows.size, d_out))
-    g.ravel()[packed[arg] * d_out + np.arange(d_out)] = upstream
-    return rows, g
+    # its call per (set, dimension).
+    weight = np.arange(p, 0, -1, dtype=np.min_scalar_type(p))
+    arg = p - (is_max * weight[:, None]).max(axis=1).astype(np.intp)
+    arg += (np.cumsum(counts) - counts)[:, None]  # each set's first row
+    g = np.zeros((xs[-1].shape[0], d_out))
+    g[arg, np.arange(d_out)] = upstream
+    return g
 
 
 def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
     """Assign layer gradients of <upstream, pooled>; returns input grads.
 
-    Only the real rows go back through the stack: a padded row gets no
-    gradient, so its gemm rows would only add zeros.  The last layer's ReLU
-    mask at an argmax row is ``pooled > 0``, so that layer's output is never
-    gathered.  Padded rows of the returned (B, P, d) input gradient are +0.0.
+    The forward cache holds the packed real rows only, so backward runs on
+    them with no gather.  The last layer's ReLU mask at an argmax row is
+    ``pooled > 0``, so that layer's output is never read for it.  Padded
+    rows of the returned (B, P, d) input gradient are +0.0.
     """
-    xs, pooled = cache
+    xs, pooled, mask = cache
     # bits of upstream where pooled > 0 and +0.0 elsewhere, as layers' masks do
     masked = np.multiply(upstream.view(np.int64), pooled > 0).view(np.float64)
-    rows, g = _route(masked, cache)
+    g = _route(masked, cache)
     *inner, last = weights.layers
-    x = xs[-2][rows]
-    np.matmul(x.T, g, out=last.grad_W)
+    np.matmul(xs[-2].T, g, out=last.grad_W)
     np.sum(g, axis=0, out=last.grad_b)
-    g = relu_stack_backward(g @ last.W.T, inner, [a[rows] for a in xs[:-2]] + [x])
-    out = np.zeros((xs[0].shape[0], weights.config.input_dim))
-    out[rows] = g
-    return out.reshape(pooled.shape[0], -1, weights.config.input_dim)
+    g = relu_stack_backward(g @ last.W.T, inner, xs[:-1])
+    out = np.zeros(mask.shape + (weights.config.input_dim,))
+    out[mask] = g
+    return out
 
 
 def sort_rows(features) -> np.ndarray:

@@ -12,10 +12,13 @@ returned weights are the epoch snapshot with the lowest validation loss
 
 ``batch_forward`` is the only code that runs the encoder and head
 together, in training, validation and prediction, and its cache keeps
-activations only.  ``predict_heatmaps`` sends two or more scenes through
-it in chunks of a fixed number of scenes, the last chunk padded, so a
-scene's heatmap bits depend on that scene alone; one scene is a chunk of
-one, the head at one row.
+activations only.  Validation and ``predict_heatmaps`` share one chunk
+loop over it, ``_forward_chunks``: two or more scenes go in chunks of a
+fixed number of scenes, the last chunk padded with one-person filler sets
+that cost one encoder row each, so at the widths the tests and the CLI
+use a scene's heatmap bits depend on that scene alone; one scene is a
+chunk of one, the head at one row.  Only one chunk's activations are
+alive at a time, so validation memory does not grow with the split.
 
 ``train`` runs on one flat parameter vector (``layers.flatten``): every
 layer's weights are views of it, and backward assigns each step's gradients
@@ -395,7 +398,7 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
     def eval_val() -> float | None:
         if val_feats is None:
             return None
-        pred, _ = batch_forward(val_feats, room.values, enc_w, head_w)
+        pred = _forward_chunks(val_feats, room.values, enc_w, head_w)
         return float(np.mean((pred - val_targets) ** 2))
 
     params, grads = flatten(enc_w.layers + head_w.layers)
@@ -438,19 +441,43 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
     return model, trace
 
 
+def _forward_chunks(feats, room_values: np.ndarray, enc_w: EncoderWeights,
+                    head_w: HeadWeights) -> np.ndarray:
+    """``batch_forward``'s (len(feats), out) predictions, chunk by chunk.
+
+    One set is a chunk of one.  Two or more go in chunks of exactly
+    ``_CHUNK``, the last one padded with one-person sets of zeros, each of
+    which costs one encoder row and one head row.  Only one chunk's
+    activations are alive at a time, however many sets there are.
+    """
+    filler = np.zeros((1, enc_w.config.input_dim))
+    size = _CHUNK if len(feats) > 1 else 1
+    pred = np.empty((len(feats), head_w.config.output_dim))
+    for lo in range(0, len(feats), size):
+        chunk = feats[lo:lo + size]
+        n = len(chunk)
+        # the cache is dropped here, before the next chunk's forward
+        y = batch_forward(chunk + [filler] * (size - n), room_values,
+                          enc_w, head_w)[0]
+        pred[lo:lo + n] = y[:n]
+    return pred
+
+
 def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSpaceMap]:
     """Network heatmaps for ``scenes``, in their order.
 
-    Each scene's rows are sorted as ``encode`` sorts them, and every chunk
-    goes through ``batch_forward``.  One scene is a chunk of one, unpadded:
-    the bits of ``encode`` and ``forward``, the head at one row.  Two or
-    more go in chunks of exactly ``_CHUNK``, the last one padded with
-    one-person sets of zeros, so the head always runs at ``_CHUNK`` rows
-    and the encoder at a multiple of them, and a scene's bits depend on
-    that scene alone; they can differ in the last few places from a
-    one-scene call's.  An unpadded last chunk would break that: on OpenBLAS
-    a gemm of fewer than 9 rows, or the gemv of one, rounds differently,
-    and a lone one-person scene would put the encoder at one row.
+    Each scene's rows are sorted as ``encode`` sorts them, and the scenes
+    go through ``_forward_chunks``, the chunk loop that validation uses
+    too.  One scene is a chunk of one, unpadded: the bits of ``encode`` and
+    ``forward``, the head at one row.  Two or more go in chunks of exactly
+    ``_CHUNK``, the last one padded with one-person sets of zeros, so the
+    head always runs at ``_CHUNK`` rows, and a filler set costs one encoder
+    row.  At the encoder widths the tests and the CLI use, a scene's bits
+    depend on that scene alone; they can differ in the last few places
+    from a one-scene call's.  An unpadded last chunk would break that: on
+    OpenBLAS a gemm of fewer than 9 rows, or the gemv of one, rounds
+    differently, and a lone one-person scene would put the encoder at one
+    row.
 
     A scene with no persons, or more than the encoder's ``max_people``,
     raises ValueError naming its frame before any network work.
@@ -461,17 +488,8 @@ def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSp
                            f"frame {scene.frame_id!r}")
     spec = model.spec
     feats = [sort_rows(scene_features(s, model.norm_stats)) for s in scenes]
-    filler = np.zeros((1, model.encoder.config.input_dim))
-    size = _CHUNK if len(feats) > 1 else 1
-    out = []
-    for lo in range(0, len(feats), size):
-        chunk = feats[lo:lo + size]
-        n = len(chunk)
-        y, _ = batch_forward(chunk + [filler] * (size - n), room.values,
-                             model.encoder, model.head)
-        out.extend(OSpaceMap(row.reshape(spec.rows, spec.cols), spec)
-                   for row in y[:n])
-    return out
+    y = _forward_chunks(feats, room.values, model.encoder, model.head)
+    return [OSpaceMap(row.reshape(spec.rows, spec.cols), spec) for row in y]
 
 
 def predict_heatmap(scene: Scene, model: ModelWeights, room: RoomFeature) -> OSpaceMap:

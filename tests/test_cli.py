@@ -625,6 +625,34 @@ def test_predict_heatmaps_are_the_predicted_heatmaps(workdir, capsys):
                 assert got.read_bytes() == want
 
 
+def test_predicted_bytes_do_not_depend_on_the_blas_thread_count(workdir,
+                                                              capsys):
+    # BLAS reads its thread variable when numpy is imported, so each count
+    # runs in a child process; 70 frames make two full chunks and a padded one
+    assert main(["synth", "-o", "train.jsonl", "--seed", "4", "--scenes", "8"]) == 0
+    assert main(["synth", "-o", "frames.jsonl", "--seed", "5",
+                 "--scenes", "70", "--groups", "3", "3"]) == 0
+    assert main(["train", "train.jsonl", "-o", "model.ckpt", "--epochs", "1",
+                 "--enc-widths", "64,128,256", "--hidden", "256"]) == 0
+    capsys.readouterr()
+    src = str(Path(ospace.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = f"t{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ospace.cli", "predict", "model.ckpt",
+             "frames.jsonl", "-o", f"{out}.jsonl", "--heatmaps", out],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        maps = sorted((workdir / out).iterdir())
+        assert len(maps) == 70
+        outputs.append([(workdir / f"{out}.jsonl").read_bytes()]
+                       + [(p.name, p.read_bytes()) for p in maps])
+    assert outputs[0] == outputs[1]
+
+
 def test_predict_csv_needs_heatmaps(workdir, capsys):
     model = _train_tiny(workdir)
     capsys.readouterr()

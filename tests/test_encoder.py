@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_gradient_matches_finite_differences():
         w = _random_encoder(rng)
         p = int(rng.integers(1, 5))
         f = rng.standard_normal((p, 6))
-        pooled, (xs, _) = encode_batch(f[None], np.ones((1, p), bool), w)
+        pooled, (xs, _, _) = encode_batch(f[None], np.ones((1, p), bool), w)
         # stay away from ReLU kinks and pooling ties, where the derivative jumps
         pre = [x @ l.W + l.b for x, l in zip(xs, w.layers)]
         if min(np.abs(z).min() for z in pre) < 1e-4:
@@ -335,8 +336,9 @@ def test_pooling_is_bit_equal_to_masked_argmax(case, data):
     for upstream in (np.arange(1.0, pooled.size + 1).reshape(pooled.shape),
                      data.draw(hnp.arrays(float, pooled.shape,
                                           elements=VALUES))):
-        rows, routed = encoder._route(upstream, cache)
-        assert np.array_equal(rows, np.flatnonzero(mask))
+        routed = encoder._route(upstream, cache)
+        # the cache's rows are the real rows, packed in batch order
+        assert cache[0][0].tobytes() == batch[mask].tobytes()
         want_routed = route(upstream, batch, mask, w)[mask]
         assert routed.tobytes() == want_routed.tobytes()
         assert routed.shape == want_routed.shape
@@ -396,3 +398,68 @@ def test_padded_rows_do_not_reach_the_gradients():
     with np.errstate(invalid="ignore"):
         routed_backward(upstream, batch, mask, w)
     assert np.isnan(w.layers[0].grad_W).any()
+
+
+# The stack runs over the real rows only: no forward pass builds a
+# (B, P_max, D) activation.
+
+def test_encode_batch_runs_the_stack_over_the_real_rows_only(monkeypatch):
+    rng = np.random.default_rng(15)
+    w = _random_encoder(rng, max_people=25)
+    rows = []
+
+    def spy(x, layers):
+        rows.append(x.shape[0])
+        return relu_stack_forward(x, layers)
+
+    monkeypatch.setattr(encoder, "relu_stack_forward", spy)
+    for counts in ((25, 1, 1, 3), (2, 7), (1,)):
+        batch, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
+        encode_batch(batch, mask, w)
+        assert rows[-1] == mask.sum() == sum(counts)
+
+
+# CLI default widths: one (B, P_max, D) float64 array of this batch is
+# 32 * 25 * 1024 * 8 = 6.5 MB; its 56 real rows' activations are 0.6 MB
+def test_encode_batch_allocates_less_than_one_padded_activation():
+    rng = np.random.default_rng(16)
+    w = init_encoder(EncoderConfig(layer_widths=(64, 256, 1024)), rng)
+    counts = [25] + [1] * 31
+    batch, mask = pad_features([rng.standard_normal((c, 18)) for c in counts])
+    padded = batch.shape[0] * batch.shape[1] * w.config.output_dim * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        encode_batch(batch, mask, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < padded
+
+
+@st.composite
+def layouts(draw):
+    """Set sizes for a batch: a lone one-person set, or up to 40 sets of
+    1-25 persons with a run of one-row filler sets at the end."""
+    if draw(st.booleans()):
+        return [1]
+    sizes = draw(st.lists(st.integers(1, 25), min_size=1, max_size=32))
+    return sizes + [1] * draw(st.integers(0, 8))
+
+
+@pytest.mark.parametrize("widths", [(64, 128, 256), (64, 256, 1024)],
+                         ids=["acceptance", "cli-default"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sizes=layouts(), seed=st.integers(0, 2**32 - 1))
+def test_packed_pooling_is_bit_equal_to_the_padded_forward(widths, sizes, seed):
+    rng = np.random.default_rng(seed)
+    w = init_encoder(EncoderConfig(layer_widths=widths), np.random.default_rng(0))
+    sets = [rng.standard_normal((c, 18)) for c in sizes]
+    for k in range(len(sets)):
+        if sizes[k] == 1 and rng.random() < 0.5:
+            sets[k] = np.zeros((1, 18))  # a filler set, as prediction pads
+    batch, mask = pad_features(sets)
+    pooled, _ = encode_batch(batch, mask, w)
+    # where_pool is the padded forward: every row through the stack
+    assert pooled.tobytes() == where_pool(batch, mask, w)[0].tobytes()

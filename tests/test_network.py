@@ -1,15 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ospace import tuning
+from ospace import encoder, synthetic, tuning
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.dataset import scene_features
 from ospace.encoder import EncoderConfig, encode, init_encoder
-from ospace.layers import Dense, flatten
+from ospace.layers import Dense, flatten, relu_stack_forward
 from ospace import network
 from ospace.network import (
     _ADAM_BLOCK,
@@ -704,3 +705,70 @@ def test_grid_search_error_names_the_frame(size, message):
     assert str(exc.value) == message
     with pytest.raises(ValueError, match="empty validation set"):
         tuning.grid_search(model, [], ROOM4, tuning.Grid(), 1)
+
+
+# Validation and prediction share one chunk loop, and the encoder stack
+# runs over the real rows only: a filler set costs one row.
+
+def _synth(n, seed):
+    scenes, _ = synthetic.generate(synthetic.SynthConfig(seed=seed, n_scenes=n))
+    return scenes
+
+
+def test_train_and_predict_run_the_encoder_over_the_real_rows_only(monkeypatch):
+    rows = []
+
+    def spy(x, layers):
+        rows.append(x.shape[0])
+        return relu_stack_forward(x, layers)
+
+    monkeypatch.setattr(encoder, "relu_stack_forward", spy)
+    scenes, val = _synth(4, seed=4), _synth(CHUNK + 5, seed=5)
+    persons = [len(s.persons) for s in val]
+    last = sum(persons[CHUNK:]) + CHUNK - 5  # 27 filler sets of one row
+    # one training step over all four scenes, then validation in two chunks
+    train(scenes, ROOM16, ACC_ENC, ACC_HEAD, _quick_cfg(epochs=1),
+          val_scenes=val)
+    assert rows == [sum(len(s.persons) for s in scenes),
+                    sum(persons[:CHUNK]), last]
+    rows.clear()
+    predict_heatmaps(val, ACCEPTANCE_MODEL, ROOM16)
+    assert rows == [sum(persons[:CHUNK]), last]
+
+
+def test_validation_memory_does_not_grow_with_the_split():
+    # one wide layer over crowded scenes: a chunk's activations (800 rows of
+    # 2048) are 13 MB and dwarf the weights, the steps and the features
+    enc = EncoderConfig(input_dim=18, max_people=25, layer_widths=(2048,))
+    head = HeadConfig(input_dim=4 + 2048, hidden_widths=(8,), output_dim=120)
+    scenes = _random_scenes([2, 3], seed=6)
+    val = _random_scenes([25] * (3 * CHUNK), seed=7)
+    peaks = []
+    for n in (CHUNK, 3 * CHUNK):
+        tracemalloc.start()
+        try:
+            train(scenes, ROOM4, enc, head, _quick_cfg(epochs=1),
+                  val_scenes=val[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], peaks
+
+
+def test_chunked_validation_keeps_the_unchunked_bits(tmp_path, monkeypatch):
+    scenes, val = _synth(12, seed=8), _synth(2 * CHUNK + 5, seed=9)
+    cfg = _quick_cfg(epochs=4, learning_rate=3e-3)
+    model, trace = train(scenes, ROOM16, ACC_ENC, ACC_HEAD, cfg, val_scenes=val)
+
+    def unchunked(feats, room_values, enc_w, head_w):
+        """Oracle: the whole split through one ``batch_forward``."""
+        return batch_forward(feats, room_values, enc_w, head_w)[0]
+
+    monkeypatch.setattr(network, "_forward_chunks", unchunked)
+    want, want_trace = train(scenes, ROOM16, ACC_ENC, ACC_HEAD, cfg,
+                             val_scenes=val)
+    assert [repr(e.val_loss) for e in trace] == \
+        [repr(e.val_loss) for e in want_trace]
+    assert trace == want_trace
+    assert _checkpoint_bytes(model, tmp_path / "chunked") == \
+        _checkpoint_bytes(want, tmp_path / "unchunked")
