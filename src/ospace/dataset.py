@@ -12,7 +12,9 @@ disjoint, and naming only the frame's persons.
 Each line is decoded as UTF-8 and its fields are read through ``jsondoc``,
 so a bad record raises SceneParseError "<file> line N <field path>: ...".
 Person features are 18-dim: z-scored x and y (stats fit on the training
-split) followed by a 16-slot one-hot of the bucketed yaw.
+split) followed by a 16-slot one-hot of the bucketed yaw.  One array pass
+builds a scene's (P, 18) matrix; ``person_feature`` and ``bucket_yaw`` are
+that rule on one person and one yaw.
 """
 from __future__ import annotations
 
@@ -183,10 +185,18 @@ def sequential_split(scenes, ratios: SplitRatios = SplitRatios()):
 
 
 def bucket_yaw(yaw_deg: float) -> int:
-    """Index of the 22.5-degree bucket, half-open [k*22.5, (k+1)*22.5)."""
+    """Index of the 22.5-degree bucket, half-open [k*22.5, (k+1)*22.5):
+    ``_yaw_buckets`` of one yaw."""
     if not math.isfinite(yaw_deg):
         raise ValueError(f"non-finite yaw {yaw_deg}")
-    return min(int((yaw_deg % 360.0) / BUCKET_DEG), YAW_BUCKETS - 1)
+    return int(_yaw_buckets(np.array([yaw_deg], float))[0])
+
+
+def _yaw_buckets(yaw_deg: np.ndarray) -> np.ndarray:
+    """Each yaw's bucket, ``min(int(yaw % 360 / 22.5), 15)``: numpy's float
+    ``%`` is Python's, and a yaw just below 0 folds to 360, bucket 15."""
+    return np.minimum((yaw_deg % 360.0 / BUCKET_DEG).astype(np.intp),
+                      YAW_BUCKETS - 1)
 
 
 def fit_norm_stats(train_scenes) -> NormStats:
@@ -206,19 +216,25 @@ def fit_norm_stats(train_scenes) -> NormStats:
 
 
 def person_feature(person: Person, stats: NormStats) -> np.ndarray:
-    """18-dim vector: normalized x, normalized y, one-hot yaw bucket."""
-    out = np.zeros(FEATURE_DIM)
-    out[0] = (person.x - stats.mean_x) / stats.std_x
-    out[1] = (person.y - stats.mean_y) / stats.std_y
-    out[2 + bucket_yaw(person.yaw_deg)] = 1.0
-    return out
+    """18-dim vector: normalized x, normalized y, one-hot yaw bucket; the
+    row ``scene_features`` gives the person."""
+    return _feature_rows([person], stats)[0]
 
 
 def scene_features(scene: Scene, stats: NormStats) -> np.ndarray:
-    """Stack of person features, shape (P, 18)."""
-    if not scene.persons:
-        return np.zeros((0, FEATURE_DIM))
-    return np.stack([person_feature(p, stats) for p in scene.persons])
+    """Stack of person features, shape (P, 18), built in one array pass."""
+    return _feature_rows(scene.persons, stats)
+
+
+def _feature_rows(persons, stats: NormStats) -> np.ndarray:
+    """The (P, 18) features of ``persons``: (x - mean_x) / std_x,
+    (y - mean_y) / std_y, then a 1 in slot 2 + the yaw's bucket."""
+    a = np.array([(p.x, p.y, p.yaw_deg) for p in persons], float).reshape(-1, 3)
+    out = np.zeros((len(a), FEATURE_DIM))
+    out[:, 0] = (a[:, 0] - stats.mean_x) / stats.std_x
+    out[:, 1] = (a[:, 1] - stats.mean_y) / stats.std_y
+    out[np.arange(len(a)), 2 + _yaw_buckets(a[:, 2])] = 1.0
+    return out
 
 
 def flip_scene(scene: Scene, axis: str, spec: RoomSpec = DEFAULT_SPEC) -> Scene:

@@ -10,6 +10,9 @@ Singleton blocks are not conversational groups and are dropped from both
 sides before matching.  Matching is greedy one-to-one: ground-truth groups
 in descending size claim the first remaining predicted group they match,
 with deterministic (smallest-member) tie ordering on both sides.
+``match_counts`` matches many predicted partitions of one scene against
+its ground truth, which it checks and orders once; ``match_scene`` is it
+on one partition.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ __all__ = [
     "max_false",
     "group_matches",
     "match_scene",
+    "match_counts",
     "aggregate",
     "format_tolerance",
 ]
@@ -108,28 +112,43 @@ def match_scene(pred_groups, gt_groups, t) -> tuple[int, int, int]:
 
     Inputs may include singleton blocks or omit them; only blocks of 2+
     people are scored.  Each side must pass ``core.check_groups``, so no
-    block repeats a member and a block's size is its set's size.
+    block repeats a member and a block's size is its set's size; the
+    predicted side is checked first.  ``match_counts`` of one partition.
+    """
+    return match_counts([pred_groups], gt_groups, t)[0]
+
+
+def match_counts(pred_partitions, gt_groups, t) -> list[tuple[int, int, int]]:
+    """``match_scene``'s (tp, fp, fn) of each predicted partition against one
+    scene's ground truth, which is checked and ordered once.
+
+    Every predicted partition is checked before the ground truth, so the
+    predicted side's error comes first, as in ``match_scene``.
     """
     t = snap_tolerance(t)
-    check_groups(pred_groups, what="predicted")
+    pred_partitions = list(pred_partitions)
+    for pred_groups in pred_partitions:
+        check_groups(pred_groups, what="predicted")
     check_groups(gt_groups, what="ground-truth")
-    pred = [set(b) for b in _match_order(b for b in pred_groups if len(b) >= 2)]
-    gt = _match_order(b for b in gt_groups if len(b) >= 2)
+    gt = [(_thresholds(len(g), t.numerator, t.denominator), set(g))
+          for g in _match_order(b for b in gt_groups if len(b) >= 2)]
 
-    claimed = [False] * len(pred)
-    tp = 0
-    for g in gt:
-        need, allow = _thresholds(len(g), t.numerator, t.denominator)
-        g = set(g)
-        for i, p in enumerate(pred):
-            if claimed[i]:
-                continue
-            correct = len(p & g)
-            if correct >= need and len(p) - correct <= allow:
-                claimed[i] = True
-                tp += 1
-                break
-    return tp, len(pred) - tp, len(gt) - tp
+    counts = []
+    for pred_groups in pred_partitions:
+        pred = [set(b) for b in _match_order(b for b in pred_groups if len(b) >= 2)]
+        claimed = [False] * len(pred)
+        tp = 0
+        for (need, allow), g in gt:
+            for i, p in enumerate(pred):
+                if claimed[i]:
+                    continue
+                correct = len(p & g)
+                if correct >= need and len(p) - correct <= allow:
+                    claimed[i] = True
+                    tp += 1
+                    break
+        counts.append((tp, len(pred) - tp, len(gt) - tp))
+    return counts
 
 
 def aggregate(counts, t) -> GroupMetrics:

@@ -423,6 +423,10 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
             batch_backward(pred, targets[idx], ex_w[idx], cache, enc_w, head_w)
             opt.step()
             running += loss * len(idx)
+        # the last step's activations are not kept through validation; a
+        # step keeps its predecessor's until its own forward is done, since
+        # freeing them earlier returns the pages and faults them back in
+        del pred, cache
         train_loss = running / n
         val_loss = eval_val()
         if val_loss is not None and not math.isfinite(val_loss):

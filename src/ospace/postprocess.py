@@ -2,10 +2,15 @@
 assignment of each person's proposed o-space to the nearest detection.
 
 NMS keeps cells that dominate their 8-neighborhood, clear the threshold,
-and sit at least min_group_separation_m from every stronger kept peak.
-A person whose proposal is farther than max_assign_dist_m from every
-detection stays a singleton, and a detection claimed by fewer than two
-people dissolves: one person is not a conversation.
+and sit at least min_group_separation_m from every stronger kept peak:
+its candidates, then one greedy ``thin``, which the grid search also
+applies per separation to one NMS at separation 0.  Each person's
+proposal is one stride ahead along their heading: ``headings`` reads the
+positions and headings once, and ``step_ahead`` is the one proposal
+expression at any stride.  A person whose proposal is farther than
+max_assign_dist_m from every detection stays a singleton, and a
+detection claimed by fewer than two people dissolves: one person is not
+a conversation.
 """
 from __future__ import annotations
 
@@ -19,8 +24,9 @@ from .groundtruth import DEFAULT_STRIDE_M
 from .network import ModelWeights, predict_heatmap
 from .room import RoomFeature
 
-__all__ = ["Detection", "AssignParams", "nms", "propose_centers", "nearest_detections",
-           "partition_from_claims", "assign_groups", "predict_scene"]
+__all__ = ["Detection", "AssignParams", "nms", "thin", "headings", "step_ahead",
+           "propose_centers", "nearest_detections", "partition_from_claims",
+           "assign_groups", "predict_scene"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,10 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
 
     Candidates are cells >= all 8 neighbors (borders padded with -inf) and
     >= nms_threshold, visited in descending score with row-major tie order;
-    each is kept iff it lies at least min_group_separation_m from every
-    already-kept center.  Result is sorted by descending score.  Centers
-    are ``core.cell_center``'s expressions; only a kept candidate becomes a
-    ``Detection``.
+    ``thin`` keeps each that lies at least min_group_separation_m from every
+    already-kept center.  Result is sorted by descending score.  Centers are
+    ``core.cell_center``'s expressions.  At separation 0 every candidate is
+    kept, so ``thin`` of that list at a separation is NMS at it.
     """
     v = heatmap.values
     n_rows, n_cols = v.shape
@@ -66,38 +72,69 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     rows, cols = np.nonzero((v >= win) & (v >= params.nms_threshold))
     scores = v[rows, cols]
     order = np.argsort(-scores, kind="stable")  # nonzero is row-major
-
-    kept: list[tuple[float, float, float]] = []
     cell_m = heatmap.spec.cell_m
-    min_sep_sq = params.min_group_separation_m ** 2
-    for r, c, score in zip(rows[order].tolist(), cols[order].tolist(),
-                           scores[order].tolist()):
-        x, y = (c + 0.5) * cell_m, (r + 0.5) * cell_m
-        for kx, ky, _ in kept:
+    candidates = [Detection(Point2((c + 0.5) * cell_m, (r + 0.5) * cell_m), score)
+                  for r, c, score in zip(rows[order].tolist(),
+                                         cols[order].tolist(),
+                                         scores[order].tolist())]
+    return thin(candidates, params.min_group_separation_m)
+
+
+def thin(detections, min_sep_m: float) -> list[Detection]:
+    """Greedy thinning in the given order: each detection is kept iff it
+    lies at least ``min_sep_m`` from every one kept before it."""
+    kept: list[tuple[float, float]] = []
+    out = []
+    min_sep_sq = min_sep_m ** 2
+    for d in detections:
+        x, y = d.center.x, d.center.y
+        for kx, ky in kept:
             if (x - kx) ** 2 + (y - ky) ** 2 < min_sep_sq:
                 break
         else:
-            kept.append((x, y, score))
-    return [Detection(Point2(x, y), score) for x, y, score in kept]
+            kept.append((x, y))
+            out.append(d)
+    return out
+
+
+def headings(persons) -> tuple[np.ndarray, np.ndarray]:
+    """Every person's position and unit heading, as two (n, 2) arrays.
+
+    The heading is ``(cos(rad), sin(rad))`` of ``math``, as
+    ``groundtruth.propose_center`` reads it; numpy's float64 trig kernels
+    differ from libm on some builds.
+    """
+    cos, sin, radians = math.cos, math.sin, math.radians
+    rows = np.array([(p.x, p.y, cos(rad), sin(rad)) for p in persons
+                     for rad in (radians(p.yaw_deg),)], float).reshape(-1, 4)
+    return rows[:, :2], rows[:, 2:]
+
+
+def step_ahead(xy: np.ndarray, heading: np.ndarray, stride_m: float) -> np.ndarray:
+    """``xy + stride_m * heading``, each row one stride ahead of a person.
+
+    One multiply and one add per coordinate, the two roundings of
+    ``groundtruth.propose_center``, so each row equals it bit for bit.  A
+    negative stride (with any person) or a non-finite proposal is a
+    ValueError, the first such proposal's coordinates in its message.
+    """
+    if len(xy) and stride_m < 0:
+        raise ValueError(f"stride must be non-negative, got {stride_m}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        out = xy + stride_m * heading
+    if not np.isfinite(out).all():
+        x, y = out[np.argmin(np.isfinite(out).all(axis=1))].tolist()
+        raise ValueError(f"non-finite point ({x}, {y})")
+    return out
 
 
 def propose_centers(persons, stride_m: float) -> np.ndarray:
-    """Every person's o-space proposal at one stride, as an (n, 2) array.
-
-    Row i is ``groundtruth.propose_center(persons[i], stride_m)`` bit for
-    bit, by the same ``math`` expressions, and the same ValueError rises
-    for a negative stride or a non-finite proposal.
+    """Every person's o-space proposal at one stride, as an (n, 2) array:
+    ``step_ahead`` of ``headings``, so row i is
+    ``groundtruth.propose_center(persons[i], stride_m)`` bit for bit and the
+    same ValueError rises for a negative stride or a non-finite proposal.
     """
-    if len(persons) and stride_m < 0:
-        raise ValueError(f"stride must be non-negative, got {stride_m}")
-    cos, sin, radians = math.cos, math.sin, math.radians
-    points = [(p.x + stride_m * cos(rad), p.y + stride_m * sin(rad))
-              for p in persons for rad in (radians(p.yaw_deg),)]
-    out = np.array(points).reshape(len(points), 2)
-    if not np.isfinite(out).all():
-        x, y = next(q for q in points if not all(map(math.isfinite, q)))
-        raise ValueError(f"non-finite point ({x}, {y})")
-    return out
+    return step_ahead(*headings(persons), stride_m)
 
 
 def nearest_detections(props: np.ndarray, detections):

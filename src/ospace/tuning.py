@@ -5,16 +5,22 @@ Each stage runs once per combination of the grid axes it depends on:
 - heatmaps: once per scene (the forward pass ignores the parameters), all
   scenes in one ``predict_heatmaps`` call, which runs them through the
   network in fixed-size chunks;
-- proposals: once per scene and stride;
-- NMS detections: once per scene and separation, at the grid's lowest
-  threshold; each threshold takes the score prefix of that list.  NMS
-  visits candidates in descending score with row-major ties, and whether
-  it keeps one depends only on those it kept before, so raising the
-  threshold only cuts off a tail of the visiting order;
-- distances from proposals to those detections: once per scene,
-  separation and stride.  A threshold's nearest detection is the argmin
-  over the matrix's columns for its prefix, so ties still go to the lower
-  index.
+- NMS candidates: one ``nms`` per heatmap, at the grid's lowest threshold
+  and separation 0, which keeps every candidate in visiting order;
+- NMS detections: ``thin`` of those candidates once per scene and
+  separation, which is ``nms`` at the lowest threshold; each threshold
+  takes the score prefix of that list.  NMS visits candidates in
+  descending score with row-major ties, and whether it keeps one depends
+  only on those it kept before, so raising the threshold only cuts off a
+  tail of the visiting order;
+- headings: once per person (``headings``); each stride's proposals are
+  one ``step_ahead`` over every person of every scene;
+- distances from proposals to those detections, and their running
+  minimum along the detections: once per separation and stride.  A
+  threshold keeps a prefix of the detections, so each person's nearest
+  live one is read off the running minimum at the prefix's last column,
+  for every threshold at once; the first column that holds that minimum
+  is argmin's tie rule, the lower index.
 
 The assignment distance is then only a cutoff on that distance: the key
 vector ``where(dist <= max_assign_dist_m, nearest, -1)`` holds each
@@ -24,11 +30,12 @@ scene, one ``np.unique`` over its columns, each row viewed as raw bytes,
 finds the distinct key rows and which one each grid point has; no Python
 loop runs per (grid point, scene).  Each distinct (scene, key row) is
 turned into its partition by ``partition_from_claims``, the rule
-``assign_groups`` applies, and matched by ``match_scene``, once.  Each
-grid point's ``aggregate`` gets its (tp, fp, fn) summed over the scenes.
-The table lists every grid point in grid order.  Ties on F1 break toward
-higher threshold, larger separation, smaller assignment distance, then
-smaller stride.
+``assign_groups`` applies, once, and one ``match_counts`` per scene
+matches all of that scene's partitions against its ground truth, which
+it checks and orders once.  Each grid point's ``aggregate`` gets its (tp,
+fp, fn) summed over the scenes.  The table lists every grid point in grid
+order.  Ties on F1 break toward higher threshold, larger separation,
+smaller assignment distance, then smaller stride.
 """
 from __future__ import annotations
 
@@ -37,14 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import GroupMetrics, aggregate, match_scene, snap_tolerance
+from .evaluation import (GroupMetrics, aggregate, match_counts,  # noqa: F401
+                         match_scene, snap_tolerance)
 from .network import ModelWeights, predict_heatmap, predict_heatmaps  # noqa: F401
-# grid_search calls none of predict_heatmap, thread_map and assign_groups;
-# the names stay only for perfbench's probe table, whose traced-run test
-# looks up each one
+# grid_search calls none of predict_heatmap, thread_map, assign_groups and
+# match_scene; the names stay only for perfbench's probe table, whose
+# traced-run test looks up each one
 from .parallel import thread_map  # noqa: F401
 from .postprocess import (AssignParams, assign_groups,  # noqa: F401
-                          nms, partition_from_claims, propose_centers)
+                          headings, nms, partition_from_claims, step_ahead,
+                          thin)
 from .room import RoomFeature
 
 __all__ = ["Grid", "GridResult", "grid_search", "grid_search_heatmaps"]
@@ -76,17 +85,17 @@ class GridResult:
     metrics: GroupMetrics
 
 
-def _prefix_candidates(heatmaps, sep, lowest, owner, props):
+def _prefix_candidates(candidates, sep, owner, props):
     """What every threshold reads from the detections at the lowest
-    threshold, at one separation.
+    threshold, at one separation: ``thin`` of each scene's ``candidates``.
 
     Returns (the detections' scores as a scenes x width matrix padded with
-    -inf; per stride, the persons x width distances from each proposal to
-    its own scene's detections, padded with inf).  Rows of ``owner`` and
-    ``props`` are every scene's persons laid end to end.
+    -inf; per stride, ``_prefix_nearest`` of the persons x width distances
+    from each proposal to its own scene's detections, padded with inf).
+    Rows of ``owner`` and ``props`` are every scene's persons laid end to
+    end.
     """
-    base = AssignParams(nms_threshold=lowest, min_group_separation_m=sep)
-    detections = [nms(h, base) for h in heatmaps]
+    detections = [thin(c, sep) for c in candidates]
     width = max(1, max(map(len, detections)))
     scores = np.full((len(detections), width), -np.inf)
     centers = np.full((len(detections), width, 2), np.inf)
@@ -95,9 +104,25 @@ def _prefix_candidates(heatmaps, sep, lowest, owner, props):
             scores[i, :len(dets)] = [d.score for d in dets]
             centers[i, :len(dets)] = [(d.center.x, d.center.y) for d in dets]
     mine = centers[owner]
-    dists = [np.hypot(mine[..., 0] - p[:, :1], mine[..., 1] - p[:, 1:])
-             for p in props]
-    return scores, dists
+    return scores, [_prefix_nearest(np.hypot(mine[..., 0] - p[:, :1],
+                                             mine[..., 1] - p[:, 1:]))
+                    for p in props]
+
+
+def _prefix_nearest(dist):
+    """Column k of each result: the least distance among columns 0..k of
+    ``dist``, and the first column that holds it, argmin's tie rule.
+
+    A threshold keeps a prefix of the detections, so its nearest one is
+    column (live count - 1) of these, with no pass over the matrix per
+    threshold.
+    """
+    least = np.minimum.accumulate(dist, axis=1)
+    moved = np.ones(dist.shape, bool)
+    moved[:, 1:] = least[:, 1:] < least[:, :-1]
+    arg = np.maximum.accumulate(
+        np.where(moved, np.arange(dist.shape[1]), 0), axis=1)
+    return least, arg
 
 
 def _distinct_rows(rows):
@@ -128,10 +153,12 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     sizes = [len(s.persons) for s in scenes]
     bounds = np.cumsum([0] + sizes).tolist()
     owner = np.repeat(np.arange(len(scenes)), sizes)
-    props = [np.concatenate([propose_centers(s.persons, st) for s in scenes])
-             for st in grid.strides_m]
-    lowest = min(grid.nms_thresholds)
-    by_sep = [_prefix_candidates(heatmaps, sep, lowest, owner, props)
+    xy, heading = headings([p for s in scenes for p in s.persons])
+    props = [step_ahead(xy, heading, st) for st in grid.strides_m]
+    base = AssignParams(nms_threshold=min(grid.nms_thresholds),
+                        min_group_separation_m=0.0)
+    candidates = [nms(h, base) for h in heatmaps]
+    by_sep = [_prefix_candidates(candidates, sep, owner, props)
               for sep in grid.separations_m]
 
     # every grid point's key vector, in grid order: points x persons, in
@@ -141,13 +168,16 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     width = max(scores.shape[1] for scores, _ in by_sep)
     keys = np.empty(shape + (len(owner),), np.min_scalar_type(-width))
     ads = np.array(grid.assign_dists_m)[:, None]
-    for a, thr in enumerate(grid.nms_thresholds):
-        for b, (scores, dists) in enumerate(by_sep):
-            live_rows = (scores >= thr)[owner]
-            for d, dist in enumerate(dists):
-                dist = np.where(live_rows, dist, np.inf)
-                keys[a, b, :, d] = np.where(dist.min(axis=1) <= ads,
-                                            np.argmin(dist, axis=1), -1)
+    thresholds = np.array(grid.nms_thresholds)[:, None, None]
+    person = np.arange(len(owner))
+    for b, (scores, nearest) in enumerate(by_sep):
+        # thresholds x persons: the last detection live for each person's
+        # scene at each threshold, -1 for none
+        last = (scores >= thresholds).sum(axis=2)[:, owner] - 1
+        for d, (least, arg) in enumerate(nearest):
+            dist = np.where(last >= 0, least[person, last], np.inf)
+            keys[:, b, :, d] = np.where(dist[:, None] <= ads,
+                                        arg[person, last][:, None], -1)
     keys = keys.reshape(-1, len(owner))
     points = [AssignParams(nms_threshold=thr, min_group_separation_m=sep,
                            max_assign_dist_m=ad, stride_m=st)
@@ -158,8 +188,8 @@ def grid_search_heatmaps(heatmaps, scenes, grid: Grid, tolerance):
     for i, s in enumerate(scenes):
         rows = keys[:, bounds[i]:bounds[i + 1]]
         first, inverse = _distinct_rows(rows)
-        counts = [match_scene(partition_from_claims(claims), s.groups, t)
-                  for claims in rows[first].tolist()]
+        counts = match_counts([partition_from_claims(claims)
+                               for claims in rows[first].tolist()], s.groups, t)
         totals += np.array(counts, np.int64)[inverse]
     table = [GridResult(p, aggregate([c], t))
              for p, c in zip(points, totals.tolist())]

@@ -235,7 +235,7 @@ def models(draw):
                         spec=spec)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(models())
 def test_save_load_is_bit_exact_and_deterministic(model):
     with tempfile.TemporaryDirectory() as tmp:

@@ -280,6 +280,61 @@ def test_scene_features_shape():
     assert feats.shape == (3, 18)
 
 
+def _features_per_person(scene, stats):
+    """The oracle: the per-person rule ``scene_features`` stacked before it
+    became one array pass, spelled out on Python floats."""
+    rows = []
+    for p in scene.persons:
+        out = np.zeros(18)
+        out[0] = (p.x - stats.mean_x) / stats.std_x
+        out[1] = (p.y - stats.mean_y) / stats.std_y
+        out[2 + min(int((p.yaw_deg % 360.0) / 22.5), 15)] = 1.0
+        rows.append(out)
+    return np.stack(rows) if rows else np.zeros((0, 18))
+
+
+# each bucket edge, the float just below it, and the largest yaw below 360
+_EDGE_YAWS = ([k * 22.5 for k in range(16)]
+              + [math.nextafter(k * 22.5, -math.inf) for k in range(17)]
+              + [359.99999999999994])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(persons=st.lists(st.builds(
+           Person,
+           st.one_of(st.sampled_from([0.0, DEFAULT_SPEC.width_m]),
+                     st.floats(0, DEFAULT_SPEC.width_m)),
+           st.one_of(st.sampled_from([0.0, DEFAULT_SPEC.height_m]),
+                     st.floats(0, DEFAULT_SPEC.height_m)),
+           st.one_of(st.sampled_from(_EDGE_YAWS), st.floats(-720, 720))),
+           max_size=25),
+       stats=st.builds(NormStats, st.floats(-10, 10), st.floats(-10, 10),
+                       st.floats(1e-3, 10), st.floats(1e-3, 10)))
+def test_scene_features_equal_per_person_oracle(persons, stats):
+    scene = Scene("s", persons, tuple((i,) for i in range(len(persons))))
+    want = _features_per_person(scene, stats)
+    got = scene_features(scene, stats)
+    assert got.shape == want.shape == (len(persons), 18)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for p, row in zip(persons, want):
+        assert person_feature(p, stats).tobytes() == row.tobytes()
+
+
+def test_scene_features_at_every_edge_yaw():
+    stats = NormStats(3.0, 2.5, 1.5, 1.25)
+    edges = [(0.0, 0.0), (DEFAULT_SPEC.width_m, DEFAULT_SPEC.height_m),
+             (0.0, DEFAULT_SPEC.height_m), (DEFAULT_SPEC.width_m, 0.0)]
+    persons = tuple(Person(*edges[i % 4], yaw)
+                    for i, yaw in enumerate(_EDGE_YAWS))
+    scene = Scene("edges", persons, tuple((i,) for i in range(len(persons))))
+    got = scene_features(scene, stats)
+    assert got.tobytes() == _features_per_person(scene, stats).tobytes()
+    assert [bucket_yaw(p.yaw_deg) for p in persons] == \
+        np.argmax(got[:, 2:], axis=1).tolist()
+    empty = scene_features(Scene("none", (), ()), stats)
+    assert empty.shape == (0, 18) and empty.dtype == np.float64
+
+
 def test_flip_horizontal_example():
     s = Scene("f", (Person(1.0, 2.0, 0.0),), ((0,),))
     p = flip_scene(s, "horizontal").persons[0]

@@ -10,6 +10,7 @@ from ospace.evaluation import (
     aggregate,
     format_tolerance,
     group_matches,
+    match_counts,
     match_scene,
     max_false,
     required_correct,
@@ -190,7 +191,7 @@ def _greedy_over_sets(pred, gt, num, den):
     return tp, len(pred) - tp, len(gt) - tp
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 12).flatmap(
            lambda n: st.tuples(partitions(n), partitions(n))),
        # below 1/2 one predicted group can match several true ones, so
@@ -201,6 +202,35 @@ def test_match_scene_equals_greedy_set_algebra(pair, tolerance):
     num, den = tolerance
     assert match_scene(pred, gt, Fraction(num, den)) == \
         _greedy_over_sets(pred, gt, num, den)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10).flatmap(
+           lambda n: st.tuples(st.lists(partitions(n), max_size=5),
+                               partitions(n))),
+       st.sampled_from([(2, 3), (1, 1), (1, 2), (1, 3)]))
+def test_match_counts_equals_match_scene_per_partition(case, tolerance):
+    """One ground truth, checked and ordered once, matched against many
+    partitions gives each partition's own ``match_scene`` counts."""
+    preds, gt = case
+    num, den = tolerance
+    counts = match_counts(iter(preds), gt, Fraction(num, den))
+    assert counts == [match_scene(p, gt, Fraction(num, den)) for p in preds]
+    assert counts == [_greedy_over_sets(p, gt, num, den) for p in preds]
+
+
+def test_match_counts_checks_the_predicted_side_first():
+    bad_pred, bad_gt = [(0, 1), (1, 2)], [(0, 1), (1, 3)]
+    with pytest.raises(ValueError, match="^predicted groups.1: person 1 repeats"):
+        match_scene(bad_pred, bad_gt, T23)
+    # every predicted partition, the last one too, before the ground truth
+    with pytest.raises(ValueError, match="^predicted groups.1: person 1 repeats"):
+        match_counts([[(0, 1)], bad_pred], bad_gt, T23)
+    with pytest.raises(ValueError, match="^ground-truth groups.1: person 1 repeats"):
+        match_counts([[(0, 1)], [(2, 3)]], bad_gt, T23)
+    with pytest.raises(ValueError, match="^ground-truth groups.1: person 1 repeats"):
+        match_counts([], bad_gt, T23)
+    assert match_counts([], [(0, 1)], T23) == []
 
 
 @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 2), T23,

@@ -11,9 +11,12 @@ from ospace.postprocess import (
     Detection,
     assign_groups,
     nearest_detections,
+    headings,
     nms,
     partition_from_claims,
     propose_centers,
+    step_ahead,
+    thin,
 )
 
 P = AssignParams()
@@ -245,7 +248,7 @@ def test_nms_matches_reference():
         assert nms(m, params) == _nms_reference(m, params)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_nms_threshold_takes_a_score_prefix(data):
     """Raising the threshold cuts a tail off the lower threshold's
@@ -260,6 +263,28 @@ def test_nms_threshold_takes_a_score_prefix(data):
     low = nms(m, AssignParams(nms_threshold=lo, min_group_separation_m=sep))
     high = nms(m, AssignParams(nms_threshold=hi, min_group_separation_m=sep))
     assert [d for d in low if d.score >= hi] == high
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_thinning_separation_zero_candidates_is_nms(data):
+    """NMS at separation 0 keeps every candidate in visiting order, so
+    ``thin`` of that list at each separation is NMS at it: the grid search
+    runs one NMS per heatmap and thins it per separation."""
+    levels = data.draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))
+    idx = data.draw(hnp.arrays(np.intp, (10, 12),
+                               elements=st.integers(0, len(levels) - 1)))
+    m = OSpaceMap(np.array(levels)[idx], DEFAULT_SPEC)  # plateaus and ties
+    threshold = data.draw(st.one_of(st.sampled_from(levels + [0.0, 1.0]),
+                                    st.floats(0, 1)))
+    candidates = nms(m, AssignParams(nms_threshold=threshold,
+                                     min_group_separation_m=0.0))
+    # separations on and between the grid's cell spacings, 0.5 m
+    for sep in (0.0, 0.5, 0.7071067811865476, 1.0, 1.5, 2.5,
+                data.draw(st.floats(0, 8))):
+        want = nms(m, AssignParams(nms_threshold=threshold,
+                                   min_group_separation_m=sep))
+        assert thin(candidates, sep) == want
 
 
 def _nearest_per_person(persons, detections, stride_m):
@@ -319,6 +344,37 @@ def test_propose_centers_equals_propose_center_bit_for_bit(persons, stride):
     for row, person in zip(got, persons):
         want = propose_center(person, stride)
         assert _bits(row) == _bits((want.x, want.y))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(persons=st.lists(st.builds(
+           Person, st.floats(-50, 50), st.floats(-50, 50),
+           st.one_of(st.floats(-720, 720),
+                     st.integers(-8, 8).map(lambda k: 90.0 * k))),
+           max_size=8),
+       strides=st.lists(st.one_of(st.just(0.0), st.floats(0, 5)),
+                        min_size=1, max_size=4))
+def test_one_heading_read_serves_every_stride(persons, strides):
+    """``step_ahead`` of one ``headings`` read gives each stride's
+    ``propose_centers`` bit for bit, as the grid search uses it."""
+    xy, heading = headings(persons)
+    for stride in strides:
+        assert (step_ahead(xy, heading, stride).tobytes()
+                == propose_centers(persons, stride).tobytes())
+
+
+def test_step_ahead_raises_what_propose_centers_raises():
+    huge = [Person(1.0, 1.0, 0.0), Person(1.7e308, 2.0, 0.0),
+            Person(2.0, -1.7e308, 270.0)]
+    xy, heading = headings(huge)
+    for stride in (1e308, -0.5):
+        with pytest.raises(ValueError) as want:
+            propose_centers(huge, stride)
+        with pytest.raises(ValueError) as got:
+            step_ahead(xy, heading, stride)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "stride must be non-negative, got -0.5"
+    assert step_ahead(*headings([]), -0.5).shape == (0, 2)
 
 
 def test_propose_centers_raises_what_propose_center_raises():

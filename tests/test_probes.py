@@ -24,11 +24,13 @@ PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
 # Tuning targets the probe table still names that ``grid_search`` no longer
 # calls, so their spans read zero under tuning: it gets every heatmap from
-# one ``network.predict_heatmaps`` call, and it turns each distinct key row
-# into its partition with ``postprocess.partition_from_claims`` instead of
-# ``assign_groups``.  ``tuning`` keeps these names only because perfbench's
-# traced-run test looks up every target the table names.
-RETIRED = {"thread_map", "predict_heatmap", "assign_groups"}
+# one ``network.predict_heatmaps`` call, it turns each distinct key row into
+# its partition with ``postprocess.partition_from_claims`` instead of
+# ``assign_groups``, and it matches a scene's partitions with one
+# ``evaluation.match_counts`` instead of a ``match_scene`` each.  ``tuning``
+# keeps these names only because perfbench's traced-run test looks up every
+# target the table names.
+RETIRED = {"thread_map", "predict_heatmap", "assign_groups", "match_scene"}
 
 # Network targets the probe table still names that no prediction calls:
 # every scene goes through ``network.batch_forward``.  ``network`` keeps both

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ospace import tuning
+from ospace import evaluation, tuning
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Scene
 from ospace.evaluation import aggregate, match_scene, snap_tolerance
 from ospace.groundtruth import scene_target
@@ -211,25 +212,65 @@ def test_search_equals_per_point_reference(tolerance):
             assert {r.metrics.tp for r in table} == {0, 1}
 
 
-def test_nms_runs_once_per_scene_and_separation(monkeypatch):
-    """Each threshold reads its detections off one NMS at the lowest."""
-    calls = []
-
-    def spy(heatmap, params):
-        calls.append(params.nms_threshold)
-        return nms(heatmap, params)
-
-    monkeypatch.setattr(tuning, "nms", spy)
-    rng = np.random.default_rng(9)
-    scenes = [_random_scene(rng, f"r{i}") for i in range(3)]
+def _noisy_search_case(seed, n):
+    rng = np.random.default_rng(seed)
+    scenes = [_random_scene(rng, f"r{i}") for i in range(n)]
     heatmaps = [OSpaceMap(rng.uniform(0, 1, (DEFAULT_SPEC.rows,
                                              DEFAULT_SPEC.cols)), DEFAULT_SPEC)
                 for _ in scenes]
+    return heatmaps, scenes
+
+
+def test_nms_runs_once_per_scene(monkeypatch):
+    """One NMS per heatmap, at the lowest threshold and separation 0; each
+    separation thins that list and each threshold reads its prefix."""
+    calls = []
+
+    def spy(heatmap, params):
+        calls.append((params.nms_threshold, params.min_group_separation_m))
+        return nms(heatmap, params)
+
+    monkeypatch.setattr(tuning, "nms", spy)
+    heatmaps, scenes = _noisy_search_case(9, 3)
     grid = Grid()
     _, _, table = grid_search_heatmaps(heatmaps, scenes, grid, 1)
     assert len(table) == 216
-    assert calls == [min(grid.nms_thresholds)] * (len(scenes)
-                                                  * len(grid.separations_m))
+    assert calls == [(min(grid.nms_thresholds), 0.0)] * len(scenes)
+
+
+def test_headings_are_read_once_per_person(monkeypatch):
+    """Every person's yaw goes through ``math.radians`` once per search,
+    however many strides the grid has; each stride is one array step."""
+    heatmaps, scenes = _noisy_search_case(4, 5)
+    yaws = []
+
+    def spy(deg, _real=math.radians):
+        yaws.append(deg)
+        return _real(deg)
+
+    monkeypatch.setattr(math, "radians", spy)
+    grid = Grid(strides_m=(0.4, 0.7, 1.0, 0.7))
+    got = grid_search_heatmaps(heatmaps, scenes, grid, 1)
+    monkeypatch.undo()
+    assert yaws == [p.yaw_deg for s in scenes for p in s.persons]
+    assert got == _per_point_search(heatmaps, scenes, grid, 1)
+
+
+def test_ground_truth_is_checked_once_per_scene(monkeypatch):
+    """Each scene's ground truth is checked, and so ordered, by one
+    ``match_counts`` call, however many distinct key rows the scene has."""
+    heatmaps, scenes = _noisy_search_case(5, 4)
+    checked = Counter()
+
+    def spy(groups, n=None, what="", _real=evaluation.check_groups):
+        checked[what] += 1
+        return _real(groups, n, what)
+
+    monkeypatch.setattr(evaluation, "check_groups", spy)
+    grid_search_heatmaps(heatmaps, scenes, Grid(), Fraction(2, 3))
+    assert checked["ground-truth"] == len(scenes)
+    # more than one partition per scene was matched
+    assert checked["predicted"] > len(scenes)
 
 
 def _oracle_key_rows(heatmaps, scenes, grid):
@@ -250,9 +291,9 @@ def _oracle_key_rows(heatmaps, scenes, grid):
 
 
 def test_misses_run_once_per_distinct_key_row(monkeypatch):
-    """partition_from_claims and match_scene each run once per distinct
-    (scene, key row), so a trace's call counts say how much assignment
-    and matching the search really did."""
+    """partition_from_claims runs once per distinct (scene, key row), and
+    match_counts matches each such partition once, so a trace's counts say
+    how much assignment and matching the search really did."""
     rng = np.random.default_rng(3)
     scenes, heatmaps = _exact_scenes()
     flat_scenes, flat_maps = _flat_scenes()
@@ -268,14 +309,22 @@ def test_misses_run_once_per_distinct_key_row(monkeypatch):
     grid = Grid(nms_thresholds=(0.3, 0.5, 0.7), separations_m=(0.5, 1.0),
                 assign_dists_m=(0.5, 1.0, 1.5), strides_m=(0.4, 0.7))
     calls = Counter()
-    for name in ("partition_from_claims", "match_scene"):
-        def spy(*args, _real=getattr(tuning, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(tuning, name, spy)
+
+    def partition_spy(claims, _real=tuning.partition_from_claims):
+        calls["partition_from_claims"] += 1
+        return _real(claims)
+
+    def match_spy(partitions, gt_groups, t, _real=tuning.match_counts):
+        partitions = list(partitions)
+        calls["match_counts partitions"] += len(partitions)
+        return _real(partitions, gt_groups, t)
+
+    monkeypatch.setattr(tuning, "partition_from_claims", partition_spy)
+    monkeypatch.setattr(tuning, "match_counts", match_spy)
     got = grid_search_heatmaps(heatmaps, scenes, grid, Fraction(2, 3))
     n_rows = _oracle_key_rows(heatmaps, scenes, grid)
-    assert calls == Counter(partition_from_claims=n_rows, match_scene=n_rows)
+    assert calls == Counter({"partition_from_claims": n_rows,
+                             "match_counts partitions": n_rows})
     assert got == _per_point_search(heatmaps, scenes, grid, Fraction(2, 3))
     # the case is not degenerate: some grid points share a key row
     assert n_rows < len(got[2]) * len(scenes)
