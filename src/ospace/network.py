@@ -27,15 +27,16 @@ vector, and the best-epoch snapshot is a copy of it.  Gradients exist only
 from that ``flatten`` to the end of ``train``, which takes grad_W and grad_b
 off every layer, so a trained model, like a loaded one, holds its weights
 and nothing else; running backward outside ``train`` takes a ``flatten``
-first.  Adam walks the vector in fixed blocks of ``_ADAM_BLOCK`` elements,
-small enough that the block's parameters, gradients, moments and two
+first.  Both optimizers walk the vector in fixed blocks of ``_ADAM_BLOCK``
+elements, small enough that the block's parameters, gradients, moments and
 preallocated scratch blocks stay in the L2 cache across its ufuncs, each of
-which writes with ``out=`` so a step allocates nothing.  The update is
+which writes with ``out=`` so a step allocates nothing.  Adam's update is
 Kingma and Ba's efficient form, with the bias corrections folded into a step
 size and an epsilon per step.  Adam skips a block whose gradients have all
 been exactly zero so far, which changes no bit: its moments are still zero,
 so the update is alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes
-the head's room rows such blocks for the whole run.
+the head's room rows such blocks for the whole run, and since the moments
+start as untouched zero pages, those rows cost no optimizer memory either.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
@@ -52,6 +53,13 @@ configs and the file and its hash, the head's output against the room grid,
 and that every weight is finite, so a corrupt file (or a version 1 file,
 one JSON object) fails with a ValueError that names the field or layer
 rather than at the first matmul.
+
+The sha256 of the blob runs beside the file I/O, on one helper thread
+(``_Sha256``) that lives only inside ``save_model`` or ``load_model``:
+saving hashes while it writes and then writes the header again with the
+digest, and loading hashes each chunk of ``_READ_CHUNK`` bytes while it
+reads the next.  Neither changes a byte of the format or the order of the
+checks.
 """
 from __future__ import annotations
 
@@ -59,6 +67,8 @@ import hashlib
 import json
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +128,14 @@ _MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")  # a checkpoint's first lin
 _BLOB_DTYPE = np.dtype("<f8")
 _CKPT = "checkpoint"  # the document name in field errors
 
-# Elements per Adam block: 32768 float64 values, 256 KiB per array.
+# Elements per optimizer block: 32768 float64 values, 256 KiB per array.
 _ADAM_BLOCK = 32768
+
+# Bytes per read of a checkpoint's blob.  A blob of more than one chunk is
+# hashed on a helper thread, a chunk behind the reads; one of at most one
+# chunk is read and hashed inline, since a thread costs about 60 us to start
+# and hides only the read, 0.15 ms at the acceptance widths' 1.15 MB.
+_READ_CHUNK = 4 << 20
 
 # Scenes per chunk of a multi-scene ``predict_heatmaps`` call.  Measured on a
 # 2-vCPU Xeon with OpenBLAS, the time per scene of a full chunk is flat from
@@ -275,15 +291,25 @@ def batch_backward(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarra
 
 
 class _Sgd:
-    """p -= lr * g over the flat parameter vector."""
+    """p -= lr * g over the flat parameter vector, one cache block at a time.
+
+    Each block's lr * g goes into one preallocated scratch block, so a step
+    allocates nothing; per element it is the same multiply, then subtract.
+    """
 
     def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray):
         self.lr = lr
         self.params = params
         self.grads = grads
+        self._a = np.empty(min(_ADAM_BLOCK, params.size))
 
     def step(self) -> None:
-        self.params -= self.lr * self.grads
+        n = self.params.size
+        for lo in range(0, n, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, n)
+            a = self._a[:hi - lo]
+            np.multiply(self.grads[lo:hi], self.lr, out=a)
+            self.params[lo:hi] -= a
 
 
 class _Adam:
@@ -314,8 +340,10 @@ class _Adam:
         self.t = 0
         self.params = params
         self.grads = grads
-        self._m = np.zeros_like(params)
-        self._v = np.zeros_like(params)
+        # np.zeros, not zeros_like: its pages stay unmapped until a block
+        # first goes live, and a block that never does costs no memory
+        self._m = np.zeros(params.shape)
+        self._v = np.zeros(params.shape)
         block = min(_ADAM_BLOCK, params.size)
         self._a = np.empty(block)
         self._b = np.empty(block)
@@ -540,30 +568,130 @@ def _n_params(dims) -> int:
     return sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
 
 
+class _Sha256:
+    """The sha256 of the buffers passed to ``update``, in order.
+
+    With ``beside``, one helper thread does the hashing, so the caller's file
+    I/O runs meanwhile: hashlib releases the GIL while it hashes a buffer of
+    2 KiB or more.  An exception raised in the helper is raised again, the
+    same object, by ``hexdigest``.  Use it in a ``with`` block, which joins
+    the helper on every path, so no thread outlives the block.
+    """
+
+    def __init__(self, beside: bool):
+        self._sha = hashlib.sha256()
+        self._error: BaseException | None = None
+        self._thread = None
+        if beside:
+            self._queue = queue.SimpleQueue()
+            # a daemon: should an interrupt come before the ``with`` block
+            # is entered, the helper left waiting must not keep the
+            # interpreter from exiting
+            self._thread = threading.Thread(target=self._run, daemon=True,
+                                            name="ospace-checkpoint-sha256")
+            self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            while (data := self._queue.get()) is not None:
+                self._sha.update(data)
+        except BaseException as e:  # raised again in the caller's thread
+            self._error = e
+
+    def update(self, data) -> None:
+        if self._thread is None:
+            self._sha.update(data)
+        else:
+            self._queue.put(data)
+
+    def _join(self) -> None:
+        if self._thread is not None:
+            self._queue.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def hexdigest(self) -> str:
+        self._join()
+        if self._error is not None:
+            raise self._error
+        return self._sha.hexdigest()
+
+    def __enter__(self) -> _Sha256:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._join()
+
+
 def save_model(model: ModelWeights, path) -> None:
-    """Write ``model`` as a checkpoint (see the module docstring)."""
+    """Write ``model`` as a checkpoint (see the module docstring).
+
+    The blob is hashed on a helper thread while it is written, after a
+    header whose ``sha256`` is a placeholder of the digest's width; the real
+    header then goes over it, so the file has the bytes it would have had
+    with the digest written first.  A destination that cannot seek, a pipe,
+    gets the digest before the header, in the same order.
+    """
     arrays = [np.ascontiguousarray(a, dtype=_BLOB_DTYPE)
               for layer in model.encoder.layers + model.head.layers
               for a in (layer.W, layer.b)]
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(a)
     header = {"version": CHECKPOINT_VERSION, "spec": to_obj(model.spec),
               "stride_m": model.stride_m, "seed": model.seed,
               "norm_stats": to_obj(model.norm_stats),
               "encoder": {"config": to_obj(model.encoder.config)},
               "head": {"config": to_obj(model.head.config)},
               "blob_bytes": sum(a.nbytes for a in arrays),
-              "sha256": digest.hexdigest()}
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+              "sha256": None}
+
+    def header_line(sha256: str) -> bytes:
+        header["sha256"] = sha256
+        return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+
+    with _Sha256(beside=True) as digest:
+        # the hashing starts first: opening an existing file truncates it,
+        # which takes about as long as writing it again
         for a in arrays:
-            f.write(memoryview(a))
+            digest.update(a)
+        with open(path, "wb") as f:
+            seekable = f.seekable()
+            f.write(_MAGIC)
+            # 64 hex digits, the width of the digest that goes over them
+            f.write(header_line("0" * 64 if seekable else digest.hexdigest()))
+            for a in arrays:
+                f.write(memoryview(a))
+            if seekable:
+                f.seek(len(_MAGIC))
+                f.write(header_line(digest.hexdigest()))
+
+
+def _cut_layers(model: ModelWeights, flat: np.ndarray) -> str | None:
+    """Give ``model`` its layers as views of ``flat``, cut by the widths of
+    its configs, which ``blob_bytes`` matched; returns the error naming the
+    first layer with a non-finite weight, or None."""
+    bad = None
+    start = 0
+    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
+        dims = weights.config.dims
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+            W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
+            start += d_in * d_out
+            b = flat[start:start + d_out]
+            start += d_out
+            if bad is None and not (np.isfinite(W).all() and np.isfinite(b).all()):
+                bad = f"checkpoint {section} layer {i}: non-finite weight"
+            weights.layers.append(Dense(W, b))
+    return bad
 
 
 def load_model(path) -> ModelWeights:
-    """Read a checkpoint (see the module docstring); a bad one raises ValueError."""
+    """Read a checkpoint (see the module docstring); a bad one raises ValueError.
+
+    A blob of more than ``_READ_CHUNK`` bytes is hashed on a helper thread
+    chunk by chunk as it is read, and its weights are checked for finiteness
+    while the tail is hashed.  Errors come in one order whatever the path: a
+    file that changed while being read, then a sha256 mismatch, then the
+    first layer with a non-finite weight.
+    """
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"checkpoint: the first line is not {CHECKPOINT_VERSION}")
@@ -587,21 +715,22 @@ def load_model(path) -> ModelWeights:
                              f"blob_bytes is {blob_bytes} ({what})")
         # writable, and the vector's only copy; readinto fills every byte
         buf = np.empty(blob_bytes, np.uint8)
-        if f.readinto(buf) != blob_bytes or f.read(1):
-            raise ValueError("checkpoint blob: file changed while being read")
-    if hashlib.sha256(buf).hexdigest() != sha256:
-        raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
-    # Every layer is a view of the blob, cut by the widths blob_bytes matched.
-    flat = buf.view(_BLOB_DTYPE)
-    start = 0
-    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
-        dims = weights.config.dims
-        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
-            start += d_in * d_out
-            b = flat[start:start + d_out]
-            start += d_out
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError(f"checkpoint {section} layer {i}: non-finite weight")
-            weights.layers.append(Dense(W, b))
+        with _Sha256(beside=blob_bytes > _READ_CHUNK) as digest:
+            read = 0
+            for lo in range(0, blob_bytes, _READ_CHUNK):
+                chunk = buf[lo:lo + _READ_CHUNK]
+                n = f.readinto(chunk)
+                read += n
+                if n != chunk.size:
+                    break
+                digest.update(chunk)
+            if read != blob_bytes or f.read(1):
+                raise ValueError("checkpoint blob: file changed while being read")
+            # on this thread while the helper hashes the tail; a non-finite
+            # weight is reported only once the hash has matched
+            bad = _cut_layers(model, buf.view(_BLOB_DTYPE))
+            if digest.hexdigest() != sha256:
+                raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
+    if bad is not None:
+        raise ValueError(bad)
     return model

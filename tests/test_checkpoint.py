@@ -1,16 +1,21 @@
 """Checkpoints: round trips are bit-exact and byte-deterministic, and corrupt
 files, version 1 files among them, are data errors (exit 2)."""
+import errno
 import hashlib
 import json
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ospace import network
 from ospace.cli import main
 from ospace.core import RoomSpec
 from ospace.dataset import NormStats
@@ -161,6 +166,9 @@ CORRUPTIONS = {
     "non-finite weight": (
         lambda d: _rehash(d[:-8] + np.array([np.nan]).astype("<f8").tobytes()),
         "head layer 1: non-finite weight"),
+    "non-finite weight, stale sha256": (
+        lambda d: d[:-8] + np.array([np.nan]).astype("<f8").tobytes(),
+        "sha256 mismatch"),
     "missing section": (_header_edit(lambda h: {k: v for k, v in h.items()
                                                 if k != "head"}),
                         "checkpoint head: missing"),
@@ -175,10 +183,35 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("corrupt,message", list(CORRUPTIONS.values()),
-                         ids=list(CORRUPTIONS))
-def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys,
-                                                      corrupt, message):
+@pytest.fixture
+def no_thread_left():
+    """Fails the test if it ends with more or fewer threads than it began."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+@pytest.fixture(params=["inline", "chunked"])
+def read_path(request, monkeypatch):
+    """Loads the test model's 21 KB blob in one chunk, read and hashed inline,
+    or in chunks of 4 KiB hashed on the helper thread."""
+    if request.param == "chunked":
+        monkeypatch.setattr(network, "_READ_CHUNK", 4096)
+        assert sum(8 * (l.W.size + l.b.size) for l in _layers(_model())) > 4 * 4096
+    return request.param
+
+
+# the inline path's cases keep the plain names
+@pytest.mark.parametrize(
+    "read_path,corrupt,message",
+    [pytest.param(path, corrupt, message,
+                  id=name if path == "inline" else f"{path} {name}")
+     for path in ("inline", "chunked")
+     for name, (corrupt, message) in CORRUPTIONS.items()],
+    indirect=["read_path"])
+def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys, read_path,
+                                                      no_thread_left, corrupt,
+                                                      message):
     good = tmp_path / "good.ckpt"
     save_model(_model(), good)
     bad = tmp_path / "bad.ckpt"
@@ -201,6 +234,94 @@ def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys,
     assert err.startswith("error: checkpoint")
     assert "Traceback" not in err
     assert not pred.exists()
+
+
+def test_both_read_paths_give_the_same_model(tmp_path, read_path, no_thread_left):
+    model = _model(3)
+    save_model(model, tmp_path / "m.ckpt")
+    _assert_same_model(load_model(tmp_path / "m.ckpt"), model)
+
+
+@pytest.mark.parametrize("edit", [lambda d: d[:-8], lambda d: d + b"\0"],
+                         ids=["shrank", "grew"])
+def test_a_file_that_changes_size_while_read_is_caught(tmp_path, monkeypatch,
+                                                       read_path, no_thread_left,
+                                                       edit):
+    good = tmp_path / "good.ckpt"
+    save_model(_model(), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(edit(good.read_bytes()))
+    # the size check sees the file as it was saved; the reads see it edited
+    stat = SimpleNamespace(st_size=good.stat().st_size)
+    monkeypatch.setattr(network, "os", SimpleNamespace(fstat=lambda fd: stat))
+    with pytest.raises(ValueError, match="file changed while being read"):
+        load_model(bad)
+
+
+def test_save_into_a_missing_directory_leaves_no_thread(tmp_path, no_thread_left):
+    with pytest.raises(FileNotFoundError):
+        save_model(_model(), tmp_path / "missing" / "m.ckpt")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_save_to_a_full_device_raises_enospc_and_leaves_no_thread(no_thread_left):
+    with pytest.raises(OSError) as info:
+        save_model(_model(), "/dev/full")
+    assert info.value.errno == errno.ENOSPC
+
+
+class _HashFailure(Exception):
+    pass
+
+
+def _failing_sha256(error):
+    class Sha256:
+        def __init__(self, *data):
+            for d in data:
+                self.update(d)
+
+        def update(self, data):
+            raise error
+
+        def hexdigest(self):
+            return "0" * 64
+    return Sha256
+
+
+def test_a_hash_error_comes_out_of_save_unchanged(tmp_path, monkeypatch,
+                                                  no_thread_left):
+    error = _HashFailure("update failed")
+    monkeypatch.setattr(network.hashlib, "sha256", _failing_sha256(error))
+    with pytest.raises(_HashFailure) as info:
+        save_model(_model(), tmp_path / "m.ckpt")
+    assert info.value is error
+
+
+def test_a_hash_error_comes_out_of_load_unchanged(tmp_path, monkeypatch, read_path,
+                                                  no_thread_left):
+    save_model(_model(), tmp_path / "m.ckpt")
+    error = _HashFailure("update failed")
+    monkeypatch.setattr(network.hashlib, "sha256", _failing_sha256(error))
+    with pytest.raises(_HashFailure) as info:
+        load_model(tmp_path / "m.ckpt")
+    assert info.value is error
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_save_into_a_pipe_writes_the_bytes_of_a_file(tmp_path, no_thread_left):
+    model = _model()
+    save_model(model, tmp_path / "m.ckpt")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        save_model(model, fifo)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "m.ckpt").read_bytes()]
 
 
 # -0.0, the smallest subnormal, a larger subnormal, the smallest normal, +-max
