@@ -27,10 +27,10 @@ vector, and the best-epoch snapshot is a copy of it.  Gradients exist only
 from that ``flatten`` to the end of ``train``, which takes grad_W and grad_b
 off every layer, so a trained model, like a loaded one, holds its weights
 and nothing else; running backward outside ``train`` takes a ``flatten``
-first.  Both optimizers walk the vector in fixed blocks of ``_ADAM_BLOCK``
-elements, small enough that the block's parameters, gradients, moments and
+first.  Adam walks the vector in fixed blocks of ``_ADAM_BLOCK`` elements,
+small enough that the block's parameters, gradients, moments and two
 preallocated scratch blocks stay in the L2 cache across its ufuncs, each of
-which writes with ``out=`` so a step allocates nothing.  Adam's update is
+which writes with ``out=`` so a step allocates nothing.  The update is
 Kingma and Ba's efficient form, with the bias corrections folded into a step
 size and an epsilon per step.  Adam skips a block whose gradients have all
 been exactly zero so far, which changes no bit: its moments are still zero,
@@ -55,11 +55,14 @@ one JSON object) fails with a ValueError that names the field or layer
 rather than at the first matmul.
 
 The sha256 of the blob runs beside the file I/O, on one helper thread
-(``_Sha256``) that lives only inside ``save_model`` or ``load_model``:
+(``_hasher``) that lives only inside ``save_model`` or ``load_model``:
 saving hashes while it writes and then writes the header again with the
 digest, and loading hashes each chunk of ``_READ_CHUNK`` bytes while it
 reads the next.  Neither changes a byte of the format or the order of the
-checks.
+checks.  Saving opens, and so truncates, the file before the digest is
+known, so a save that fails in the hash, or is interrupted before the last
+header write, leaves the placeholder digest: the file loads as a sha256
+mismatch, and the checkpoint that was at the path is gone.
 """
 from __future__ import annotations
 
@@ -67,8 +70,7 @@ import hashlib
 import json
 import math
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +130,7 @@ _MAGIC = (CHECKPOINT_VERSION + "\n").encode("ascii")  # a checkpoint's first lin
 _BLOB_DTYPE = np.dtype("<f8")
 _CKPT = "checkpoint"  # the document name in field errors
 
-# Elements per optimizer block: 32768 float64 values, 256 KiB per array.
+# Elements per Adam block: 32768 float64 values, 256 KiB per array.
 _ADAM_BLOCK = 32768
 
 # Bytes per read of a checkpoint's blob.  A blob of more than one chunk is
@@ -291,25 +293,15 @@ def batch_backward(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarra
 
 
 class _Sgd:
-    """p -= lr * g over the flat parameter vector, one cache block at a time.
-
-    Each block's lr * g goes into one preallocated scratch block, so a step
-    allocates nothing; per element it is the same multiply, then subtract.
-    """
+    """p -= lr * g over the flat parameter vector."""
 
     def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray):
         self.lr = lr
         self.params = params
         self.grads = grads
-        self._a = np.empty(min(_ADAM_BLOCK, params.size))
 
     def step(self) -> None:
-        n = self.params.size
-        for lo in range(0, n, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, n)
-            a = self._a[:hi - lo]
-            np.multiply(self.grads[lo:hi], self.lr, out=a)
-            self.params[lo:hi] -= a
+        self.params -= self.lr * self.grads
 
 
 class _Adam:
@@ -568,59 +560,25 @@ def _n_params(dims) -> int:
     return sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
 
 
-class _Sha256:
-    """The sha256 of the buffers passed to ``update``, in order.
+def _hasher() -> ThreadPoolExecutor:
+    """The one helper thread that hashes a checkpoint's blob beside its file
+    I/O: hashlib releases the GIL while it hashes a buffer of 2 KiB or more.
 
-    With ``beside``, one helper thread does the hashing, so the caller's file
-    I/O runs meanwhile: hashlib releases the GIL while it hashes a buffer of
-    2 KiB or more.  An exception raised in the helper is raised again, the
-    same object, by ``hexdigest``.  Use it in a ``with`` block, which joins
-    the helper on every path, so no thread outlives the block.
+    Submit the updates of one ``hashlib.sha256`` to it in blob order and
+    read the digest with ``_digest``.  Use it in a ``with`` block, which
+    joins the thread on every path, so no thread outlives ``save_model`` or
+    ``load_model``.
     """
+    return ThreadPoolExecutor(1, thread_name_prefix="ospace-checkpoint-sha256")
 
-    def __init__(self, beside: bool):
-        self._sha = hashlib.sha256()
-        self._error: BaseException | None = None
-        self._thread = None
-        if beside:
-            self._queue = queue.SimpleQueue()
-            # a daemon: should an interrupt come before the ``with`` block
-            # is entered, the helper left waiting must not keep the
-            # interpreter from exiting
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            name="ospace-checkpoint-sha256")
-            self._thread.start()
 
-    def _run(self) -> None:
-        try:
-            while (data := self._queue.get()) is not None:
-                self._sha.update(data)
-        except BaseException as e:  # raised again in the caller's thread
-            self._error = e
-
-    def update(self, data) -> None:
-        if self._thread is None:
-            self._sha.update(data)
-        else:
-            self._queue.put(data)
-
-    def _join(self) -> None:
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join()
-            self._thread = None
-
-    def hexdigest(self) -> str:
-        self._join()
-        if self._error is not None:
-            raise self._error
-        return self._sha.hexdigest()
-
-    def __enter__(self) -> _Sha256:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._join()
+def _digest(sha, hashed) -> str:
+    """The hex digest of ``sha`` once every task in ``hashed``, the futures of
+    the submitted updates, has run; the first one that raised raises its
+    exception again, the same object."""
+    for future in hashed:
+        future.result()
+    return sha.hexdigest()
 
 
 def save_model(model: ModelWeights, path) -> None:
@@ -631,6 +589,11 @@ def save_model(model: ModelWeights, path) -> None:
     header then goes over it, so the file has the bytes it would have had
     with the digest written first.  A destination that cannot seek, a pipe,
     gets the digest before the header, in the same order.
+
+    The file is truncated before the digest is known, so a save that fails
+    in the hash, or is interrupted before the real header is written, leaves
+    a file of full size whose header holds the placeholder: it loads as a
+    sha256 mismatch, and the checkpoint that was at ``path`` is gone.
     """
     arrays = [np.ascontiguousarray(a, dtype=_BLOB_DTYPE)
               for layer in model.encoder.layers + model.head.layers
@@ -647,21 +610,28 @@ def save_model(model: ModelWeights, path) -> None:
         header["sha256"] = sha256
         return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
 
-    with _Sha256(beside=True) as digest:
-        # the hashing starts first: opening an existing file truncates it,
-        # which takes about as long as writing it again
+    sha = hashlib.sha256()
+
+    def hash_blob() -> None:
         for a in arrays:
-            digest.update(a)
+            sha.update(a)
+
+    with _hasher() as hasher:
+        # the hashing starts first: opening an existing file truncates it,
+        # which takes about as long as writing it again.  One task for the
+        # whole blob: a task per array cost about 0.15 ms more per save at
+        # the acceptance widths
+        hashed = [hasher.submit(hash_blob)]
         with open(path, "wb") as f:
             seekable = f.seekable()
             f.write(_MAGIC)
             # 64 hex digits, the width of the digest that goes over them
-            f.write(header_line("0" * 64 if seekable else digest.hexdigest()))
+            f.write(header_line("0" * 64 if seekable else _digest(sha, hashed)))
             for a in arrays:
                 f.write(memoryview(a))
             if seekable:
                 f.seek(len(_MAGIC))
-                f.write(header_line(digest.hexdigest()))
+                f.write(header_line(_digest(sha, hashed)))
 
 
 def _cut_layers(model: ModelWeights, flat: np.ndarray) -> str | None:
@@ -715,7 +685,8 @@ def load_model(path) -> ModelWeights:
                              f"blob_bytes is {blob_bytes} ({what})")
         # writable, and the vector's only copy; readinto fills every byte
         buf = np.empty(blob_bytes, np.uint8)
-        with _Sha256(beside=blob_bytes > _READ_CHUNK) as digest:
+        sha, hashed = hashlib.sha256(), []
+        with _hasher() as hasher:
             read = 0
             for lo in range(0, blob_bytes, _READ_CHUNK):
                 chunk = buf[lo:lo + _READ_CHUNK]
@@ -723,13 +694,16 @@ def load_model(path) -> ModelWeights:
                 read += n
                 if n != chunk.size:
                     break
-                digest.update(chunk)
+                if chunk.size == blob_bytes:  # one chunk: no read to hide
+                    sha.update(chunk)
+                else:
+                    hashed.append(hasher.submit(sha.update, chunk))
             if read != blob_bytes or f.read(1):
                 raise ValueError("checkpoint blob: file changed while being read")
             # on this thread while the helper hashes the tail; a non-finite
             # weight is reported only once the hash has matched
             bad = _cut_layers(model, buf.view(_BLOB_DTYPE))
-            if digest.hexdigest() != sha256:
+            if _digest(sha, hashed) != sha256:
                 raise ValueError("checkpoint blob: sha256 mismatch (corrupted file)")
     if bad is not None:
         raise ValueError(bad)

@@ -290,11 +290,22 @@ def _failing_sha256(error):
 
 def test_a_hash_error_comes_out_of_save_unchanged(tmp_path, monkeypatch,
                                                   no_thread_left):
+    path = tmp_path / "m.ckpt"
+    save_model(_model(), path)
+    saved = path.read_bytes()
     error = _HashFailure("update failed")
     monkeypatch.setattr(network.hashlib, "sha256", _failing_sha256(error))
     with pytest.raises(_HashFailure) as info:
-        save_model(_model(), tmp_path / "m.ckpt")
+        save_model(_model(), path)
     assert info.value is error
+    # the file was truncated and written before the digest failed: the old
+    # checkpoint is gone, and what is left has the placeholder digest
+    monkeypatch.undo()
+    left = path.read_bytes()
+    assert len(left) == len(saved) and left != saved
+    assert json.loads(left.split(b"\n")[1])["sha256"] == "0" * 64
+    with pytest.raises(ValueError, match="sha256 mismatch"):
+        load_model(path)
 
 
 def test_a_hash_error_comes_out_of_load_unchanged(tmp_path, monkeypatch, read_path,
