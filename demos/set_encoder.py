@@ -15,7 +15,7 @@ from ospace.encoder import (
     encode_batch_backward,
     init_encoder,
 )
-from ospace.layers import Dense, flatten
+from ospace.layers import Dense, attach_grads
 
 rng = np.random.default_rng(0)
 
@@ -42,9 +42,9 @@ assert encode(feats, big).tobytes() == pooled.tobytes()
 print("capacity 6 -> 30: bit-identical")
 
 # gradient provenance: each pooled dim belongs to exactly one person.
-# Backward writes into gradient buffers that only flatten makes: it moves
-# the layers into one parameter store and gives each a grad_W and grad_b.
-flatten(weights.layers)
+# Backward writes into gradient buffers, which a Dense does not hold:
+# attach_grads gives each layer a grad_W and grad_b, views of one vector.
+attach_grads(weights.layers)
 
 
 def input_grad(rows):

@@ -15,7 +15,7 @@ permutation of a set yields the same matrix, and so the same bits.
 The batched path takes sets padded to a common length with a mask, but
 only the input is padded: the stack runs over ``batch[mask]``, the real
 rows packed in batch order, so no (B, P_max, D) activation exists, and
-each set is pooled over its own contiguous rows by one ``np.max`` per set.
+each set is pooled over its own contiguous rows by one ``max`` per set.
 Pooling is exact, so it gives the bits of a padded forward whose padded
 rows are masked out; the gemms do too at the widths the tests and the CLI
 use.  At widths off the gemm kernel's blocking (``--enc-widths 27,18``, say)
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Dense, init_dense, relu_stack_backward, relu_stack_forward
+from .layers import Dense, init_store, relu_stack_backward, relu_stack_forward
 
 __all__ = [
     "EncoderConfig",
@@ -84,8 +84,7 @@ class EncoderWeights:
 
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeights:
-    dims = config.dims
-    layers = [init_dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+    _, layers = init_store(list(zip(config.dims, config.dims[1:])), rng)
     return EncoderWeights(config, layers)
 
 
@@ -94,13 +93,10 @@ def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
     feature_sets = [np.asarray(f, dtype=float) for f in feature_sets]
     if not feature_sets:
         raise ValueError("empty batch")
-    d = feature_sets[0].shape[1]
-    p_max = max(f.shape[0] for f in feature_sets)
-    batch = np.zeros((len(feature_sets), p_max, d))
-    mask = np.zeros((len(feature_sets), p_max), dtype=bool)
-    for i, f in enumerate(feature_sets):
-        batch[i, : f.shape[0]] = f
-        mask[i, : f.shape[0]] = True
+    counts = np.array([f.shape[0] for f in feature_sets])
+    mask = np.arange(counts.max()) < counts[:, None]
+    batch = np.zeros(mask.shape + (feature_sets[0].shape[1],))
+    batch[mask] = np.concatenate(feature_sets)
     return batch, mask
 
 
@@ -131,7 +127,7 @@ def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     pooled = np.empty((batch.shape[0], last.shape[1]))
     ends = np.cumsum(mask.sum(axis=1)).tolist()
     for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-        np.max(last[lo:hi], axis=0, out=pooled[i])
+        last[lo:hi].max(axis=0, out=pooled[i])
     return pooled, (xs, pooled, mask)
 
 

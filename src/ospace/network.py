@@ -20,29 +20,33 @@ use a scene's heatmap bits depend on that scene alone; one scene is a
 chunk of one, the head at one row.  Only one chunk's activations are
 alive at a time, so validation memory does not grow with the split.
 
-``train`` runs on one flat parameter vector (``layers.flatten``): every
-layer's weights are views of it, and backward assigns each step's gradients
-into a second vector of the same layout.  The optimizer updates the whole
-vector, and the best-epoch snapshot is a copy of it.  Gradients exist only
-from that ``flatten`` to the end of ``train``, which takes grad_W and grad_b
-off every layer, so a trained model, like a loaded one, holds its weights
-and nothing else; running backward outside ``train`` takes a ``flatten``
-first.  Adam walks the vector in fixed blocks of ``_ADAM_BLOCK`` elements,
-small enough that the block's parameters, gradients, moments and two
-preallocated scratch blocks stay in the L2 cache across its ufuncs, each of
-which writes with ``out=`` so a step allocates nothing.  The update is
-Kingma and Ba's efficient form, with the bias corrections folded into a step
-size and an epsilon per step.  Adam skips a block whose gradients have all
-been exactly zero so far, which changes no bit: its moments are still zero,
-so the update is alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes
-the head's room rows such blocks for the whole run, and since the moments
-start as untouched zero pages, those rows cost no optimizer memory either.
+``train`` runs on one flat parameter vector, the store ``layers.init_store``
+allocates and draws the initial weights into: every layer's weights are
+views of it, laid out by ``layers.view_layers`` in the checkpoint's order,
+and backward assigns each step's gradients into a second vector of the same
+layout (``layers.attach_grads``).  No layer has an array of its own at any
+point, so nothing is copied into the store.  The optimizer updates the whole
+vector, the best-epoch snapshot is a copy of it, and a checkpoint's blob is
+its bytes.  Gradients exist only inside ``train``, which takes grad_W and
+grad_b off every layer before it returns, so a trained model, like a loaded
+one, holds its weights and nothing else; running backward outside ``train``
+takes a ``layers.attach_grads`` (or ``flatten``) first.  Adam walks the
+vector in fixed blocks of ``_ADAM_BLOCK`` elements, small enough that the
+block's parameters, gradients, moments and two preallocated scratch blocks
+stay in the L2 cache across its ufuncs, each of which writes with ``out=``
+so a step allocates nothing.  The update is Kingma and Ba's efficient form,
+with the bias corrections folded into a step size and an epsilon per step.
+Adam skips a block whose gradients have all been exactly zero so far, which
+changes no bit: its moments are still zero, so the update is
+alpha_t 0 / (0 + eps_t) = 0.  A room vector of zeros makes the head's room
+rows such blocks for the whole run, and since the moments start as
+untouched zero pages, those rows cost no optimizer memory either.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
 spec, stride, seed, normalization stats, both configs, ``blob_bytes`` and the
 ``sha256`` of the blob), then the blob: every layer's W and then b, encoder
-layers first, as little-endian float64 -- the layout of ``layers.flatten``.
+layers first, as little-endian float64 -- the layout of ``layers.view_layers``.
 The header holds the spec, the stats and the configs in their ``jsondoc``
 form, each dataclass's fields in declaration order, which
 ``jsondoc.from_obj`` reads back.  Saving writes the arrays' buffers as they
@@ -78,8 +82,9 @@ import numpy as np
 from .core import (DEFAULT_SPEC, OSpaceMap, RoomSpec, Scene,
                    check_person_count, non_singleton_blocks)
 from .dataset import NormStats, fit_norm_stats, scene_features
-# nothing here calls ``encode``: it stays because perfbench's probe table
-# names ``network.encode``, and its traced-run test looks up every target
+# nothing here calls ``encode`` or ``init_encoder``: they stay because
+# perfbench's probe table names both as ``network`` attributes, and its
+# traced-run test looks up every target
 from .encoder import (  # noqa: F401
     EncoderConfig,
     EncoderWeights,
@@ -94,11 +99,13 @@ from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .jsondoc import from_obj, get_field, get_number, to_obj
 from .layers import (
     Dense,
-    flatten,
-    init_dense,
+    attach_grads,
+    init_store,
     relu_stack_backward,
     relu_stack_forward,
     sigmoid,
+    store_size,
+    view_layers,
 )
 from .room import RoomFeature
 
@@ -220,9 +227,20 @@ class EpochStats:
 
 
 def init_head(config: HeadConfig, rng: np.random.Generator) -> HeadWeights:
-    dims = config.dims
-    layers = [init_dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+    _, layers = init_store(_layer_shapes(config), rng)
     return HeadWeights(config, layers)
+
+
+def _layer_shapes(*configs) -> list[tuple[int, int]]:
+    """(d_in, d_out) of every layer of ``configs``, in checkpoint order."""
+    return [shape for c in configs for shape in zip(c.dims, c.dims[1:])]
+
+
+def _split(layers, enc_cfg: EncoderConfig, head_cfg: HeadConfig):
+    """(EncoderWeights, HeadWeights) of a store's layers, encoder first."""
+    n_enc = len(enc_cfg.layer_widths)
+    return (EncoderWeights(enc_cfg, layers[:n_enc]),
+            HeadWeights(head_cfg, layers[n_enc:]))
 
 
 def head_forward(x: np.ndarray, weights: HeadWeights):
@@ -398,8 +416,10 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
 
     stats = fit_norm_stats(train_scenes)
     rng = np.random.default_rng(cfg.seed)
-    enc_w = init_encoder(enc_cfg, rng)
-    head_w = init_head(head_cfg, rng)
+    # the encoder's layers and then the head's, drawn in that order into
+    # the one store, as ``init_encoder`` and then ``init_head`` would
+    params, layers = init_store(_layer_shapes(enc_cfg, head_cfg), rng)
+    enc_w, head_w = _split(layers, enc_cfg, head_cfg)
 
     feats = [scene_features(s, stats) for s in train_scenes]
     targets = np.stack(
@@ -421,7 +441,7 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
         pred = _forward_chunks(val_feats, room.values, enc_w, head_w)
         return float(np.mean((pred - val_targets) ** 2))
 
-    params, grads = flatten(enc_w.layers + head_w.layers)
+    grads = attach_grads(layers)
     opt_cls = _Sgd if cfg.optimizer == "sgd" else _Adam
     opt = opt_cls(cfg.learning_rate, params, grads)
     n = len(train_scenes)
@@ -458,7 +478,7 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
             best[...] = params
 
     params[...] = best
-    for layer in enc_w.layers + head_w.layers:
+    for layer in layers:
         del layer.grad_W, layer.grad_b  # the model must not keep grads alive
     model = ModelWeights(encoder=enc_w, head=head_w, norm_stats=stats,
                          stride_m=stride_m, seed=cfg.seed, spec=spec)
@@ -556,10 +576,6 @@ def _model_shell(header) -> ModelWeights:
                         seed=get_field(header, "", "seed", (int,), _CKPT), spec=spec)
 
 
-def _n_params(dims) -> int:
-    return sum(d_in * d_out + d_out for d_in, d_out in zip(dims, dims[1:]))
-
-
 def _hasher() -> ThreadPoolExecutor:
     """The one helper thread that hashes a checkpoint's blob beside its file
     I/O: hashlib releases the GIL while it hashes a buffer of 2 KiB or more.
@@ -638,19 +654,14 @@ def _cut_layers(model: ModelWeights, flat: np.ndarray) -> str | None:
     """Give ``model`` its layers as views of ``flat``, cut by the widths of
     its configs, which ``blob_bytes`` matched; returns the error naming the
     first layer with a non-finite weight, or None."""
-    bad = None
-    start = 0
-    for weights, section in ((model.encoder, "encoder"), (model.head, "head")):
-        dims = weights.config.dims
-        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            W = flat[start:start + d_in * d_out].reshape(d_in, d_out)
-            start += d_in * d_out
-            b = flat[start:start + d_out]
-            start += d_out
-            if bad is None and not (np.isfinite(W).all() and np.isfinite(b).all()):
-                bad = f"checkpoint {section} layer {i}: non-finite weight"
-            weights.layers.append(Dense(W, b))
-    return bad
+    enc_cfg, head_cfg = model.encoder.config, model.head.config
+    model.encoder, model.head = _split(
+        view_layers(flat, _layer_shapes(enc_cfg, head_cfg)), enc_cfg, head_cfg)
+    for section, weights in (("encoder", model.encoder), ("head", model.head)):
+        for i, layer in enumerate(weights.layers):
+            if not (np.isfinite(layer.W).all() and np.isfinite(layer.b).all()):
+                return f"checkpoint {section} layer {i}: non-finite weight"
+    return None
 
 
 def load_model(path) -> ModelWeights:
@@ -672,8 +683,8 @@ def load_model(path) -> ModelWeights:
         model = _model_shell(header)
         blob_bytes = get_field(header, "", "blob_bytes", (int,), _CKPT)
         sha256 = get_field(header, "", "sha256", (str,), _CKPT)
-        need = _BLOB_DTYPE.itemsize * sum(_n_params(w.config.dims)
-                                          for w in (model.encoder, model.head))
+        need = _BLOB_DTYPE.itemsize * store_size(
+            _layer_shapes(model.encoder.config, model.head.config))
         if blob_bytes != need:
             raise ValueError(f"checkpoint blob_bytes: {blob_bytes}, the configs "
                              f"need {need}")

@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ospace.layers import (
@@ -9,6 +9,7 @@ from ospace.layers import (
     _relu_in_place,
     flatten,
     init_dense,
+    init_store,
     relu_stack_backward,
     relu_stack_forward,
     sigmoid,
@@ -193,3 +194,34 @@ def test_init_dense_deterministic():
     b = init_dense(5, 4, np.random.default_rng(3))
     assert a.W.tobytes() == b.W.tobytes()
     assert a.b.tobytes() == b.b.tobytes()
+
+
+def uniform_reference(dims, rng):
+    """Reference: every layer's W and b drawn by ``rng.uniform`` into an
+    array of its own."""
+    arrays = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        bound = 1.0 / np.sqrt(d_in)
+        arrays.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
+        arrays.append(rng.uniform(-bound, bound, size=d_out))
+    return arrays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@example(dims=[1, 1], seed=0)
+@example(dims=[1, 7, 1], seed=5)
+@example(dims=[27, 18], seed=0)
+@example(dims=[33, 17, 9], seed=0)
+def test_init_store_draws_the_bits_and_state_of_rng_uniform(dims, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    params, layers = init_store(list(zip(dims, dims[1:])), rng)
+    want = uniform_reference(dims, ref_rng)
+    assert params.tobytes() == b"".join(a.tobytes() for a in want)
+    got = [a for layer in layers for a in (layer.W, layer.b)]
+    assert all(_same(a, b) and a.base is params for a, b in zip(got, want))
+    # the generator is left where rng.uniform leaves it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    first = init_dense(dims[0], dims[1], np.random.default_rng(seed))
+    assert _same(first.W, want[0]) and _same(first.b, want[1])

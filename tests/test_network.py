@@ -351,7 +351,7 @@ def test_adam_block_skip_matches_reference(schedule, seed):
             assert moment.tobytes() == want.tobytes()
 
 
-def test_trained_layers_share_one_contiguous_vector():
+def test_trained_layers_share_one_contiguous_vector(tmp_path):
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=1))
     arrays = [a for l in model.encoder.layers + model.head.layers
               for a in (l.W, l.b)]
@@ -359,6 +359,9 @@ def test_trained_layers_share_one_contiguous_vector():
     assert store.ndim == 1 and store.flags.c_contiguous
     assert store.size == sum(a.size for a in arrays)
     assert all(a.base is store for a in arrays)
+    # the store is laid out in checkpoint order: the blob is its bytes
+    blob = _checkpoint_bytes(model, tmp_path / "m").split(b"\n", 2)[2]
+    assert blob == store.astype("<f8").tobytes()
 
 
 def test_trained_model_holds_no_gradients_until_flattened():
@@ -386,7 +389,7 @@ def _quick_cfg(**kw):
     return TrainConfig(**base)
 
 
-def test_train_epoch_zero_returns_seeded_init():
+def test_train_epoch_zero_returns_seeded_init(tmp_path):
     model, trace = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG,
                          _quick_cfg(epochs=0))
     assert trace == []
@@ -397,6 +400,10 @@ def test_train_epoch_zero_returns_seeded_init():
                          enc_ref.layers + head_ref.layers):
         assert got.W.tobytes() == want.W.tobytes()
         assert got.b.tobytes() == want.b.tobytes()
+    # train draws into its one store what the two initializers draw apart
+    ref = ModelWeights(enc_ref, head_ref, model.norm_stats, seed=0)
+    assert (_checkpoint_bytes(model, tmp_path / "trained")
+            == _checkpoint_bytes(ref, tmp_path / "init"))
 
 
 def test_train_zero_learning_rate_keeps_weights():

@@ -6,36 +6,22 @@ without any error; so would a module that still imports a probed function
 but stops calling it.  The probe table is read from its file, without
 writing anything next to it.
 """
-import ast
 import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-import ospace
 from ospace import network, postprocess, tuning
 from ospace.core import Person, Scene
 from ospace.encoder import EncoderConfig
 from ospace.network import HeadConfig, TrainConfig, train
 from ospace.room import RoomFeature
+# the probe targets ospace keeps only for the probe table, and which its
+# dead-import rule therefore allows
+from test_source_rules import NETWORK_RETIRED, RETIRED
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
-
-# Tuning targets the probe table still names that ``grid_search`` no longer
-# calls, so their spans read zero under tuning: it gets every heatmap from
-# one ``network.predict_heatmaps`` call, it turns each distinct key row into
-# its partition with ``postprocess.partition_from_claims`` instead of
-# ``assign_groups``, and it matches a scene's partitions with one
-# ``evaluation.match_counts`` instead of a ``match_scene`` each.  ``tuning``
-# keeps these names only because perfbench's traced-run test looks up every
-# target the table names.
-RETIRED = {"thread_map", "predict_heatmap", "assign_groups", "match_scene"}
-
-# Network targets the probe table still names that no prediction calls:
-# every scene goes through ``network.batch_forward``.  ``network`` keeps both
-# names for the same reason as ``tuning`` keeps its retired ones.
-NETWORK_RETIRED = {"encode", "forward"}
 
 
 def _probes():
@@ -80,9 +66,10 @@ def test_grid_search_calls_every_tuning_probe_target(monkeypatch):
 
 
 def test_prediction_calls_no_retired_network_target(monkeypatch):
-    """``network.encode`` and ``network.forward`` still resolve, so the probe
-    table finds them, but neither runs when one scene or many are
-    predicted; ``batch_forward`` does, once per chunk."""
+    """``network.encode``, ``network.forward`` and ``network.init_encoder``
+    still resolve, so the probe table finds them, but none runs when a
+    model is trained or one scene or many are predicted; ``batch_forward``
+    does, once per chunk."""
     targets = {attr for module, attr, _, _ in _probes().TARGETS
                if module is network}
     assert NETWORK_RETIRED | {"batch_forward"} <= targets
@@ -106,31 +93,3 @@ def test_prediction_calls_no_retired_network_target(monkeypatch):
     network.predict_heatmaps(scenes, model, room)
     postprocess.predict_scene(scenes[0], model, room)
     assert calls == Counter(batch_forward=3)
-
-
-def _dead_imports(path):
-    """Names a module imports but never references (``__future__`` aside)."""
-    tree = ast.parse(path.read_text(), str(path))
-    imported = {(alias.asname or alias.name).split(".")[0]
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                and getattr(node, "module", None) != "__future__"
-                for alias in node.names}
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return imported - used
-
-
-def test_only_retired_probe_targets_are_dead_imports():
-    """An import nothing references is deleted, unless it is a retired probe
-    target its module keeps for the probe table.  Once the table drops a
-    target, this names the import to delete with it.  ``__init__`` is
-    skipped: its imports are the package's exports."""
-    src = Path(ospace.__file__).resolve().parent
-    retired = {"tuning": RETIRED, "network": NETWORK_RETIRED}
-    dead = {(path.stem, name) for path in src.glob("*.py")
-            if path.name != "__init__.py" for name in _dead_imports(path)}
-    stray = sorted(f"{module}.{name}" for module, name in dead
-                   if name not in retired.get(module, ()))
-    assert stray == []
-    # the guard does see the imports kept on purpose
-    assert {name for module, name in dead if module == "tuning"} == RETIRED

@@ -1,0 +1,140 @@
+"""Rules the source keeps, read from its syntax trees.
+
+Every module under ``src/ospace`` is parsed once, and each rule below walks
+those trees: module boundaries, where threads start, and which imports may
+go unused.  One rule reads the test suite instead: every hypothesis
+property is derandomized.
+"""
+import ast
+from functools import cache
+from pathlib import Path
+
+import ospace
+
+SRC = Path(ospace.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+@cache
+def _sources() -> dict[str, ast.Module]:
+    """Every module of ``ospace`` by file name, parsed once for every rule."""
+    return {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+
+
+# Module boundaries: no module imports another's private names.
+
+def test_no_private_names_imported_across_modules():
+    found = []
+    for name, tree in _sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+# Concurrency stays where the docs say it is: apart from the BLAS library's
+# threads, the one thread ospace starts is the checkpoint hashing helper.
+
+# what starts a thread or a process when called
+STARTERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process", "Pool"}
+HELPER = ("network.py", "_hasher")
+# its own thread map, which nothing in ospace calls, until it is deleted
+EXEMPT = {"parallel.py"}
+
+
+def _starter_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in STARTERS:
+                yield node
+
+
+def test_only_the_checkpoint_hashing_helper_starts_a_thread():
+    found, in_helper = [], set()
+    for name, tree in _sources().items():
+        if name in EXEMPT:
+            continue
+        if name == HELPER[0]:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == HELPER[1]:
+                    in_helper |= {id(c) for c in _starter_calls(node)}
+        found += [f"{name}:{c.lineno}" for c in _starter_calls(tree)
+                  if id(c) not in in_helper]
+    assert found == []
+    assert len(in_helper) == 1  # the check does see the helper's thread
+
+
+# Imports nothing references.
+
+# Tuning targets the probe table (``perfbench/probes.py``) still names that
+# ``grid_search`` no longer calls, so their spans read zero under tuning: it
+# gets every heatmap from one ``network.predict_heatmaps`` call, it turns
+# each distinct key row into its partition with
+# ``postprocess.partition_from_claims`` instead of ``assign_groups``, and it
+# matches a scene's partitions with one ``evaluation.match_counts`` instead
+# of a ``match_scene`` each.  ``tuning`` keeps these names only because
+# perfbench's traced-run test looks up every target the table names.
+RETIRED = {"thread_map", "predict_heatmap", "assign_groups", "match_scene"}
+
+# Network targets the probe table still names that neither prediction nor
+# training calls: every scene goes through ``network.batch_forward``, and
+# ``train`` draws its weights with ``layers.init_store``.  ``network`` keeps
+# these names for the same reason as ``tuning`` keeps its retired ones.
+NETWORK_RETIRED = {"encode", "forward", "init_encoder"}
+
+
+def _dead_imports(tree):
+    """Names a module imports but never references (``__future__`` aside)."""
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_only_retired_probe_targets_are_dead_imports():
+    """An import nothing references is deleted, unless it is a retired probe
+    target its module keeps for the probe table.  Once the table drops a
+    target, this names the import to delete with it.  ``__init__`` is
+    skipped: its imports are the package's exports."""
+    retired = {"tuning": RETIRED, "network": NETWORK_RETIRED}
+    dead = {(Path(name).stem, dead_name) for name, tree in _sources().items()
+            if name != "__init__.py" for dead_name in _dead_imports(tree)}
+    stray = sorted(f"{module}.{name}" for module, name in dead
+                   if name not in retired.get(module, ()))
+    assert stray == []
+    # the guard does see the imports kept on purpose
+    assert {name for module, name in dead if module == "tuning"} == RETIRED
+
+
+# Every hypothesis property in the suite runs the same examples on every
+# run: a failure in CI reproduces locally, and a pass is not a lucky draw.
+
+def _settings_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == "settings":
+                yield node
+
+
+def test_every_settings_call_derandomizes():
+    calls, loose = 0, []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in _settings_calls(_parse(path)):
+            calls += 1
+            flags = {k.arg: k.value for k in node.keywords}
+            value = flags.get("derandomize")
+            if not (isinstance(value, ast.Constant) and value.value is True):
+                loose.append(f"{path.name}:{node.lineno}")
+    assert loose == []
+    assert calls >= 10  # the check does see the suite's properties
