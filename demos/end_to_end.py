@@ -13,7 +13,8 @@ import numpy as np
 from ospace.dataset import SplitRatios, sequential_split
 from ospace.encoder import EncoderConfig
 from ospace.evaluation import aggregate, format_tolerance, match_scene
-from ospace.network import HeadConfig, TrainConfig, train
+from ospace.head import HeadConfig
+from ospace.network import TrainConfig, train
 from ospace.postprocess import predict_scene
 from ospace.room import RoomFeature
 from ospace.synthetic import SynthConfig, generate

@@ -8,6 +8,7 @@ group-matching metric and a synthetic scene generator for end-to-end
 verification.
 """
 
+from .checkpoint import ModelWeights, load_model, save_model
 from .core import (
     DEFAULT_SPEC,
     OSpaceMap,
@@ -53,17 +54,14 @@ from .groundtruth import (
     scene_centers,
     scene_target,
 )
+from .head import HeadConfig
 from .network import (
-    HeadConfig,
-    ModelWeights,
     TrainConfig,
     TrainingDivergedError,
     example_weight,
     forward,
-    load_model,
     predict_heatmap,
     predict_heatmaps,
-    save_model,
     train,
 )
 from .postprocess import AssignParams, Detection, assign_groups, nms, predict_scene

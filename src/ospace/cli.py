@@ -16,9 +16,11 @@ The room input is as wide as the room given, zero-wide with no room flag:
 of another width than the checkpoint's.
 
 Every command is deterministic given its flags; randomness only enters
-through --seed.  Exit codes: 0 success, 1 usage error, 2 data error
-(missing or malformed files, shape mismatches), 3 numeric failure
-(training divergence, infeasible synthesis).
+through --seed.  Exit codes: 0 success; 1 usage error, or a path that
+cannot be opened as asked (a missing file or directory, a directory given
+as a file, a file given as a directory); 2 data error (malformed files,
+shape mismatches, other I/O errors); 3 numeric failure (training
+divergence, infeasible synthesis).
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import sys
 
 import numpy as np
 
+from .checkpoint import load_model, save_model
 from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, check_groups
 from .dataset import (
     SplitRatios,
@@ -42,16 +45,9 @@ from .dataset import (
 from .encoder import EncoderConfig
 from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
+from .head import HeadConfig
 from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj
-from .network import (
-    HeadConfig,
-    TrainConfig,
-    TrainingDivergedError,
-    load_model,
-    predict_heatmaps,
-    save_model,
-    train,
-)
+from .network import TrainConfig, TrainingDivergedError, predict_heatmaps, train
 from .postprocess import AssignParams, assign_groups, nms
 from .room import (
     RoomFeature,

@@ -13,7 +13,7 @@ contiguous float64 vector, each layer's W and then its b, in checkpoint
 order, so the optimizer step, the snapshot, the restore and a checkpoint's
 blob each run over one array.  ``init_store`` allocates a store and draws
 every layer's weights straight into its views, the one init rule that
-``init_dense``, ``encoder.init_encoder``, ``network.init_head`` and
+``init_dense``, ``encoder.init_encoder``, ``head.init_head`` and
 ``network.train`` share.  ``attach_grads`` gives every layer a grad_W and
 grad_b, views of a second vector of the same layout; ``flatten`` moves
 layers that live apart into a new store and attaches gradients to them.
@@ -47,13 +47,11 @@ __all__ = ["Dense", "attach_grads", "flatten", "init_dense", "init_store",
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically safe logistic function."""
-    out = np.empty_like(z, dtype=float)
+    """Numerically safe logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) elsewhere, so ``exp`` never overflows."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 class Dense:

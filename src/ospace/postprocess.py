@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import ModelWeights
 from .core import OSpaceMap, Point2, Scene
 from .groundtruth import DEFAULT_STRIDE_M
-from .network import ModelWeights, predict_heatmap
+from .network import predict_heatmap
 from .room import RoomFeature
 
 __all__ = ["Detection", "AssignParams", "nms", "thin", "headings", "step_ahead",

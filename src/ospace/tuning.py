@@ -44,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import ModelWeights
 from .evaluation import (GroupMetrics, aggregate, match_counts,  # noqa: F401
                          match_scene, snap_tolerance)
-from .network import ModelWeights, predict_heatmap, predict_heatmaps  # noqa: F401
+from .network import predict_heatmap, predict_heatmaps  # noqa: F401
 # grid_search calls none of predict_heatmap, thread_map, assign_groups and
 # match_scene; the names stay only for perfbench's probe table, whose
 # traced-run test looks up each one

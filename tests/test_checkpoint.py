@@ -15,20 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ospace import network
+from ospace import checkpoint
+from ospace.checkpoint import ModelWeights, load_model, save_model
 from ospace.cli import main
 from ospace.core import RoomSpec
 from ospace.dataset import NormStats
 from ospace.encoder import EncoderConfig, EncoderWeights, init_encoder
 from ospace.layers import Dense
-from ospace.network import (
-    HeadConfig,
-    HeadWeights,
-    ModelWeights,
-    init_head,
-    load_model,
-    save_model,
-)
+from ospace.head import HeadConfig, HeadWeights, init_head
 
 ENC_CFG = EncoderConfig(input_dim=18, max_people=25, layer_widths=(8, 16))
 HEAD_CFG = HeadConfig(input_dim=20, hidden_widths=(16,), output_dim=120)
@@ -196,7 +190,7 @@ def read_path(request, monkeypatch):
     """Loads the test model's 21 KB blob in one chunk, read and hashed inline,
     or in chunks of 4 KiB hashed on the helper thread."""
     if request.param == "chunked":
-        monkeypatch.setattr(network, "_READ_CHUNK", 4096)
+        monkeypatch.setattr(checkpoint, "_READ_CHUNK", 4096)
         assert sum(8 * (l.W.size + l.b.size) for l in _layers(_model())) > 4 * 4096
     return request.param
 
@@ -236,10 +230,37 @@ def test_corrupt_checkpoint_is_value_error_and_exit_2(tmp_path, capsys, read_pat
     assert not pred.exists()
 
 
-def test_both_read_paths_give_the_same_model(tmp_path, read_path, no_thread_left):
+def _spy_on_hasher(monkeypatch):
+    """Records the thread name of every task the helpers of later saves and
+    loads run; returns that list."""
+    ran, real = [], checkpoint._hasher
+
+    def hasher():
+        executor = real()
+        submit = executor.submit
+
+        def recorded(fn, *args):
+            def task():
+                ran.append(threading.current_thread().name)
+                return fn(*args)
+            return submit(task)
+        executor.submit = recorded
+        return executor
+    monkeypatch.setattr(checkpoint, "_hasher", hasher)
+    return ran
+
+
+def test_both_read_paths_give_the_same_model(tmp_path, monkeypatch, read_path,
+                                             no_thread_left):
     model = _model(3)
     save_model(model, tmp_path / "m.ckpt")
+    ran = _spy_on_hasher(monkeypatch)
     _assert_same_model(load_model(tmp_path / "m.ckpt"), model)
+    if read_path == "chunked":  # hashed chunk by chunk on the helper thread
+        assert len(ran) > 1
+        assert all(name.startswith("ospace-checkpoint-sha256") for name in ran)
+    else:  # hashed inline: the helper got no task, so its thread never started
+        assert ran == []
 
 
 @pytest.mark.parametrize("edit", [lambda d: d[:-8], lambda d: d + b"\0"],
@@ -253,7 +274,7 @@ def test_a_file_that_changes_size_while_read_is_caught(tmp_path, monkeypatch,
     bad.write_bytes(edit(good.read_bytes()))
     # the size check sees the file as it was saved; the reads see it edited
     stat = SimpleNamespace(st_size=good.stat().st_size)
-    monkeypatch.setattr(network, "os", SimpleNamespace(fstat=lambda fd: stat))
+    monkeypatch.setattr(checkpoint, "os", SimpleNamespace(fstat=lambda fd: stat))
     with pytest.raises(ValueError, match="file changed while being read"):
         load_model(bad)
 
@@ -294,7 +315,7 @@ def test_a_hash_error_comes_out_of_save_unchanged(tmp_path, monkeypatch,
     save_model(_model(), path)
     saved = path.read_bytes()
     error = _HashFailure("update failed")
-    monkeypatch.setattr(network.hashlib, "sha256", _failing_sha256(error))
+    monkeypatch.setattr(checkpoint.hashlib, "sha256", _failing_sha256(error))
     with pytest.raises(_HashFailure) as info:
         save_model(_model(), path)
     assert info.value is error
@@ -312,7 +333,7 @@ def test_a_hash_error_comes_out_of_load_unchanged(tmp_path, monkeypatch, read_pa
                                                   no_thread_left):
     save_model(_model(), tmp_path / "m.ckpt")
     error = _HashFailure("update failed")
-    monkeypatch.setattr(network.hashlib, "sha256", _failing_sha256(error))
+    monkeypatch.setattr(checkpoint.hashlib, "sha256", _failing_sha256(error))
     with pytest.raises(_HashFailure) as info:
         load_model(tmp_path / "m.ckpt")
     assert info.value is error

@@ -84,6 +84,38 @@ def test_sigmoid_matches_naive_in_safe_range():
     assert np.allclose(sigmoid(z), 1 / (1 + np.exp(-z)), rtol=1e-15)
 
 
+def masked_sigmoid(z):
+    """Reference: the logistic as boolean-mask gathers and scatters computed it."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logits():
+    return st.one_of(st.sampled_from(SPECIAL), st.floats(-1000, 1000),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=40),
+                    elements=logits()))
+@example(z=np.array(SPECIAL + [-n for n in SPECIAL] + [-1000.0, 1000.0]))
+def test_sigmoid_is_bit_equal_to_the_masked_form(z):
+    with np.errstate(all="ignore"):
+        assert _same(sigmoid(z), masked_sigmoid(z))
+
+
+def test_sigmoid_is_bit_equal_to_the_masked_form_on_any_bit_pattern():
+    z = np.frombuffer(np.random.default_rng(0).bytes(8 << 16), np.float64)
+    nan = np.isnan(z)
+    assert nan.any() and np.signbit(z[nan]).any() and not np.signbit(z[nan]).all()
+    with np.errstate(all="ignore"):
+        assert _same(sigmoid(z), masked_sigmoid(z))
+
+
 def test_flatten_makes_layers_views_of_two_vectors():
     rng = np.random.default_rng(1)
     layers = [init_dense(3, 4, rng), init_dense(4, 2, rng)]

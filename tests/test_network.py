@@ -12,9 +12,9 @@ from ospace.dataset import scene_features
 from ospace.encoder import EncoderConfig, encode, init_encoder
 from ospace.layers import Dense, flatten, relu_stack_forward
 from ospace import network
+from ospace.checkpoint import CHECKPOINT_VERSION
 from ospace.network import (
     _ADAM_BLOCK,
-    CHECKPOINT_VERSION,
     HeadConfig,
     HeadWeights,
     ModelWeights,
