@@ -16,7 +16,9 @@ The room input is as wide as the room given, zero-wide with no room flag:
 of another width than the checkpoint's.
 
 Every command is deterministic given its flags; randomness only enters
-through --seed.  Exit codes: 0 success; 1 usage error, or a path that
+through --seed.  Exit codes: 0 success; 1 usage error (a bad flag value,
+a negative --seed included, or a ``train`` model too large to fit in
+memory, named by its parameter count and width flags), or a path that
 cannot be opened as asked (a missing file or directory, a directory given
 as a file, a file given as a directory); 2 data error (malformed files,
 shape mismatches, other I/O errors); 3 numeric failure (training
@@ -32,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_model, save_model
+from .checkpoint import layer_shapes, load_model, save_model
 from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, check_groups
 from .dataset import (
     SplitRatios,
@@ -47,6 +49,7 @@ from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .head import HeadConfig
 from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj
+from .layers import store_size
 from .network import TrainConfig, TrainingDivergedError, predict_heatmaps, train
 from .postprocess import AssignParams, assign_groups, nms
 from .room import (
@@ -259,9 +262,18 @@ def _cmd_train(args) -> int:
     elif args.augment == "train":
         train_scenes = augment(train_scenes, spec)
 
-    model, trace = train(train_scenes, room, enc_cfg, head_cfg, cfg,
-                         val_scenes=val_scenes, spec=spec, stride_m=args.stride,
-                         gauss=gauss)
+    n_params = store_size(layer_shapes(enc_cfg, head_cfg))
+    too_large = _UsageError(
+        f"a model of {n_params} parameters (--enc-widths {args.enc_widths}, "
+        f"--hidden {args.hidden}) does not fit in memory")
+    if n_params * 8 > sys.maxsize:  # its float64 store: past any address space
+        raise too_large
+    try:
+        model, trace = train(train_scenes, room, enc_cfg, head_cfg, cfg,
+                             val_scenes=val_scenes, spec=spec,
+                             stride_m=args.stride, gauss=gauss)
+    except MemoryError:
+        raise too_large from None
     save_model(model, args.output)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:

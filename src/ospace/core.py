@@ -158,9 +158,11 @@ class OSpaceMap:
                 f"map shape {arr.shape} does not match grid "
                 f"{self.spec.rows}x{self.spec.cols}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("map contains non-finite values")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        # min and max carry a NaN through, so one test clears a valid map;
+        # only a failing one is scanned again to name the fault
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.isfinite(arr).all():
+                raise ValueError("map contains non-finite values")
             raise ValueError("map values must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

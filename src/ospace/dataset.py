@@ -229,11 +229,15 @@ def scene_features(scene: Scene, stats: NormStats) -> np.ndarray:
 def _feature_rows(persons, stats: NormStats) -> np.ndarray:
     """The (P, 18) features of ``persons``: (x - mean_x) / std_x,
     (y - mean_y) / std_y, then a 1 in slot 2 + the yaw's bucket."""
-    a = np.array([(p.x, p.y, p.yaw_deg) for p in persons], float).reshape(-1, 3)
-    out = np.zeros((len(a), FEATURE_DIM))
+    n = len(persons)
+    a = np.array([v for p in persons for v in (p.x, p.y, p.yaw_deg)],
+                 float).reshape(n, 3)
+    out = np.zeros((n, FEATURE_DIM))
     out[:, 0] = (a[:, 0] - stats.mean_x) / stats.std_x
     out[:, 1] = (a[:, 1] - stats.mean_y) / stats.std_y
-    out[np.arange(len(a)), 2 + _yaw_buckets(a[:, 2])] = 1.0
+    # row k's slot is flat index k * FEATURE_DIM + 2 + bucket
+    out.reshape(-1)[np.arange(2, n * FEATURE_DIM, FEATURE_DIM)
+                    + _yaw_buckets(a[:, 2])] = 1.0
     return out
 
 

@@ -21,7 +21,11 @@ rows are masked out; the gemms do too at the widths the tests and the CLI
 use.  At widths off the gemm kernel's blocking (``--enc-widths 27,18``, say)
 OpenBLAS rounds a row by its position, and a multi-scene batch's bits may
 then differ from a padded forward's, as they already depended on the
-batch's largest set.  One set is never padded, so ``encode`` is unaffected.
+batch's largest set.  One set is never padded, so ``encode`` is unaffected:
+``pad_features`` copies a lone set as its batch, and ``encode_batch`` reads
+a batch whose every slot is real as it is, reshaped, with no gather.
+``sort_rows`` orders a set by one argsort of column 0 when its values are
+distinct, the order ``lexsort`` gives, and by ``lexsort`` otherwise.
 
 Backward routes each pooled dimension's gradient to its argmax person,
 ties to the lowest index, and runs on the packed rows the forward cached,
@@ -93,6 +97,10 @@ def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
     feature_sets = [np.asarray(f, dtype=float) for f in feature_sets]
     if not feature_sets:
         raise ValueError("empty batch")
+    if len(feature_sets) == 1 and feature_sets[0].ndim == 2:
+        # one set is never padded: the batch is a copy of it
+        only = feature_sets[0]
+        return only[None].copy(), np.ones((1, only.shape[0]), bool)
     counts = np.array([f.shape[0] for f in feature_sets])
     mask = np.arange(counts.max()) < counts[:, None]
     batch = np.zeros(mask.shape + (feature_sets[0].shape[1],))
@@ -100,34 +108,45 @@ def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
     return batch, mask
 
 
-def _check_batch(batch: np.ndarray, mask: np.ndarray, cfg: EncoderConfig) -> None:
+def _check_batch(batch: np.ndarray, mask: np.ndarray,
+                 cfg: EncoderConfig) -> list[int]:
+    """Each set's real row count, once the batch and mask are checked."""
     if batch.ndim != 3 or batch.shape[2] != cfg.input_dim:
         raise ValueError(f"bad feature batch shape {batch.shape}")
     if mask.dtype != bool or mask.shape != batch.shape[:2]:
         raise ValueError(f"mask must be bool of shape {batch.shape[:2]}, got "
                          f"{mask.dtype} of shape {mask.shape}")
-    counts = mask.sum(axis=1)
-    if np.any(counts < 1):
+    counts = mask.sum(axis=1).tolist()
+    if counts and min(counts) < 1:
         raise ValueError("a scene has zero persons")
-    if np.any(counts > cfg.max_people):
+    if counts and max(counts) > cfg.max_people:
         raise ValueError(
-            f"a scene has {int(counts.max())} persons, cap is {cfg.max_people}"
+            f"a scene has {max(counts)} persons, cap is {cfg.max_people}"
         )
+    return counts
 
 
 def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
     """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache).
 
     The stack runs over ``batch[mask]``, the real rows packed in batch
-    order, and each set is pooled over its own contiguous rows.
+    order, and each set is pooled over its own contiguous rows.  When every
+    slot is real (one set always is), those rows are ``batch`` reshaped, and
+    the stack reads them with no gather; the cache then holds that view of
+    ``batch``, so backward reads ``batch`` as it is then.
     """
-    _check_batch(batch, mask, weights.config)
-    xs = relu_stack_forward(batch[mask], weights.layers)
+    counts = _check_batch(batch, mask, weights.config)
+    if sum(counts) == mask.size:
+        rows = batch.reshape(-1, batch.shape[2])
+    else:
+        rows = batch[mask]
+    xs = relu_stack_forward(rows, weights.layers)
     last = xs[-1]
     pooled = np.empty((batch.shape[0], last.shape[1]))
-    ends = np.cumsum(mask.sum(axis=1)).tolist()
-    for i, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-        last[lo:hi].max(axis=0, out=pooled[i])
+    lo = 0
+    for i, n in enumerate(counts):
+        last[lo:lo + n].max(axis=0, out=pooled[i])
+        lo += n
     return pooled, (xs, pooled, mask)
 
 
@@ -180,6 +199,14 @@ def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
 def sort_rows(features) -> np.ndarray:
     """A (P, d) feature set's rows in lexicographic order, column 0 first."""
     features = np.asarray(features, dtype=float)
+    if features.ndim == 2 and features.shape[1]:
+        # distinct values in column 0 order the rows alone; ties, -0.0
+        # beside 0.0 and NaN fail the strict test and go to lexsort
+        col = features[:, 0]
+        order = np.argsort(col)
+        key = col[order]
+        if (key[1:] > key[:-1]).all():
+            return features[order]
     # column 0 is the primary key: lexsort sorts by its last key first
     return features[np.lexsort(features.T[::-1])]
 

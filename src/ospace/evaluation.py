@@ -52,7 +52,8 @@ class GroupMetrics:
 def snap_tolerance(t) -> Fraction:
     """Tolerance as an exact fraction; floats (numpy's too) snap to the
     nearest simple ratio and strings parse as fractions ("2/3", "0.7").
-    A boolean or any other non-number is a ValueError naming the value."""
+    A boolean or any other non-number, a string ``Fraction`` rejects
+    included ("nan", "1/0"), is a ValueError naming the value."""
     if type(t) is Fraction:
         frac = t
     elif isinstance(t, (bool, np.bool_)):  # the rule of core.check_groups
@@ -64,7 +65,7 @@ def snap_tolerance(t) -> Fraction:
     else:
         try:
             frac = Fraction(t)
-        except TypeError:
+        except (TypeError, ValueError, ArithmeticError):  # "nan", "1/0"
             raise ValueError(f"tolerance {t!r} is not a number") from None
     if not 0 < frac.numerator <= frac.denominator:  # (0, 1], in integers
         raise ValueError(f"tolerance {t} outside (0, 1]")

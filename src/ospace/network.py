@@ -17,8 +17,11 @@ loop over it, ``_forward_chunks``: two or more scenes go in chunks of a
 fixed number of scenes, the last chunk padded with one-person filler sets
 that cost one encoder row each, so at the widths the tests and the CLI
 use a scene's heatmap bits depend on that scene alone; one scene is a
-chunk of one, the head at one row.  Only one chunk's activations are
-alive at a time, so validation memory does not grow with the split.
+chunk of one, with no filler, the head at one row, and ``batch_forward``'s
+prediction is the result, uncopied.  The head input is one array, the
+room written into every row beside the pooled people.  Only one chunk's
+activations are alive at a time, so validation memory does not grow with
+the split.
 
 ``train`` runs on one flat parameter vector, the store ``layers.init_store``
 allocates and draws the initial weights into: every layer's weights are
@@ -121,6 +124,9 @@ class TrainConfig:
                 and self.multi_group_weight >= 1):
             raise ValueError(f"multi_group_weight must be finite and at least 1, "
                              f"got {self.multi_group_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
@@ -156,10 +162,13 @@ def batch_forward(feats_list, room_values: np.ndarray,
     """Forward a batch of person-feature sets; returns (pred (B, out), cache)."""
     batch, mask = pad_features(feats_list)
     people, enc_cache = encode_batch(batch, mask, enc_w)
-    room_tiled = np.broadcast_to(room_values, (people.shape[0], room_values.shape[0]))
-    x = np.concatenate([room_tiled, people], axis=1)
+    room_dim = room_values.shape[0]
+    # the head input: the room in every row, then the pooled people
+    x = np.empty((people.shape[0], room_dim + people.shape[1]))
+    x[:, :room_dim] = room_values
+    x[:, room_dim:] = people
     pred, head_cache = head_forward(x, head_w)
-    return pred, (enc_cache, head_cache, room_values.shape[0])
+    return pred, (enc_cache, head_cache, room_dim)
 
 
 def batch_loss(pred: np.ndarray, targets: np.ndarray, weights_vec: np.ndarray) -> float:
@@ -357,19 +366,21 @@ def _forward_chunks(feats, room_values: np.ndarray, enc_w: EncoderWeights,
                     head_w: HeadWeights) -> np.ndarray:
     """``batch_forward``'s (len(feats), out) predictions, chunk by chunk.
 
-    One set is a chunk of one.  Two or more go in chunks of exactly
-    ``_CHUNK``, the last one padded with one-person sets of zeros, each of
-    which costs one encoder row and one head row.  Only one chunk's
+    One set is a chunk of one, with no filler: ``batch_forward``'s
+    prediction is the result, uncopied.  Two or more go in chunks of
+    exactly ``_CHUNK``, the last one padded with one-person sets of zeros,
+    each of which costs one encoder row and one head row.  Only one chunk's
     activations are alive at a time, however many sets there are.
     """
+    if len(feats) == 1:
+        return batch_forward(feats, room_values, enc_w, head_w)[0]
     filler = np.zeros((1, enc_w.config.input_dim))
-    size = _CHUNK if len(feats) > 1 else 1
     pred = np.empty((len(feats), head_w.config.output_dim))
-    for lo in range(0, len(feats), size):
-        chunk = feats[lo:lo + size]
+    for lo in range(0, len(feats), _CHUNK):
+        chunk = feats[lo:lo + _CHUNK]
         n = len(chunk)
         # the cache is dropped here, before the next chunk's forward
-        y = batch_forward(chunk + [filler] * (size - n), room_values,
+        y = batch_forward(chunk + [filler] * (_CHUNK - n), room_values,
                           enc_w, head_w)[0]
         pred[lo:lo + n] = y[:n]
     return pred

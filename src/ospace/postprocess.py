@@ -4,18 +4,22 @@ assignment of each person's proposed o-space to the nearest detection.
 NMS keeps cells that dominate their 8-neighborhood, clear the threshold,
 and sit at least min_group_separation_m from every stronger kept peak:
 its candidates, then one greedy ``thin``, which the grid search also
-applies per separation to one NMS at separation 0.  Each person's
-proposal is one stride ahead along their heading: ``headings`` reads the
-positions and headings once, and ``step_ahead`` is the one proposal
-expression at any stride.  A person whose proposal is farther than
-max_assign_dist_m from every detection stays a singleton, and a
-detection claimed by fewer than two people dissolves: one person is not
-a conversation.
+applies per separation to one NMS at separation 0.  The candidates take
+one comparison of the map with its 3x3 window max, the threshold folded
+into the max, and one stable sort of their flat indices by score; a
+separation whose square overflows a float keeps the strongest peak only.
+Each person's proposal is one stride ahead along their heading:
+``headings`` reads the positions and headings once, and ``step_ahead`` is
+the one proposal expression at any stride.  A person whose proposal is
+farther than max_assign_dist_m from every detection stays a singleton,
+and a detection claimed by fewer than two people dissolves: one person is
+not a conversation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,29 +59,32 @@ class AssignParams:
 def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     """Local maxima above threshold, greedily thinned to the separation radius.
 
-    Candidates are cells >= all 8 neighbors (borders padded with -inf) and
-    >= nms_threshold, visited in descending score with row-major tie order;
-    ``thin`` keeps each that lies at least min_group_separation_m from every
-    already-kept center.  Result is sorted by descending score.  Centers are
+    Candidates are cells >= all 8 neighbors (cells past the border do not
+    count) and >= nms_threshold, visited in descending score with row-major
+    tie order; ``thin`` keeps each that lies at least
+    min_group_separation_m from every already-kept center.  Result is
+    sorted by descending score.  Centers are
     ``core.cell_center``'s expressions.  At separation 0 every candidate is
     kept, so ``thin`` of that list at a separation is NMS at it.
     """
     v = heatmap.values
-    n_rows, n_cols = v.shape
-    framed = np.full((n_rows + 2, n_cols + 2), -np.inf)
-    framed[1:-1, 1:-1] = v
-    # each cell's 3x3 window max, one axis at a time: a cell is >= that
-    # max iff it is >= all 8 neighbors
-    win = np.maximum(np.maximum(framed[:, :-2], framed[:, 2:]), framed[:, 1:-1])
-    win = np.maximum(np.maximum(win[:-2], win[2:]), win[1:-1])
-    rows, cols = np.nonzero((v >= win) & (v >= params.nms_threshold))
-    scores = v[rows, cols]
-    order = np.argsort(-scores, kind="stable")  # nonzero is row-major
+    n_cols = v.shape[1]
+    # each cell's 3x3 window max, with the threshold, one axis at a time:
+    # v and the threshold hold no NaN, so a cell is >= that max iff it is
+    # >= all 8 neighbors and >= nms_threshold
+    row = np.maximum(v, params.nms_threshold)
+    np.maximum(row[:, 1:], v[:, :-1], out=row[:, 1:])
+    np.maximum(row[:, :-1], v[:, 1:], out=row[:, :-1])
+    win = row.copy()
+    np.maximum(win[1:], row[:-1], out=win[1:])
+    np.maximum(win[:-1], row[1:], out=win[:-1])
+    cells = (v >= win).reshape(-1).nonzero()[0]  # row-major
+    # descending score; sorted is stable, so ties keep row-major order
+    ranked = sorted(zip(v.reshape(-1)[cells].tolist(), cells.tolist()),
+                    key=itemgetter(0), reverse=True)
     cell_m = heatmap.spec.cell_m
     candidates = [Detection(Point2((c + 0.5) * cell_m, (r + 0.5) * cell_m), score)
-                  for r, c, score in zip(rows[order].tolist(),
-                                         cols[order].tolist(),
-                                         scores[order].tolist())]
+                  for score, cell in ranked for r, c in (divmod(cell, n_cols),)]
     return thin(candidates, params.min_group_separation_m)
 
 
@@ -86,7 +93,10 @@ def thin(detections, min_sep_m: float) -> list[Detection]:
     lies at least ``min_sep_m`` from every one kept before it."""
     kept: list[tuple[float, float]] = []
     out = []
-    min_sep_sq = min_sep_m ** 2
+    try:
+        min_sep_sq = min_sep_m ** 2
+    except OverflowError:  # past the largest float: no two are that far apart
+        min_sep_sq = math.inf
     for d in detections:
         x, y = d.center.x, d.center.y
         for kx, ky in kept:
@@ -106,8 +116,9 @@ def headings(persons) -> tuple[np.ndarray, np.ndarray]:
     differ from libm on some builds.
     """
     cos, sin, radians = math.cos, math.sin, math.radians
-    rows = np.array([(p.x, p.y, cos(rad), sin(rad)) for p in persons
-                     for rad in (radians(p.yaw_deg),)], float).reshape(-1, 4)
+    rows = np.array([v for p in persons for rad in (radians(p.yaw_deg),)
+                     for v in (p.x, p.y, cos(rad), sin(rad))],
+                    float).reshape(-1, 4)
     return rows[:, :2], rows[:, 2:]
 
 
@@ -177,7 +188,7 @@ def assign_groups(persons, detections, params: AssignParams):
     """Partition persons by nearest detection to each one's o-space
     proposal, within ``max_assign_dist_m``: ``partition_from_claims``."""
     near, dist = nearest_detections(
-        propose_centers(list(persons), params.stride_m), detections)
+        propose_centers(persons, params.stride_m), detections)
     return partition_from_claims(
         np.where(dist <= params.max_assign_dist_m, near, -1).tolist())
 

@@ -59,6 +59,8 @@ class SynthConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -75,7 +77,10 @@ def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
             f"room {spec.width_m}x{spec.height_m} m cannot fit a circle of "
             f"radius {margin}"
         )
-    min_sq = cfg.min_intergroup_dist_m ** 2
+    try:
+        min_sq = cfg.min_intergroup_dist_m ** 2
+    except OverflowError:  # past the largest float: no room is that wide
+        min_sq = math.inf
     for _ in range(MAX_ATTEMPTS):
         x = rng.uniform(margin, spec.width_m - margin)
         y = rng.uniform(margin, spec.height_m - margin)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ospace
+from ospace import network
 from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
 from ospace.core import Person, Scene
 from ospace.dataset import SceneParseError, load_scenes, parse_scenes
@@ -56,6 +57,10 @@ def test_data_errors(workdir):
 def test_synth_infeasible_is_numeric_error(workdir):
     rc = main(["synth", "-o", "s.jsonl", "--scenes", "1",
                "--groups", "3", "3", "--min-dist", "4.0"])
+    assert rc == 3
+    # a distance whose square overflows a float is infeasible, not a crash
+    rc = main(["synth", "-o", "s.jsonl", "--scenes", "1",
+               "--groups", "2", "2", "--min-dist", "1e308"])
     assert rc == 3
 
 
@@ -807,6 +812,69 @@ def test_non_finite_config_flag_is_usage_error(workdir, capsys, argv, message):
     assert rc == 1
     assert err == f"error: {message}\n"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "s.jsonl", "--seed", "-1"],
+    ["synth", "--seed", "-5"],
+])
+def test_negative_seed_is_usage_error(workdir, capsys, argv):
+    _write_scenes(workdir / "s.jsonl")
+    rc = main([*argv, "-o", "out"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: seed must be non-negative, got {argv[-1]}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "eval"])
+@pytest.mark.parametrize("tolerance", ["1/0", "-1/0", "nan", "inf"])
+def test_tolerance_fraction_rejects_is_usage_error(workdir, capsys, command,
+                                                   tolerance):
+    if command == "tune":
+        model = _train_tiny(workdir)
+        argv = ["tune", str(model), "train.jsonl", "-o", "out"]
+    else:
+        _write_scenes(workdir / "s.jsonl")
+        argv = ["eval", "--pred", "s.jsonl", "--gt", "s.jsonl", "-o", "out"]
+    capsys.readouterr()
+    rc = main([*argv, f"-T={tolerance}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: tolerance {tolerance!r} is not a number\n"
+    assert not (workdir / "out").exists()
+
+
+def _no_store(shapes, rng):
+    raise MemoryError("Unable to allocate 19.6 TiB")
+
+
+def test_train_model_too_large_for_memory_is_usage_error(workdir, capsys,
+                                                         monkeypatch):
+    # the store's allocation fails as numpy's would: 18*8+8 + 8*16+16 encoder
+    # and 16*16+16 + 16*120+120 head parameters, none of them allocated
+    scenes = _write_scenes(workdir / "s.jsonl")
+    monkeypatch.setattr(network, "init_store", _no_store)
+    rc = main(["train", str(scenes), "-o", "m.ckpt", "--split", "1", "0", "0",
+               "--enc-widths", "8,16", "--hidden", "16"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: a model of 2608 parameters (--enc-widths 8,16, "
+                   "--hidden 16) does not fit in memory\n")
+    assert not (workdir / "m.ckpt").exists()
+
+
+def test_train_model_past_the_address_space_is_usage_error(workdir, capsys):
+    # no allocation is tried: the store's byte count alone rules it out
+    scenes = _write_scenes(workdir / "s.jsonl")
+    rc = main(["train", str(scenes), "-o", "m.ckpt", "--split", "1", "0", "0",
+               "--enc-widths", str(10 ** 18), "--hidden", "16"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: a model of ")
+    assert err.endswith(f" parameters (--enc-widths {10 ** 18}, --hidden 16) "
+                        "does not fit in memory\n")
+    assert not (workdir / "m.ckpt").exists()
 
 
 def test_train_room_dim_is_an_unknown_flag(workdir, capsys):

@@ -27,7 +27,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ospace.cli import main
 
@@ -388,3 +388,55 @@ def test_mutated_checkpoint_exits_2_naming_the_checkpoint(
     monkeypatch.chdir(tmp_path)
     bad, reason = _mutated_checkpoint(data, checkpoint_bytes)
     _fails_to_load(capsys, tmp_path, bad, reason)
+
+
+# flag values that break a number or a list: NaN, the infinities, negatives,
+# zero, huge values, a fraction over zero and empty lists
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "-0.5", "0", "0.5", "1", "1e308",
+               "1e400", str(10 ** 30), "1/0", "", ","]
+FLAGS = {"predict": ["--threshold", "--separation", "--assign-dist", "--stride"],
+         "tune": ["-T", "--thresholds", "--separations", "--assign-dists",
+                  "--strides"],
+         "eval": ["-T"]}
+
+
+@st.composite
+def flag_runs(draw) -> tuple[str, list[str]]:
+    """``predict``, ``tune`` or ``eval`` and one or two of its flags, each
+    given a drawn value; a grid axis takes a list of up to three."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1,
+                              max_size=2)):
+        if flag.endswith("s"):  # a grid axis
+            value = ",".join(draw(st.lists(st.sampled_from(FLAG_VALUES),
+                                           max_size=3)))
+        else:
+            value = draw(st.sampled_from(FLAG_VALUES))
+        flags.append(f"{flag}={value}")
+    return command, flags
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=flag_runs())
+@example(run=("tune", ["-T=1/0"]))
+@example(run=("eval", ["-T=1/0"]))
+def test_flag_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch,
+                                                 plain_checkpoint, run):
+    command, flags = run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    argv = {"predict": ["predict", str(plain_checkpoint), "s.jsonl", "-o",
+                        "out.jsonl"],
+            "tune": ["tune", str(plain_checkpoint), "s.jsonl", "-o", "out.json",
+                     *TUNE_GRID],
+            "eval": ["eval", "--pred", "s.jsonl", "--gt", "s.jsonl", "-o",
+                     "out.csv"]}[command]
+    capsys.readouterr()
+    rc = main(argv + flags)  # an uncaught exception fails the test here
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3), (flags, err)
+    assert "Traceback" not in err
+    if rc:  # argparse puts its usage line before the error
+        assert "error: " in err, (flags, err)

@@ -127,16 +127,33 @@ def test_scene_rejects_bool_indices():
 def test_ospace_map_validation():
     good = OSpaceMap(np.zeros((10, 12)))
     assert good.values.shape == (10, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^map shape \(12, 10\) does not match "
+                       r"grid 10x12$"):
         OSpaceMap(np.zeros((12, 10)))
-    with pytest.raises(ValueError):
-        OSpaceMap(np.full((10, 12), 1.5))
-    with pytest.raises(ValueError):
-        OSpaceMap(np.full((10, 12), -0.1))
+
+
+NON_FINITE = "map contains non-finite values"
+OUT_OF_RANGE = r"map values must lie in \[0, 1\]"
+
+
+@pytest.mark.parametrize("cells,message", [
+    ([np.nan], NON_FINITE), ([np.inf], NON_FINITE), ([-np.inf], NON_FINITE),
+    ([-0.1], OUT_OF_RANGE), ([1.5], OUT_OF_RANGE),
+    # a non-finite value is named first, wherever it sits
+    ([np.nan, 1.5], NON_FINITE), ([1.5, np.nan], NON_FINITE),
+    ([-0.1, np.inf], NON_FINITE),
+])
+def test_ospace_map_names_its_first_fault(cells, message):
     bad = np.zeros((10, 12))
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
+    bad.reshape(-1)[[0, 119][:len(cells)]] = cells
+    with pytest.raises(ValueError, match=f"^{message}$"):
         OSpaceMap(bad)
+
+
+def test_ospace_map_takes_the_ends_of_its_range():
+    values = np.zeros((10, 12))
+    values[0, 0], values[9, 11], values[5, 5] = 1.0, -0.0, 5e-324
+    assert OSpaceMap(values).values.tobytes() == values.tobytes()
 
 
 def test_ospace_map_is_read_only():

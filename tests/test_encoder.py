@@ -106,14 +106,48 @@ def test_batched_encode_matches_single():
 
 def test_empty_set_rejected():
     w = _random_encoder(np.random.default_rng(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a scene has zero persons$"):
         encode(np.zeros((0, 6)), w)
 
 
 def test_oversized_set_rejected():
     w = _random_encoder(np.random.default_rng(5), max_people=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a scene has 4 persons, cap is 3$"):
         encode(np.zeros((4, 6)), w)
+    batch, mask = pad_features([np.ones((p, 6)) for p in (2, 5, 4)])
+    with pytest.raises(ValueError, match="^a scene has 5 persons, cap is 3$"):
+        encode_batch(batch, mask, w)
+
+
+def test_batch_of_no_sets_encodes_to_no_rows():
+    w = _random_encoder(np.random.default_rng(6))
+    pooled, _ = encode_batch(np.zeros((0, 3, 6)), np.zeros((0, 3), bool), w)
+    assert pooled.shape == (0, 4) and pooled.dtype == np.float64
+
+
+def test_one_set_pads_to_a_copy_of_itself():
+    f = np.random.default_rng(7).standard_normal((3, 6))
+    batch, mask = pad_features([f])
+    assert batch.shape == (1, 3, 6) and batch.tobytes() == f.tobytes()
+    assert mask.dtype == bool and mask.shape == (1, 3) and mask.all()
+    batch[0, 0, 0] = 9.0
+    assert f[0, 0] != 9.0
+
+
+def test_a_full_mask_reads_the_batch_as_a_gather_would():
+    # every slot real: the stack reads the batch reshaped, not batch[mask]
+    rng = np.random.default_rng(8)
+    w = _random_encoder(rng, input_dim=18, widths=(27, 18))
+    batch, mask = pad_features([rng.standard_normal((3, 18)) for _ in range(4)])
+    assert mask.all()
+    padded = np.zeros((4, 5, 18))
+    padded[:, :3] = batch
+    wider = np.zeros((4, 5), bool)
+    wider[:, :3] = True
+    full, (xs, _, _) = encode_batch(batch, mask, w)
+    gathered, _ = encode_batch(padded, wider, w)
+    assert full.tobytes() == gathered.tobytes()
+    assert xs[0].tobytes() == batch.tobytes()
 
 
 def test_integer_mask_rejected():
@@ -463,3 +497,16 @@ def test_packed_pooling_is_bit_equal_to_the_padded_forward(widths, sizes, seed):
     pooled, _ = encode_batch(batch, mask, w)
     # where_pool is the padded forward: every row through the stack
     assert pooled.tobytes() == where_pool(batch, mask, w)[0].tobytes()
+
+
+# few distinct values, so rows tie in column 0 and beyond
+ROW_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 4)),
+                    elements=st.one_of(st.sampled_from(ROW_VALUES),
+                                       st.floats(-2, 2))))
+def test_sort_rows_is_the_lexsort_order(f):
+    # distinct column-0 values take one argsort; the rest lexsort itself
+    assert encoder.sort_rows(f).tobytes() == f[np.lexsort(f.T[::-1])].tobytes()

@@ -250,7 +250,12 @@ def test_snap_tolerance_rejects_booleans_and_non_numbers():
         with pytest.raises(ValueError, match="is not a number") as err:
             snap_tolerance(bad)
         assert repr(bad) in str(err.value)
-    for bad in (float("nan"), float("inf"), np.float32("inf"), "1/0x", "1.5"):
+    # a string Fraction rejects, by ValueError or ZeroDivisionError alike
+    for bad in ("1/0", "-1/0", "nan", "inf", "1/0x"):
+        with pytest.raises(ValueError) as err:
+            snap_tolerance(bad)
+        assert str(err.value) == f"tolerance {bad!r} is not a number"
+    for bad in (float("nan"), float("inf"), np.float32("inf"), "1.5"):
         with pytest.raises(ValueError):
             snap_tolerance(bad)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ospace.core import (DEFAULT_SPEC, OSpaceMap, Person, Point2,
+from ospace.core import (DEFAULT_SPEC, OSpaceMap, Person, Point2, RoomSpec,
                          canonical_partition, cell_center)
 from ospace.groundtruth import propose_center
 from ospace.postprocess import (
@@ -245,6 +245,30 @@ def test_nms_matches_reference():
         params = AssignParams(
             nms_threshold=float(rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 1.0])),
             min_group_separation_m=float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+        assert nms(m, params) == _nms_reference(m, params)
+
+
+def test_a_separation_past_the_largest_square_keeps_the_first_only():
+    # 1e308 ** 2 overflows a float: no two detections are that far apart
+    m = _map({(1, 1): 0.9, (8, 10): 0.8})
+    assert len(nms(m, AssignParams(min_group_separation_m=0.0))) == 2
+    kept = nms(m, AssignParams(min_group_separation_m=1e308))
+    assert [d.score for d in kept] == [0.9]
+    assert thin(nms(m, AssignParams(min_group_separation_m=0.0)), 1e308) == kept
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 9)])
+def test_nms_matches_reference_on_any_grid(rows, cols):
+    # one-row and one-column grids have cells with neighbors on one side only
+    rng = np.random.default_rng(rows * 10 + cols)
+    spec = RoomSpec(rows, cols, 0.5)
+    for i in range(200):
+        v = rng.integers(0, 4, (rows, cols)) / 3.0 if i % 2 else rng.uniform(
+            0, 1, (rows, cols))
+        m = OSpaceMap(v, spec)
+        params = AssignParams(
+            nms_threshold=float(rng.choice([0.0, 1 / 3, 0.5, 1.0])),
+            min_group_separation_m=float(rng.choice([0.0, 0.5, 1.5])))
         assert nms(m, params) == _nms_reference(m, params)
 
 
