@@ -2,10 +2,9 @@
 
 ``ModelWeights`` is a trained or loaded model: its encoder and head, the
 normalization stats, the target stride, the seed and the grid.
-``layer_shapes`` and ``split_layers`` are the store layout that
-``network.train`` and ``load_model`` share: every layer's (d_in, d_out),
-encoder layers first, and the cut of a store's layers into the encoder's
-and the head's.
+The store layout that ``network.train`` and ``load_model`` share is
+``layers.layer_shapes`` of the encoder's and then the head's config, and
+``split_layers`` cuts a store's layers into the encoder's and the head's.
 
 A checkpoint (version 2, the only one read) is the magic line
 ``ospace-checkpoint-2``, then one line of JSON, the header (version, grid
@@ -49,9 +48,9 @@ from .encoder import EncoderConfig, EncoderWeights
 from .groundtruth import DEFAULT_STRIDE_M
 from .head import HeadConfig, HeadWeights
 from .jsondoc import from_obj, get_field, get_number, to_obj
-from .layers import store_size, view_layers
+from .layers import layer_shapes, store_size, view_layers
 
-__all__ = ["ModelWeights", "layer_shapes", "split_layers", "save_model", "load_model",
+__all__ = ["ModelWeights", "split_layers", "save_model", "load_model",
            "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = "ospace-checkpoint-2"
@@ -74,11 +73,6 @@ class ModelWeights:
     stride_m: float = DEFAULT_STRIDE_M
     seed: int = 0
     spec: RoomSpec = DEFAULT_SPEC
-
-
-def layer_shapes(*configs) -> list[tuple[int, int]]:
-    """(d_in, d_out) of every layer of ``configs``, in checkpoint order."""
-    return [shape for c in configs for shape in zip(c.dims, c.dims[1:])]
 
 
 def split_layers(layers, enc_cfg: EncoderConfig, head_cfg: HeadConfig):

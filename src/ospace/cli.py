@@ -17,12 +17,14 @@ of another width than the checkpoint's.
 
 Every command is deterministic given its flags; randomness only enters
 through --seed.  Exit codes: 0 success; 1 usage error (a bad flag value,
-a negative --seed included, or a ``train`` model too large to fit in
-memory, named by its parameter count and width flags), or a path that
-cannot be opened as asked (a missing file or directory, a directory given
-as a file, a file given as a directory); 2 data error (malformed files,
-shape mismatches, other I/O errors); 3 numeric failure (training
-divergence, infeasible synthesis).
+a negative --seed and a grid whose room size overflows a float included,
+or a ``train`` model too large to fit in memory, named by its parameter
+count and width flags), or a path that cannot be opened as asked (a
+missing file or directory, a directory given as a file, a file given as a
+directory); 2 data error (malformed files, shape mismatches, other I/O
+errors); 3 numeric failure (training divergence, infeasible synthesis, or
+a ``synth --jitter-deg`` whose yaw draw overflows a float, named by the
+flag).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import layer_shapes, load_model, save_model
+from .checkpoint import load_model, save_model
 from .core import DEFAULT_SPEC, OSpaceMap, RoomSpec, check_groups
 from .dataset import (
     SplitRatios,
@@ -49,7 +51,7 @@ from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .head import HeadConfig
 from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj
-from .layers import store_size
+from .layers import layer_shapes, store_size
 from .network import TrainConfig, TrainingDivergedError, predict_heatmaps, train
 from .postprocess import AssignParams, assign_groups, nms
 from .room import (
@@ -223,7 +225,10 @@ def _cmd_synth(args) -> int:
         )
 
     spec, cfg = _usage_guard(build)
-    scenes, centers = generate(cfg, spec)
+    try:
+        scenes, centers = generate(cfg, spec)
+    except OverflowError as e:  # generate raises it for a yaw jitter draw only
+        raise SynthesisError(f"--jitter-deg {args.jitter_deg}: {e}") from None
     save_scenes(scenes, args.output)
     if args.centers:
         with open(args.centers, "w", encoding="utf-8") as f:

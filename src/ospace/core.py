@@ -47,6 +47,13 @@ class RoomSpec:
             raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
         if not (math.isfinite(self.cell_m) and self.cell_m > 0):
             raise ValueError(f"cell size must be positive, got {self.cell_m}")
+        try:
+            finite = math.isfinite(self.width_m) and math.isfinite(self.height_m)
+        except OverflowError:  # a row or column count past the largest float
+            finite = False
+        if not finite:
+            raise ValueError(f"room size of a {self.rows}x{self.cols} grid of "
+                             f"{self.cell_m} m cells overflows a float")
 
     @property
     def width_m(self) -> float:

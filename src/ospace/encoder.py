@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Dense, init_store, relu_stack_backward, relu_stack_forward
+from .layers import (Dense, dense_backward, init_store, layer_shapes, relu_mask,
+                     relu_stack_backward, relu_stack_forward)
 
 __all__ = [
     "EncoderConfig",
@@ -88,7 +89,7 @@ class EncoderWeights:
 
 
 def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeights:
-    _, layers = init_store(list(zip(config.dims, config.dims[1:])), rng)
+    _, layers = init_store(layer_shapes(config), rng)
     return EncoderWeights(config, layers)
 
 
@@ -184,13 +185,9 @@ def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
     rows of the returned (B, P, d) input gradient are +0.0.
     """
     xs, pooled, mask = cache
-    # bits of upstream where pooled > 0 and +0.0 elsewhere, as layers' masks do
-    masked = np.multiply(upstream.view(np.int64), pooled > 0).view(np.float64)
-    g = _route(masked, cache)
+    g = _route(relu_mask(upstream, pooled), cache)
     *inner, last = weights.layers
-    np.matmul(xs[-2].T, g, out=last.grad_W)
-    np.sum(g, axis=0, out=last.grad_b)
-    g = relu_stack_backward(g @ last.W.T, inner, xs[:-1])
+    g = relu_stack_backward(dense_backward(g, xs[-2], last), inner, xs[:-1])
     out = np.zeros(mask.shape + (weights.config.input_dim,))
     out[mask] = g
     return out

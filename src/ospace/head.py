@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Dense, init_store, relu_stack_backward, relu_stack_forward, sigmoid
+from .layers import (Dense, dense_backward, dense_forward, init_store, layer_shapes,
+                     relu_stack_backward, relu_stack_forward, sigmoid)
 
 __all__ = ["HeadConfig", "HeadWeights", "init_head", "head_forward", "head_backward"]
 
@@ -41,7 +42,7 @@ class HeadWeights:
 
 
 def init_head(config: HeadConfig, rng: np.random.Generator) -> HeadWeights:
-    _, layers = init_store(list(zip(config.dims, config.dims[1:])), rng)
+    _, layers = init_store(layer_shapes(config), rng)
     return HeadWeights(config, layers)
 
 
@@ -52,18 +53,12 @@ def head_forward(x: np.ndarray, weights: HeadWeights):
             f"head input shape {x.shape} does not match dim {weights.config.input_dim}"
         )
     xs = relu_stack_forward(x, weights.layers[:-1])
-    z = xs[-1] @ weights.layers[-1].W
-    z += weights.layers[-1].b
-    y = sigmoid(z)
+    y = sigmoid(dense_forward(xs[-1], weights.layers[-1]))
     return y, (xs, y)
 
 
 def head_backward(upstream: np.ndarray, cache, weights: HeadWeights) -> np.ndarray:
     """Assign head gradients; returns gradient w.r.t. the concat input."""
     xs, y = cache
-    g = upstream * y * (1.0 - y)
-    last = weights.layers[-1]
-    np.matmul(xs[-1].T, g, out=last.grad_W)
-    np.sum(g, axis=0, out=last.grad_b)
-    g = g @ last.W.T
+    g = dense_backward(upstream * y * (1.0 - y), xs[-1], weights.layers[-1])
     return relu_stack_backward(g, weights.layers[:-1], xs)

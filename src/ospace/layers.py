@@ -1,10 +1,15 @@
 """Minimal differentiable layers on bare numpy.
 
 Everything here works on batches: inputs are (n, d_in), outputs (n, d_out).
-A ReLU stack's forward returns its activations, input first and output
-last, and the caller passes them back, so the layers themselves hold no
-per-batch state.  Backward reads each layer's mask off its output, which
-is > 0 exactly where z > 0 (see below), so no mask is stored.
+The affine rule lives here alone: ``dense_forward`` is x W + b, and
+``dense_backward`` assigns a layer's gradients and returns g W^T.  The
+ReLU stack, the head's output layer and the encoder's pooled layer call
+them, and ``relu_mask`` is every ReLU mask, so no other module multiplies
+by a layer's W or writes a gradient buffer.  A ReLU stack's forward
+returns its activations, input first and output last, and the caller
+passes them back, so the layers themselves hold no per-batch state.
+Backward reads each layer's mask off its output, which is > 0 exactly
+where z > 0 (see below), so no mask is stored.
 
 Parameters live in float64 arrays that an optimizer updates in place.  A
 ``Dense`` holds its W and b and nothing else.  A model's parameters live in
@@ -14,14 +19,15 @@ order, so the optimizer step, the snapshot, the restore and a checkpoint's
 blob each run over one array.  ``init_store`` allocates a store and draws
 every layer's weights straight into its views, the one init rule that
 ``init_dense``, ``encoder.init_encoder``, ``head.init_head`` and
-``network.train`` share.  ``attach_grads`` gives every layer a grad_W and
-grad_b, views of a second vector of the same layout; ``flatten`` moves
-layers that live apart into a new store and attaches gradients to them.
-``attach_grads`` is the only place gradient storage is made, so gradients
-exist only inside ``network.train``, which takes them off the layers again,
-or where a caller attached them; backward on a layer with no gradients
-raises AttributeError.  Backward assigns each layer's gradient (it does not
-add to it), so the gradient buffers never need zeroing between steps.
+``network.train`` share, laid out by ``layer_shapes`` of their configs.
+``attach_grads`` gives every layer a grad_W and grad_b, views of a second
+vector of the same layout; ``flatten`` moves layers that live apart into a
+new store and attaches gradients to them.  ``attach_grads`` is the only
+place gradient storage is made, so gradients exist only inside
+``network.train``, which takes them off the layers again, or where a
+caller attached them; backward on a layer with no gradients raises
+AttributeError.  Backward assigns each layer's gradient (it does not add
+to it), so the gradient buffers never need zeroing between steps.
 
 The ReLU and its mask are branch-free and work in place, and their bits
 equal ``np.where(z > 0, z, 0.0)`` and ``np.where(m, g, 0.0)`` on every
@@ -31,17 +37,18 @@ several times as long as ``fmax`` at the acceptance widths.  The forward
 takes ``np.fmax(z, 0.0)``: it maps NaN to 0.0 as ``where`` does, where
 ``np.maximum`` would pass the NaN on.  It may return -0.0 for -0.0 (numpy's
 scalar loop for the elements past the last SIMD block does), so an added
-0.0 turns that into the +0.0 that ``where`` gives.  Backward multiplies
+0.0 turns that into the +0.0 that ``where`` gives.  ``relu_mask`` multiplies
 the gradient's bits, read as int64, by the mask: a bit-for-bit select that
 keeps -0.0, NaN and inf where the mask is set and writes +0.0 elsewhere,
 which a float product would not (-1.0 * 0.0 is -0.0, inf * 0.0 is NaN).
-Backward never writes an array its caller passed in.
+A stack's backward never writes an array its caller passed in.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dense", "attach_grads", "flatten", "init_dense", "init_store",
+__all__ = ["Dense", "attach_grads", "dense_backward", "dense_forward", "flatten",
+           "init_dense", "init_store", "layer_shapes", "relu_mask",
            "relu_stack_backward", "relu_stack_forward", "sigmoid", "store_size",
            "view_layers"]
 
@@ -67,6 +74,12 @@ class Dense:
             raise ValueError(f"bad dense shapes W{W.shape} b{b.shape}")
         self.W = W
         self.b = b
+
+
+def layer_shapes(*configs) -> list[tuple[int, int]]:
+    """(d_in, d_out) of every layer of ``configs``, in order: each config's
+    ``dims`` read pairwise, layer i mapping dims[i] to dims[i+1]."""
+    return [shape for c in configs for shape in zip(c.dims, c.dims[1:])]
 
 
 def store_size(shapes) -> int:
@@ -119,6 +132,28 @@ def _relu_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def dense_forward(x: np.ndarray, layer: Dense) -> np.ndarray:
+    """x W + b, into a fresh array."""
+    z = x @ layer.W
+    z += layer.b
+    return z
+
+
+def dense_backward(g: np.ndarray, x: np.ndarray, layer: Dense) -> np.ndarray:
+    """Assign the layer's grad_W = x^T g and grad_b = g's column sums;
+    returns the input gradient g W^T, a fresh array."""
+    np.matmul(x.T, g, out=layer.grad_W)
+    np.sum(g, axis=0, out=layer.grad_b)
+    return g @ layer.W.T
+
+
+def relu_mask(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The bits of ``g`` where ``y > 0`` and +0.0 elsewhere, into ``out`` (a
+    float64 array, ``g`` itself allowed) or a fresh array."""
+    return np.multiply(g.view(np.int64), y > 0,
+                       out=None if out is None else out.view(np.int64)).view(np.float64)
+
+
 def relu_stack_forward(x: np.ndarray, layers) -> list[np.ndarray]:
     """Apply relu(x W + b) for each layer in turn.
 
@@ -127,9 +162,7 @@ def relu_stack_forward(x: np.ndarray, layers) -> list[np.ndarray]:
     """
     xs = [x]
     for layer in layers:
-        z = xs[-1] @ layer.W
-        z += layer.b
-        xs.append(_relu_in_place(z))
+        xs.append(_relu_in_place(dense_forward(xs[-1], layer)))
     return xs
 
 
@@ -141,11 +174,7 @@ def relu_stack_backward(g: np.ndarray, layers, xs) -> np.ndarray:
     """
     out = None
     for i, layer in reversed(list(enumerate(layers))):
-        g = np.multiply(g.view(np.int64), xs[i + 1] > 0, out=out).view(np.float64)
-        np.matmul(xs[i].T, g, out=layer.grad_W)
-        np.sum(g, axis=0, out=layer.grad_b)
-        g = g @ layer.W.T
-        out = g.view(np.int64)
+        g = out = dense_backward(relu_mask(g, xs[i + 1], out), xs[i], layer)
     return g
 
 

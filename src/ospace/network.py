@@ -56,8 +56,8 @@ import numpy as np
 # ``init_encoder`` or ``init_head``: perfbench names them as ``network``
 # attributes.  Its probe table wraps ``head_forward`` and ``head_backward``
 # here too, so they are called through this module's globals.
-from .checkpoint import (ModelWeights, layer_shapes, load_model,  # noqa: F401
-                         save_model, split_layers)
+from .checkpoint import (ModelWeights, load_model, save_model,  # noqa: F401
+                         split_layers)
 from .core import (DEFAULT_SPEC, OSpaceMap, RoomSpec, Scene,
                    check_person_count, non_singleton_blocks)
 from .dataset import fit_norm_stats, scene_features
@@ -74,7 +74,7 @@ from .encoder import (  # noqa: F401
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .head import (HeadConfig, HeadWeights, head_backward,  # noqa: F401
                    head_forward, init_head)
-from .layers import attach_grads, init_store
+from .layers import attach_grads, init_store, layer_shapes
 from .room import RoomFeature
 
 __all__ = [

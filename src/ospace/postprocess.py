@@ -95,12 +95,16 @@ def thin(detections, min_sep_m: float) -> list[Detection]:
     out = []
     try:
         min_sep_sq = min_sep_m ** 2
-    except OverflowError:  # past the largest float: no two are that far apart
+    except OverflowError:  # past the largest float: any finite square is closer
         min_sep_sq = math.inf
     for d in detections:
         x, y = d.center.x, d.center.y
         for kx, ky in kept:
-            if (x - kx) ** 2 + (y - ky) ** 2 < min_sep_sq:
+            try:
+                close = (x - kx) ** 2 + (y - ky) ** 2 < min_sep_sq
+            except OverflowError:  # a square past the largest float
+                close = math.hypot(x - kx, y - ky) < min_sep_m
+            if close:
                 break
         else:
             kept.append((x, y))

@@ -77,14 +77,22 @@ def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
             f"room {spec.width_m}x{spec.height_m} m cannot fit a circle of "
             f"radius {margin}"
         )
+    min_dist = cfg.min_intergroup_dist_m
     try:
-        min_sq = cfg.min_intergroup_dist_m ** 2
-    except OverflowError:  # past the largest float: no room is that wide
+        min_sq = min_dist ** 2
+    except OverflowError:  # past the largest float: any finite square is closer
         min_sq = math.inf
     for _ in range(MAX_ATTEMPTS):
         x = rng.uniform(margin, spec.width_m - margin)
         y = rng.uniform(margin, spec.height_m - margin)
-        if all((x - c.x) ** 2 + (y - c.y) ** 2 >= min_sq for c in placed):
+        for c in placed:
+            try:
+                close = (x - c.x) ** 2 + (y - c.y) ** 2 < min_sq
+            except OverflowError:  # a square past the largest float
+                close = math.hypot(x - c.x, y - c.y) < min_dist
+            if close:
+                break
+        else:
             return Point2(x, y)
     raise SynthesisError(f"{where} after {MAX_ATTEMPTS} attempts")
 
@@ -93,7 +101,8 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
     """Generate scenes plus the true o-space centers of each scene's groups.
 
     Returns (scenes, centers) where centers[i] lists scene i's group centers
-    in group order.
+    in group order.  Raises SynthesisError when an entity finds no place,
+    and OverflowError when a yaw jitter draw overflows a float.
     """
     rng = np.random.default_rng(cfg.seed)
     scenes: list[Scene] = []
@@ -119,11 +128,13 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
                 py = c.y + cfg.circle_radius_m * math.sin(ang)
                 yaw = math.degrees(math.atan2(c.y - py, c.x - px))
                 dx, dy = rng.standard_normal(2) * cfg.jitter_m
-                dyaw = rng.standard_normal() * cfg.jitter_deg
+                yaw += rng.standard_normal() * cfg.jitter_deg
+                if not math.isfinite(yaw):
+                    raise OverflowError(f"scene {i}: a jittered yaw overflows a float")
                 persons.append(Person(
                     _clamp(px + dx, 0.0, spec.width_m),
                     _clamp(py + dy, 0.0, spec.height_m),
-                    (yaw + dyaw) % 360.0,
+                    yaw % 360.0,
                 ))
             blocks.append(tuple(range(start, start + size)))
         for _ in range(n_single):

@@ -157,6 +157,9 @@ CORRUPTIONS = {
                        "checkpoint version"),
     "head output off the grid": (_header_edit(_set(("spec", "cols"), 11)),
                                  "head layer 1.*grid cells 110"),
+    "room size past a float": (
+        _header_edit(_set(("spec", "cell_m"), 1e308)),
+        r"checkpoint spec: room size of a 10x12 grid of 1e\+308 m cells overflows"),
     "non-finite weight": (
         lambda d: _rehash(d[:-8] + np.array([np.nan]).astype("<f8").tobytes()),
         "head layer 1: non-finite weight"),

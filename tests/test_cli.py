@@ -64,6 +64,27 @@ def test_synth_infeasible_is_numeric_error(workdir):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cell", ["1e154", "1e200"])
+def test_synth_in_a_room_whose_offsets_square_past_a_float(workdir, cell):
+    assert main(["synth", "-o", "s.jsonl", "--scenes", "6", "--cell", cell]) == 0
+    assert len((workdir / "s.jsonl").read_text().splitlines()) == 6
+
+
+def test_synth_room_size_past_a_float_is_usage_error(workdir, capsys):
+    rc = main(["synth", "-o", "s.jsonl", "--scenes", "6", "--cell", "1e308"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: room size of a 10x12 grid of 1e+308 m cells overflows a float\n")
+
+
+def test_synth_yaw_jitter_past_a_float_names_its_flag(workdir, capsys):
+    rc = main(["synth", "-o", "s.jsonl", "--scenes", "2", "--jitter-deg", "1e308"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jitter-deg 1e+308: scene ")
+    assert err.endswith(": a jittered yaw overflows a float\n")
+
+
 def test_ingest_roundtrip_and_augment(workdir):
     src = _write_scenes(workdir / "in.jsonl", DYAD + DYAD.replace('"a"', '"b"'))
     assert main(["ingest", str(src), "-o", "plain.jsonl"]) == 0
@@ -471,10 +492,14 @@ def _train_with_layout(workdir, text):
      "lay.json cells.7: expected string, got null\n"),
     (json.dumps({"spec": {"rows": 0}, "cells": []}),
      "lay.json spec: grid must be at least 1x1, got 0x12\n"),
+    (json.dumps({"spec": {"cell_m": 1e308}, "cells": CELLS}),
+     "lay.json spec: room size of a 10x12 grid of 1e+308 m cells overflows a "
+     "float\n"),
     ("{nope", "lay.json: not JSON ("),
 ], ids=["rows object", "rows boolean", "rows float", "cells integer",
         "no cells", "spec list", "top-level list", "cell count",
-        "unknown class", "cell array", "cell null", "empty grid", "not JSON"])
+        "unknown class", "cell array", "cell null", "empty grid",
+        "room size overflows", "not JSON"])
 def test_train_bad_layout_file_is_data_error(workdir, capsys, text, message):
     rc = _train_with_layout(workdir, text)
     err = capsys.readouterr().err

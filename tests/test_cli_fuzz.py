@@ -397,18 +397,21 @@ FLAG_VALUES = ["nan", "inf", "-inf", "-1", "-0.5", "0", "0.5", "1", "1e308",
 FLAGS = {"predict": ["--threshold", "--separation", "--assign-dist", "--stride"],
          "tune": ["-T", "--thresholds", "--separations", "--assign-dists",
                   "--strides"],
-         "eval": ["-T"]}
+         "eval": ["-T"],
+         "synth": ["--cell", "--radius", "--min-dist", "--jitter-m", "--jitter-deg"]}
+GRID_AXES = {"--thresholds", "--separations", "--assign-dists", "--strides"}
 
 
 @st.composite
 def flag_runs(draw) -> tuple[str, list[str]]:
-    """``predict``, ``tune`` or ``eval`` and one or two of its flags, each
-    given a drawn value; a grid axis takes a list of up to three."""
+    """``predict``, ``tune``, ``eval`` or ``synth`` and one or two of its
+    flags, each given a drawn value; a grid axis takes a list of up to
+    three."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = []
     for flag in draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1,
                               max_size=2)):
-        if flag.endswith("s"):  # a grid axis
+        if flag in GRID_AXES:
             value = ",".join(draw(st.lists(st.sampled_from(FLAG_VALUES),
                                            max_size=3)))
         else:
@@ -417,11 +420,14 @@ def flag_runs(draw) -> tuple[str, list[str]]:
     return command, flags
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
+@settings(max_examples=160, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=flag_runs())
 @example(run=("tune", ["-T=1/0"]))
 @example(run=("eval", ["-T=1/0"]))
+@example(run=("synth", ["--cell=1e200"]))
+@example(run=("synth", ["--cell=1e308"]))
+@example(run=("synth", ["--jitter-deg=1e308"]))
 def test_flag_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch,
                                                  plain_checkpoint, run):
     command, flags = run
@@ -432,7 +438,8 @@ def test_flag_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch,
             "tune": ["tune", str(plain_checkpoint), "s.jsonl", "-o", "out.json",
                      *TUNE_GRID],
             "eval": ["eval", "--pred", "s.jsonl", "--gt", "s.jsonl", "-o",
-                     "out.csv"]}[command]
+                     "out.csv"],
+            "synth": ["synth", "-o", "out.jsonl", "--scenes", "2"]}[command]
     capsys.readouterr()
     rc = main(argv + flags)  # an uncaught exception fails the test here
     err = capsys.readouterr().err

@@ -28,7 +28,7 @@ def test_default_spec_geometry():
 
 @pytest.mark.parametrize("kwargs", [
     {"rows": 0}, {"cols": 0}, {"cell_m": 0.0}, {"cell_m": -1.0},
-    {"cell_m": float("nan")},
+    {"cell_m": float("nan")}, {"cell_m": 1e308}, {"rows": 10 ** 400},
 ])
 def test_bad_spec_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 order, it reads back to an equal config, and a mistyped or missing field is a
 ValueError that names the document and the field."""
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -20,8 +21,12 @@ NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 SIZE = st.integers(1, 2**70)
 WIDTHS = st.lists(st.integers(1, 2**40), max_size=4).map(tuple)
 
+# a grid whose room size overflows a float is no RoomSpec
+SPECS = st.tuples(SIZE, SIZE, POSITIVE).filter(
+    lambda t: math.isfinite(max(t[0], t[1]) * t[2])).map(lambda t: RoomSpec(*t))
+
 CONFIGS = st.one_of(
-    st.builds(RoomSpec, rows=SIZE, cols=SIZE, cell_m=POSITIVE),
+    SPECS,
     st.builds(NormStats, FINITE, FINITE, POSITIVE, POSITIVE),
     st.builds(EncoderConfig, input_dim=SIZE, max_people=SIZE,
               layer_widths=WIDTHS.filter(bool)),

@@ -257,6 +257,15 @@ def test_a_separation_past_the_largest_square_keeps_the_first_only():
     assert thin(nms(m, AssignParams(min_group_separation_m=0.0)), 1e308) == kept
 
 
+def test_thin_compares_offsets_whose_square_overflows():
+    # (1e200) ** 2 overflows a float: such an offset is measured, not squared
+    dets = [Detection(Point2(x, 0.0), 0.5) for x in (0.0, 1e200, 2e200, 1.0)]
+    assert thin(dets, 0.5) == dets
+    assert thin(dets, 2.0) == dets[:3]
+    assert thin(dets, 1.5e200) == [dets[0], dets[2]]
+    assert thin(dets, 1e300) == dets[:1]
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 9)])
 def test_nms_matches_reference_on_any_grid(rows, cols):
     # one-row and one-column grids have cells with neighbors on one side only

@@ -1,10 +1,10 @@
 """Rules the source keeps, read from its syntax trees.
 
 Every module under ``src/ospace`` is parsed once, and each rule below walks
-those trees: module boundaries, where threads start, and which imports may
-go unused.  One rule reads the test suite instead: every hypothesis
-property is derandomized.  One more imports modules in fresh interpreters,
-which no syntax tree shows.
+those trees: module boundaries, where threads start, which imports may go
+unused, and where the affine layer's arithmetic lives.  One rule reads the
+test suite instead: every hypothesis property is derandomized.  One more
+imports modules in fresh interpreters, which no syntax tree shows.
 """
 import ast
 import os
@@ -176,6 +176,40 @@ def test_only_retired_probe_targets_are_dead_imports():
     assert {name for module, name in dead if module == "tuning"} == RETIRED
     assert ({name for module, name in dead if module == "network"}
             == NETWORK_RETIRED - {"forward"})
+
+
+# The affine rule lives in ``layers`` alone: no other module multiplies by a
+# layer's weights or writes a layer's gradient buffers.
+
+def _is_weight(node) -> bool:
+    """``….W`` or ``….W.T``: a layer's weight matrix, or its transpose."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "W"
+
+
+def _affine_arithmetic(tree):
+    """Line numbers of a gemm with a layer's W as an operand, and of a call
+    that writes a grad_W or grad_b through ``out=``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if _is_weight(node.left) or _is_weight(node.right):
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if (name == "matmul" and any(map(_is_weight, node.args))
+                    or any(k.arg == "out" and getattr(k.value, "attr", None)
+                           in ("grad_W", "grad_b") for k in node.keywords)):
+                yield node.lineno
+
+
+def test_only_layers_multiplies_by_weights_or_writes_gradients():
+    found = [f"{name}:{line}" for name, tree in _sources().items()
+             if name != "layers.py" for line in _affine_arithmetic(tree)]
+    assert found == []
+    # the rule does see the affine rule where it lives: the forward gemm, the
+    # input gradient's gemm and the two gradient writes
+    assert len(list(_affine_arithmetic(_sources()["layers.py"]))) == 4
 
 
 # Every hypothesis property in the suite runs the same examples on every

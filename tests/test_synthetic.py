@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ospace.core import DEFAULT_SPEC, RoomSpec, non_singleton_blocks
+from ospace.core import DEFAULT_SPEC, Point2, RoomSpec, non_singleton_blocks
 from ospace.groundtruth import group_ospace, propose_center
-from ospace.synthetic import SynthConfig, SynthesisError, generate
+from ospace.synthetic import SynthConfig, SynthesisError, _sample_point, generate
 
 
 def test_config_validation():
@@ -119,6 +119,22 @@ def test_infeasible_raises():
     tiny = RoomSpec(rows=2, cols=2)
     with pytest.raises(SynthesisError):
         generate(SynthConfig(seed=0, n_scenes=1), tiny)
+
+
+def test_sample_point_measures_offsets_whose_square_overflows():
+    # a 1.2e201 x 1e201 m room: most offsets square past the largest float
+    spec = RoomSpec(cell_m=1e200)
+    center = [Point2(6e200, 5e200)]
+    for min_dist in (2.0, 1e200):
+        rng = np.random.default_rng(0)
+        p = _sample_point(rng, SynthConfig(min_intergroup_dist_m=min_dist), spec,
+                          0.0, center, "a point")
+        assert np.hypot(p.x - 6e200, p.y - 5e200) >= min_dist
+    # no point of the room lies 1e300 m from its center
+    with pytest.raises(SynthesisError, match="a point after 1000 attempts"):
+        _sample_point(np.random.default_rng(0),
+                      SynthConfig(min_intergroup_dist_m=1e300), spec, 0.0,
+                      center, "a point")
 
 
 def test_zero_scenes():
