@@ -74,6 +74,11 @@ class ModelWeights:
     seed: int = 0
     spec: RoomSpec = DEFAULT_SPEC
 
+    @property
+    def room_dim(self) -> int:
+        """The width of the room feature the head takes beside the people."""
+        return self.head.config.input_dim - self.encoder.config.output_dim
+
 
 def split_layers(layers, enc_cfg: EncoderConfig, head_cfg: HeadConfig):
     """(EncoderWeights, HeadWeights) of a store's layers, encoder first."""

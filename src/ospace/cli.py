@@ -115,7 +115,7 @@ def _load_model_and_room(args):
     """The ``args.model`` checkpoint and the room given, as wide as its input."""
     model = load_model(args.model)
     room, what = _resolve_room(args, model.spec)
-    want = model.head.config.input_dim - model.encoder.config.output_dim
+    want = model.room_dim
     if room.dim != want:
         given = (f"{what} holds {room.dim}" if what
                  else "no room flag was given (0 values)")

@@ -23,6 +23,7 @@ __all__ = [
     "Person",
     "Scene",
     "OSpaceMap",
+    "apart",
     "cell_center",
     "point_to_cell",
     "grid_centers",
@@ -177,6 +178,29 @@ class OSpaceMap:
     def flatten(self) -> np.ndarray:
         """Row-major flattening (120 values for the default grid)."""
         return self.values.reshape(-1)
+
+
+def apart(x: float, y: float, points, limit: float) -> bool:
+    """Whether (x, y) lies at least ``limit`` from every (px, py) in ``points``.
+
+    A finite sum of squares is compared with ``limit ** 2``; a square past
+    the largest float, or a sum that overflows to inf, is measured by
+    ``math.hypot`` against ``limit`` itself.  A ``limit ** 2`` past the
+    largest float reads as inf.
+    """
+    try:
+        limit_sq = limit ** 2
+    except OverflowError:
+        limit_sq = math.inf
+    for px, py in points:
+        try:
+            d_sq = (x - px) ** 2 + (y - py) ** 2
+        except OverflowError:
+            d_sq = math.inf
+        if d_sq < limit_sq or (d_sq == math.inf
+                               and math.hypot(x - px, y - py) < limit):
+            return False
+    return True
 
 
 def cell_center(row: int, col: int, spec: RoomSpec = DEFAULT_SPEC) -> Point2:

@@ -1,7 +1,9 @@
 """Ground-truth o-space centers and Gaussian target heatmaps.
 
-Each person proposes an o-space center one stride ahead along their gaze;
-a group's o-space is the least-squares point for its members' proposals,
+Each person proposes an o-space center one stride ahead along their gaze:
+``propose_centers``, split into ``headings`` and ``step_ahead`` for the
+grid search, is the one proposal rule, and assignment uses it too.  A
+group's o-space is the least-squares point for its members' proposals,
 which is just their centroid.  Targets put an unnormalized Gaussian bump
 (peak 1) at every group center and combine overlapping bumps with max so
 values stay in [0, 1].  Singleton blocks contribute no center.
@@ -19,6 +21,9 @@ __all__ = [
     "GaussianParams",
     "OSpaceCenter",
     "DEFAULT_STRIDE_M",
+    "headings",
+    "step_ahead",
+    "propose_centers",
     "propose_center",
     "group_ospace",
     "clamp_to_room",
@@ -47,13 +52,45 @@ class OSpaceCenter:
     group: tuple[int, ...]
 
 
-def propose_center(person: Person, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
-    """The o-space center a person proposes: one stride ahead along the yaw."""
-    if stride_m < 0:
+def headings(persons) -> tuple[np.ndarray, np.ndarray]:
+    """Every person's position and unit heading, as two (n, 2) arrays.
+
+    The heading is ``(cos(rad), sin(rad))`` of ``math``; numpy's float64
+    trig kernels differ from libm on some builds.
+    """
+    cos, sin, radians = math.cos, math.sin, math.radians
+    rows = np.array([v for p in persons for rad in (radians(p.yaw_deg),)
+                     for v in (p.x, p.y, cos(rad), sin(rad))],
+                    float).reshape(-1, 4)
+    return rows[:, :2], rows[:, 2:]
+
+
+def step_ahead(xy: np.ndarray, heading: np.ndarray, stride_m: float) -> np.ndarray:
+    """``xy + stride_m * heading``, each row one stride ahead of a person.
+
+    One multiply and one add per coordinate.  A negative stride (with any
+    person) or a non-finite proposal is a ValueError, the first such
+    proposal's coordinates in its message.
+    """
+    if len(xy) and stride_m < 0:
         raise ValueError(f"stride must be non-negative, got {stride_m}")
-    rad = math.radians(person.yaw_deg)
-    return Point2(person.x + stride_m * math.cos(rad),
-                  person.y + stride_m * math.sin(rad))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        out = xy + stride_m * heading
+    if not np.isfinite(out).all():
+        x, y = out[np.argmin(np.isfinite(out).all(axis=1))].tolist()
+        raise ValueError(f"non-finite point ({x}, {y})")
+    return out
+
+
+def propose_centers(persons, stride_m: float) -> np.ndarray:
+    """Every person's o-space proposal at one stride, as an (n, 2) array:
+    ``step_ahead`` of ``headings``."""
+    return step_ahead(*headings(persons), stride_m)
+
+
+def propose_center(person: Person, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
+    """The o-space center a person proposes: ``propose_centers`` of them alone."""
+    return Point2(*propose_centers([person], stride_m)[0].tolist())
 
 
 def group_ospace(members, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
@@ -61,9 +98,8 @@ def group_ospace(members, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
     members = list(members)
     if not members:
         raise ValueError("group has no members")
-    proposals = [propose_center(p, stride_m) for p in members]
-    return Point2(sum(p.x for p in proposals) / len(proposals),
-                  sum(p.y for p in proposals) / len(proposals))
+    xs, ys = propose_centers(members, stride_m).T.tolist()
+    return Point2(sum(xs) / len(xs), sum(ys) / len(ys))
 
 
 def clamp_to_room(p: Point2, spec: RoomSpec = DEFAULT_SPEC) -> Point2:

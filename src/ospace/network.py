@@ -402,9 +402,13 @@ def predict_heatmaps(scenes, model: ModelWeights, room: RoomFeature) -> list[OSp
     differently, and a lone one-person scene would put the encoder at one
     row.
 
-    A scene with no persons, or more than the encoder's ``max_people``,
-    raises ValueError naming its frame before any network work.
+    A room feature of another width than ``model.room_dim``, or a scene
+    with no persons or more than the encoder's ``max_people``, raises
+    ValueError before any network work, naming both widths or the frame.
     """
+    if room.dim != model.room_dim:
+        raise ValueError(f"model takes a room of {model.room_dim} values, "
+                         f"but the room feature holds {room.dim}")
     scenes = list(scenes)
     for scene in scenes:
         check_person_count(len(scene.persons), model.encoder.config.max_people,

@@ -6,14 +6,12 @@ and sit at least min_group_separation_m from every stronger kept peak:
 its candidates, then one greedy ``thin``, which the grid search also
 applies per separation to one NMS at separation 0.  The candidates take
 one comparison of the map with its 3x3 window max, the threshold folded
-into the max, and one stable sort of their flat indices by score; a
-separation whose square overflows a float keeps the strongest peak only.
-Each person's proposal is one stride ahead along their heading:
-``headings`` reads the positions and headings once, and ``step_ahead`` is
-the one proposal expression at any stride.  A person whose proposal is
-farther than max_assign_dist_m from every detection stays a singleton,
-and a detection claimed by fewer than two people dissolves: one person is
-not a conversation.
+into the max, and one stable sort of their flat indices by score; the
+separation test is ``core.apart``.  Each person's proposal is
+``groundtruth.propose_centers``, the one proposal rule.  A person whose
+proposal is farther than max_assign_dist_m from every detection stays a
+singleton, and a detection claimed by fewer than two people dissolves: one
+person is not a conversation.
 """
 from __future__ import annotations
 
@@ -24,14 +22,13 @@ from operator import itemgetter
 import numpy as np
 
 from .checkpoint import ModelWeights
-from .core import OSpaceMap, Point2, Scene
-from .groundtruth import DEFAULT_STRIDE_M
+from .core import OSpaceMap, Point2, Scene, apart
+from .groundtruth import DEFAULT_STRIDE_M, propose_centers
 from .network import predict_heatmap
 from .room import RoomFeature
 
-__all__ = ["Detection", "AssignParams", "nms", "thin", "headings", "step_ahead",
-           "propose_centers", "nearest_detections", "partition_from_claims",
-           "assign_groups", "predict_scene"]
+__all__ = ["Detection", "AssignParams", "nms", "thin", "nearest_detections",
+           "partition_from_claims", "assign_groups", "predict_scene"]
 
 
 @dataclass(frozen=True)
@@ -90,67 +87,16 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
 
 def thin(detections, min_sep_m: float) -> list[Detection]:
     """Greedy thinning in the given order: each detection is kept iff it
-    lies at least ``min_sep_m`` from every one kept before it."""
+    lies at least ``min_sep_m`` from every one kept before it
+    (``core.apart``)."""
     kept: list[tuple[float, float]] = []
     out = []
-    try:
-        min_sep_sq = min_sep_m ** 2
-    except OverflowError:  # past the largest float: any finite square is closer
-        min_sep_sq = math.inf
     for d in detections:
         x, y = d.center.x, d.center.y
-        for kx, ky in kept:
-            try:
-                close = (x - kx) ** 2 + (y - ky) ** 2 < min_sep_sq
-            except OverflowError:  # a square past the largest float
-                close = math.hypot(x - kx, y - ky) < min_sep_m
-            if close:
-                break
-        else:
+        if apart(x, y, kept, min_sep_m):
             kept.append((x, y))
             out.append(d)
     return out
-
-
-def headings(persons) -> tuple[np.ndarray, np.ndarray]:
-    """Every person's position and unit heading, as two (n, 2) arrays.
-
-    The heading is ``(cos(rad), sin(rad))`` of ``math``, as
-    ``groundtruth.propose_center`` reads it; numpy's float64 trig kernels
-    differ from libm on some builds.
-    """
-    cos, sin, radians = math.cos, math.sin, math.radians
-    rows = np.array([v for p in persons for rad in (radians(p.yaw_deg),)
-                     for v in (p.x, p.y, cos(rad), sin(rad))],
-                    float).reshape(-1, 4)
-    return rows[:, :2], rows[:, 2:]
-
-
-def step_ahead(xy: np.ndarray, heading: np.ndarray, stride_m: float) -> np.ndarray:
-    """``xy + stride_m * heading``, each row one stride ahead of a person.
-
-    One multiply and one add per coordinate, the two roundings of
-    ``groundtruth.propose_center``, so each row equals it bit for bit.  A
-    negative stride (with any person) or a non-finite proposal is a
-    ValueError, the first such proposal's coordinates in its message.
-    """
-    if len(xy) and stride_m < 0:
-        raise ValueError(f"stride must be non-negative, got {stride_m}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        out = xy + stride_m * heading
-    if not np.isfinite(out).all():
-        x, y = out[np.argmin(np.isfinite(out).all(axis=1))].tolist()
-        raise ValueError(f"non-finite point ({x}, {y})")
-    return out
-
-
-def propose_centers(persons, stride_m: float) -> np.ndarray:
-    """Every person's o-space proposal at one stride, as an (n, 2) array:
-    ``step_ahead`` of ``headings``, so row i is
-    ``groundtruth.propose_center(persons[i], stride_m)`` bit for bit and the
-    same ValueError rises for a negative stride or a non-finite proposal.
-    """
-    return step_ahead(*headings(persons), stride_m)
 
 
 def nearest_detections(props: np.ndarray, detections):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SPEC, Person, Point2, RoomSpec, Scene
+from .core import DEFAULT_SPEC, Person, Point2, RoomSpec, Scene, apart
 
 __all__ = ["SynthConfig", "SynthesisError", "generate"]
 
@@ -70,29 +70,18 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
                   where: str) -> Point2:
     """A uniform point at least ``margin`` inside the walls and
-    min_intergroup_dist_m from every point in ``placed``; ``where`` names it
-    when none is found."""
+    min_intergroup_dist_m from every point in ``placed`` (``core.apart``);
+    ``where`` names it when none is found."""
     if spec.width_m < 2 * margin or spec.height_m < 2 * margin:
         raise SynthesisError(
             f"room {spec.width_m}x{spec.height_m} m cannot fit a circle of "
             f"radius {margin}"
         )
-    min_dist = cfg.min_intergroup_dist_m
-    try:
-        min_sq = min_dist ** 2
-    except OverflowError:  # past the largest float: any finite square is closer
-        min_sq = math.inf
+    points = [(c.x, c.y) for c in placed]
     for _ in range(MAX_ATTEMPTS):
         x = rng.uniform(margin, spec.width_m - margin)
         y = rng.uniform(margin, spec.height_m - margin)
-        for c in placed:
-            try:
-                close = (x - c.x) ** 2 + (y - c.y) ** 2 < min_sq
-            except OverflowError:  # a square past the largest float
-                close = math.hypot(x - c.x, y - c.y) < min_dist
-            if close:
-                break
-        else:
+        if apart(x, y, points, cfg.min_intergroup_dist_m):
             return Point2(x, y)
     raise SynthesisError(f"{where} after {MAX_ATTEMPTS} attempts")
 
@@ -127,7 +116,9 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
                 px = c.x + cfg.circle_radius_m * math.cos(ang)
                 py = c.y + cfg.circle_radius_m * math.sin(ang)
                 yaw = math.degrees(math.atan2(c.y - py, c.x - px))
-                dx, dy = rng.standard_normal(2) * cfg.jitter_m
+                # Python floats: a product past the largest float is inf,
+                # with no numpy warning, and the clamp puts it on the wall
+                dx, dy = (v * cfg.jitter_m for v in rng.standard_normal(2).tolist())
                 yaw += rng.standard_normal() * cfg.jitter_deg
                 if not math.isfinite(yaw):
                     raise OverflowError(f"scene {i}: a jittered yaw overflows a float")

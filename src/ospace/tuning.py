@@ -13,8 +13,9 @@ Each stage runs once per combination of the grid axes it depends on:
   descending score with row-major ties, and whether it keeps one depends
   only on those it kept before, so raising the threshold only cuts off a
   tail of the visiting order;
-- headings: once per person (``headings``); each stride's proposals are
-  one ``step_ahead`` over every person of every scene;
+- headings: once per person (``groundtruth.headings``); each stride's
+  proposals are one ``groundtruth.step_ahead`` over every person of every
+  scene, the proposal rule ``assign_groups`` applies;
 - distances from proposals to those detections, and their running
   minimum along the detections: once per separation and stride.  A
   threshold keeps a prefix of the detections, so each person's nearest
@@ -47,14 +48,14 @@ import numpy as np
 from .checkpoint import ModelWeights
 from .evaluation import (GroupMetrics, aggregate, match_counts,  # noqa: F401
                          match_scene, snap_tolerance)
+from .groundtruth import headings, step_ahead
 from .network import predict_heatmap, predict_heatmaps  # noqa: F401
 # grid_search calls none of predict_heatmap, thread_map, assign_groups and
 # match_scene; the names stay only for perfbench's probe table, whose
 # traced-run test looks up each one
 from .parallel import thread_map  # noqa: F401
 from .postprocess import (AssignParams, assign_groups,  # noqa: F401
-                          headings, nms, partition_from_claims, step_ahead,
-                          thin)
+                          nms, partition_from_claims, thin)
 from .room import RoomFeature
 
 __all__ = ["Grid", "GridResult", "grid_search", "grid_search_heatmaps"]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospace.core import (
     DEFAULT_SPEC,
@@ -8,6 +11,7 @@ from ospace.core import (
     Point2,
     RoomSpec,
     Scene,
+    apart,
     canonical_partition,
     cell_center,
     grid_centers,
@@ -188,3 +192,57 @@ def test_validate_positions_closed_bounds():
     bad = Scene("f", (Person(6.0001, 1.0, 0),), ((0,),))
     with pytest.raises(ValueError):
         validate_positions(bad)
+
+
+# ``apart``: the one minimum-separation test, of NMS and of synthesis.
+
+def _squared_apart(x, y, points, limit):
+    """The inline test ``thin`` and ``_sample_point`` made before ``apart``,
+    or None when a square overflows, where it read the sum as inf."""
+    try:
+        limit_sq = limit ** 2
+    except OverflowError:
+        limit_sq = math.inf
+    close = False
+    for px, py in points:
+        try:
+            d_sq = (x - px) ** 2 + (y - py) ** 2
+        except OverflowError:
+            return None
+        if not math.isfinite(d_sq):
+            return None
+        close = close or d_sq < limit_sq
+    return not close
+
+
+COORDS = st.one_of(st.floats(-10, 10), st.floats(-1e160, 1e160),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(x=COORDS, y=COORDS, points=st.lists(st.tuples(COORDS, COORDS), max_size=4),
+       limit=st.one_of(st.floats(0, 20), st.floats(0, 1e160),
+                       st.floats(0, allow_infinity=False)))
+def test_apart_agrees_with_the_squared_test_on_finite_sums(x, y, points, limit):
+    want = _squared_apart(x, y, points, limit)
+    if want is not None:
+        assert apart(x, y, points, limit) is want
+
+
+def test_apart_measures_a_square_that_raises():
+    # (1e200) ** 2 raises: the offset is measured by hypot, not squared
+    assert apart(0.0, 0.0, [(1e200, 0.0)], 2.0)
+    assert not apart(0.0, 0.0, [(1e200, 0.0)], 1.5e200)
+    assert apart(0.0, 0.0, [(1.0, 1.0), (1e200, 0.0)], 1.0)
+    assert not apart(0.0, 0.0, [(1e200, 0.0), (0.5, 0.0)], 1.0)
+
+
+def test_apart_with_a_limit_whose_square_overflows():
+    # 1e300 ** 2 raises: every finite sum of squares is closer
+    assert not apart(0.0, 0.0, [(1e150, 1e150)], 1e300)
+    # the sum overflows to inf without raising: 1.414e154 is measured
+    assert not apart(0.0, 0.0, [(1e154, 1e154)], 1.5e154)
+    assert apart(0.0, 0.0, [(1e154, 1e154)], 1.4e154)
+    assert not apart(0.0, 0.0, [(-1e300, 0.0)], 1.5e300)
+    assert apart(1.7e308, 0.0, [(-1.7e308, 0.0)], 1e300)  # inf apart
+    assert apart(0.0, 0.0, [], 1e300)

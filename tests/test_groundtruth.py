@@ -38,6 +38,19 @@ def test_propose_center_rejects_negative_stride():
         propose_center(Person(1, 1, 0), -0.1)
 
 
+def test_proposal_errors_name_the_stride_or_the_first_bad_member():
+    huge = [Person(1.0, 1.0, 0.0), Person(1.7e308, 2.0, 0.0),
+            Person(1.7e308, 3.0, 0.0)]
+    for call in (lambda s: propose_center(huge[1], s),
+                 lambda s: group_ospace(huge, s)):
+        with pytest.raises(ValueError, match=r"^non-finite point \(inf, 2.0\)$"):
+            call(1e308)
+        with pytest.raises(ValueError, match="^stride must be non-negative, got -0.5$"):
+            call(-0.5)
+    with pytest.raises(ValueError, match="^group has no members$"):
+        group_ospace([], -0.5)
+
+
 def test_group_ospace_face_to_face_dyad():
     a = Person(0.0, 0.0, 0.0)
     b = Person(1.4, 0.0, 180.0)

@@ -714,6 +714,28 @@ def test_grid_search_error_names_the_frame(size, message):
         tuning.grid_search(model, [], ROOM4, tuning.Grid(), 1)
 
 
+@pytest.mark.parametrize("width", [0, 5, 7])
+def test_a_room_of_another_width_is_named_before_any_network_work(width,
+                                                                  monkeypatch):
+    model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=0))
+    assert model.room_dim == 4
+    room = RoomFeature(np.zeros(width))
+
+    def no_work(*args):
+        raise AssertionError("network work ran")
+
+    monkeypatch.setattr(network, "scene_features", no_work)
+    monkeypatch.setattr(network, "_forward_chunks", no_work)
+    scenes = _scenes(2)
+    for call in (lambda: predict_heatmaps(scenes, model, room),
+                 lambda: predict_scene(scenes[0], model, room),
+                 lambda: tuning.grid_search(model, scenes, room, tuning.Grid(), 1)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == ("model takes a room of 4 values, but the "
+                                  f"room feature holds {width}")
+
+
 # Validation and prediction share one chunk loop, and the encoder stack
 # runs over the real rows only: a filler set costs one row.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,17 +7,15 @@ from hypothesis.extra import numpy as hnp
 
 from ospace.core import (DEFAULT_SPEC, OSpaceMap, Person, Point2, RoomSpec,
                          canonical_partition, cell_center)
-from ospace.groundtruth import propose_center
+from ospace.groundtruth import (group_ospace, headings, propose_center,
+                                propose_centers, step_ahead)
 from ospace.postprocess import (
     AssignParams,
     Detection,
     assign_groups,
     nearest_detections,
-    headings,
     nms,
     partition_from_claims,
-    propose_centers,
-    step_ahead,
     thin,
 )
 
@@ -264,6 +264,11 @@ def test_thin_compares_offsets_whose_square_overflows():
     assert thin(dets, 2.0) == dets[:3]
     assert thin(dets, 1.5e200) == [dets[0], dets[2]]
     assert thin(dets, 1e300) == dets[:1]
+    # 1e154 ** 2 is finite, but the sum of two is not, and neither is the
+    # limit's square: the offset, 1.414e154, is measured against 1.5e154
+    dets = [Detection(Point2(0.0, 0.0), 0.9), Detection(Point2(1e154, 1e154), 0.8)]
+    assert thin(dets, 1.5e154) == dets[:1]
+    assert thin(dets, 1.4e154) == dets
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 9)])
@@ -320,13 +325,21 @@ def test_thinning_separation_zero_candidates_is_nms(data):
         assert thin(candidates, sep) == want
 
 
+def _proposal(person, stride_m):
+    """One person's o-space proposal in scalar arithmetic, the oracle for
+    ``groundtruth``'s array rule."""
+    rad = math.radians(person.yaw_deg)
+    return (person.x + stride_m * math.cos(rad),
+            person.y + stride_m * math.sin(rad))
+
+
 def _nearest_per_person(persons, detections, stride_m):
     """The per-person loop assign_groups ran before it was vectorised."""
     centers = np.array([[d.center.x, d.center.y] for d in detections])
     out = []
     for person in persons:
-        prop = propose_center(person, stride_m)
-        dist = np.hypot(centers[:, 0] - prop.x, centers[:, 1] - prop.y)
+        px, py = _proposal(person, stride_m)
+        dist = np.hypot(centers[:, 0] - px, centers[:, 1] - py)
         j = int(np.argmin(dist))
         out.append((j, float(dist[j])))
     return out
@@ -372,11 +385,17 @@ def _bits(a) -> list[bytes]:
            max_size=8),
        stride=st.one_of(st.just(0.0), st.floats(0, 5)))
 def test_propose_centers_equals_propose_center_bit_for_bit(persons, stride):
+    """Every proposal, one person's or a group's mean, has the bits of the
+    scalar oracle."""
     got = propose_centers(persons, stride)
     assert got.shape == (len(persons), 2)
-    for row, person in zip(got, persons):
-        want = propose_center(person, stride)
-        assert _bits(row) == _bits((want.x, want.y))
+    want = [_proposal(person, stride) for person in persons]
+    for row, person, w in zip(got, persons, want):
+        one = propose_center(person, stride)
+        assert _bits(row) == _bits((one.x, one.y)) == _bits(w)
+    if persons:
+        c = group_ospace(persons, stride)
+        assert _bits((c.x, c.y)) == _bits([sum(v) / len(v) for v in zip(*want)])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,9 +2,10 @@
 
 Every module under ``src/ospace`` is parsed once, and each rule below walks
 those trees: module boundaries, where threads start, which imports may go
-unused, and where the affine layer's arithmetic lives.  One rule reads the
-test suite instead: every hypothesis property is derandomized.  One more
-imports modules in fresh interpreters, which no syntax tree shows.
+unused, and where the affine layer's arithmetic and the geometric rules
+live.  One rule reads the test suite instead: every hypothesis property is
+derandomized.  One more imports modules in fresh interpreters, which no
+syntax tree shows.
 """
 import ast
 import os
@@ -210,6 +211,55 @@ def test_only_layers_multiplies_by_weights_or_writes_gradients():
     # the rule does see the affine rule where it lives: the forward gemm, the
     # input gradient's gemm and the two gradient writes
     assert len(list(_affine_arithmetic(_sources()["layers.py"]))) == 4
+
+
+# One implementation per geometric rule: a heading is read from a yaw only
+# by ``groundtruth.headings``, the start of the one o-space proposal rule,
+# and a squared distance is guarded against overflow only by ``core.apart``,
+# the one minimum-separation test.
+
+def _radians_reads(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Attribute, ast.Name))
+                and getattr(node, "attr", getattr(node, "id", None))
+                in ("radians", "deg2rad")):
+            yield node.lineno
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(_sources()[module])
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_only_groundtruth_headings_reads_a_heading_from_a_yaw():
+    inside = set(_radians_reads(_function("groundtruth.py", "headings")))
+    found = [f"{name}:{line}" for name, tree in _sources().items()
+             for line in _radians_reads(tree)
+             if not (name == "groundtruth.py" and line in inside)]
+    assert found == []
+    assert inside  # the rule does see the read where it lives
+
+
+def _guarded_squares(tree):
+    """Line numbers of a ``try`` that squares and catches OverflowError."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+                getattr(h.type, "id", None) == "OverflowError"
+                for h in node.handlers) and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                for stmt in node.body for n in ast.walk(stmt)):
+            yield node.lineno
+
+
+def test_only_core_apart_guards_a_square_against_overflow():
+    inside = list(_guarded_squares(_function("core.py", "apart")))
+    found = [f"{name}:{line}" for name, tree in _sources().items()
+             for line in _guarded_squares(tree)
+             if not (name == "core.py" and line in inside)]
+    assert found == []
+    # the rule does see the test where it lives: the limit's square and each
+    # point's sum of squares
+    assert len(inside) == 2
 
 
 # Every hypothesis property in the suite runs the same examples on every

@@ -135,6 +135,20 @@ def test_sample_point_measures_offsets_whose_square_overflows():
         _sample_point(np.random.default_rng(0),
                       SynthConfig(min_intergroup_dist_m=1e300), spec, 0.0,
                       center, "a point")
+    # a 1.2e154 x 1e154 m room: offsets from its corner square finitely, but
+    # their sums, and the limits' squares, may overflow
+    spec = RoomSpec(cell_m=1e153)
+    corner = [Point2(0.0, 0.0)]
+    for min_dist in (1e154, 1.3e154):
+        p = _sample_point(np.random.default_rng(0),
+                          SynthConfig(min_intergroup_dist_m=min_dist), spec,
+                          0.0, corner, "a point")
+        assert np.hypot(p.x, p.y) >= min_dist
+    # the room's diagonal is 1.56e154
+    with pytest.raises(SynthesisError, match="a point after 1000 attempts"):
+        _sample_point(np.random.default_rng(0),
+                      SynthConfig(min_intergroup_dist_m=1.6e154), spec, 0.0,
+                      corner, "a point")
 
 
 def test_zero_scenes():

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ospace import evaluation, tuning
 from ospace.core import DEFAULT_SPEC, OSpaceMap, Person, Scene
 from ospace.evaluation import aggregate, match_scene, snap_tolerance
-from ospace.groundtruth import scene_target
+from ospace.groundtruth import propose_centers, scene_target
 from ospace.postprocess import (
     AssignParams,
     assign_groups,
     nearest_detections,
     nms,
-    propose_centers,
 )
 from ospace.tuning import Grid, GridResult, grid_search_heatmaps
 
