@@ -21,7 +21,8 @@ a negative --seed and a grid whose room size overflows a float included,
 or a ``train`` model too large to fit in memory, named by its parameter
 count and width flags), or a path that cannot be opened as asked (a
 missing file or directory, a directory given as a file, a file given as a
-directory); 2 data error (malformed files, shape mismatches, other I/O
+directory; every output path is checked before the work, naming its
+flag); 2 data error (malformed files, shape mismatches, other I/O
 errors); 3 numeric failure (training divergence, infeasible synthesis, or
 a ``synth --jitter-deg`` whose yaw draw overflows a float, named by the
 flag).
@@ -50,7 +51,7 @@ from .encoder import EncoderConfig
 from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .head import HeadConfig
-from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj
+from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj, write_lines
 from .layers import layer_shapes, store_size
 from .network import TrainConfig, TrainingDivergedError, predict_heatmaps, train
 from .postprocess import AssignParams, assign_groups, nms
@@ -149,18 +150,14 @@ def _params_from_args(args) -> AssignParams:
 
 def _write_pgm(heatmap: OSpaceMap, path) -> None:
     v = heatmap.values
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"P2\n{v.shape[1]} {v.shape[0]}\n255\n")
-        for row in v:
-            f.write(" ".join(str(int(round(x * 255))) for x in row))
-            f.write("\n")
+    write_lines(path, ["P2", f"{v.shape[1]} {v.shape[0]}", "255",
+                       *(" ".join(str(int(round(x * 255))) for x in row)
+                         for row in v)])
 
 
 def _write_heatmap_csv(heatmap: OSpaceMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in heatmap.values:
-            f.write(",".join(repr(float(x)) for x in row))
-            f.write("\n")
+    write_lines(path, (",".join(repr(float(x)) for x in row)
+                       for row in heatmap.values))
 
 
 def _check_file_names(scenes) -> None:
@@ -190,6 +187,35 @@ def _write_heatmaps(directory, scenes, heatmaps, csv: bool) -> None:
 def _check_stride(stride: float) -> None:
     if not (math.isfinite(stride) and stride >= 0):
         raise ValueError(f"--stride must be finite and non-negative, got {stride}")
+
+
+def _check_outputs(args) -> None:
+    """Reject, before any work, an output path that cannot be written as
+    asked.  A file (``args.output_files``) needs an existing parent directory
+    and must not be a directory; a directory (``args.output_dirs``), or the
+    nearest of its parents that exists, must be a directory."""
+    def fail(dest, path, reason):
+        flag = "--" + dest.replace("_", "-")
+        raise _UsageError(f"{flag} {path}: {reason}")
+
+    for dest in args.output_files:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            fail(dest, path, "is a directory")
+        if not os.path.exists(parent):
+            fail(dest, path, f"no such directory {parent}")
+        if not os.path.isdir(parent):
+            fail(dest, path, f"{parent} is not a directory")
+    for dest in args.output_dirs:
+        path = getattr(args, dest)
+        existing = path
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            fail(dest, path, f"{existing} is not a directory")
 
 
 def _usage_guard(build):
@@ -231,11 +257,9 @@ def _cmd_synth(args) -> int:
         raise SynthesisError(f"--jitter-deg {args.jitter_deg}: {e}") from None
     save_scenes(scenes, args.output)
     if args.centers:
-        with open(args.centers, "w", encoding="utf-8") as f:
-            for s, cs in zip(scenes, centers):
-                f.write(json.dumps({"frame_id": s.frame_id,
-                                    "centers": [[c.x, c.y] for c in cs]}))
-                f.write("\n")
+        write_lines(args.centers, (json.dumps({
+            "frame_id": s.frame_id, "centers": [[c.x, c.y] for c in cs]})
+            for s, cs in zip(scenes, centers)))
     print(f"wrote {len(scenes)} scenes to {args.output}")
     return 0
 
@@ -281,11 +305,9 @@ def _cmd_train(args) -> int:
         raise too_large from None
     save_model(model, args.output)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write("epoch,train_loss,val_loss\n")
-            for e in trace:
-                val = "" if e.val_loss is None else repr(e.val_loss)
-                f.write(f"{e.epoch},{repr(e.train_loss)},{val}\n")
+        write_lines(args.trace, ["epoch,train_loss,val_loss", *(
+            f"{e.epoch},{repr(e.train_loss)},"
+            f"{'' if e.val_loss is None else repr(e.val_loss)}" for e in trace)])
     if trace:
         last = trace[-1]
         val = "n/a" if last.val_loss is None else f"{last.val_loss:.6f}"
@@ -312,19 +334,16 @@ def _cmd_tune(args) -> int:
     scenes = load_scenes(args.input, model.spec, model.encoder.config.max_people)
     best, best_f1, table = grid_search(model, scenes, room, grid, t)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            json.dump(to_obj(best), f)
-            f.write("\n")
+        write_lines(args.output, [json.dumps(to_obj(best))])
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as f:
-            f.write("nms_threshold,min_group_separation_m,max_assign_dist_m,"
-                    "stride_m,tp,fp,fn,precision,recall,f1\n")
-            for r in table:
-                p, m = r.params, r.metrics
-                f.write(f"{repr(p.nms_threshold)},{repr(p.min_group_separation_m)},"
-                        f"{repr(p.max_assign_dist_m)},{repr(p.stride_m)},"
-                        f"{m.tp},{m.fp},{m.fn},{repr(m.precision)},"
-                        f"{repr(m.recall)},{repr(m.f1)}\n")
+        write_lines(args.table, [
+            "nms_threshold,min_group_separation_m,max_assign_dist_m,"
+            "stride_m,tp,fp,fn,precision,recall,f1",
+            *(f"{repr(p.nms_threshold)},{repr(p.min_group_separation_m)},"
+              f"{repr(p.max_assign_dist_m)},{repr(p.stride_m)},"
+              f"{m.tp},{m.fp},{m.fn},{repr(m.precision)},"
+              f"{repr(m.recall)},{repr(m.f1)}"
+              for p, m in ((r.params, r.metrics) for r in table))])
     print(f"best F1 {best_f1:.4f} at T={format_tolerance(t)}: "
           f"threshold={best.nms_threshold} separation={best.min_group_separation_m} "
           f"assign_dist={best.max_assign_dist_m} stride={best.stride_m}")
@@ -340,19 +359,20 @@ def _cmd_predict(args) -> int:
     if args.heatmaps:
         _check_file_names(scenes)
     heatmaps = predict_heatmaps(scenes, model, room)
-    with open(args.output, "w", encoding="utf-8") as f:
-        for scene, heatmap in zip(scenes, heatmaps):
-            detections = nms(heatmap, params)
-            groups = assign_groups(scene.persons, detections, params)
-            f.write(json.dumps({
-                "frame_id": scene.frame_id,
-                "detections": [
-                    {"x": d.center.x, "y": d.center.y, "score": d.score}
-                    for d in detections
-                ],
-                "groups": [list(b) for b in groups],
-            }))
-            f.write("\n")
+
+    def record(scene, heatmap) -> str:
+        detections = nms(heatmap, params)
+        groups = assign_groups(scene.persons, detections, params)
+        return json.dumps({
+            "frame_id": scene.frame_id,
+            "detections": [
+                {"x": d.center.x, "y": d.center.y, "score": d.score}
+                for d in detections
+            ],
+            "groups": [list(b) for b in groups],
+        })
+
+    write_lines(args.output, map(record, scenes, heatmaps))
     if args.heatmaps:
         _write_heatmaps(args.heatmaps, scenes, heatmaps, args.csv)
     print(f"wrote predictions for {len(scenes)} scenes to {args.output}")
@@ -398,10 +418,8 @@ def _cmd_eval(args) -> int:
         lines.append(f"{args.split},{format_tolerance(m.tolerance)},{m.tp},"
                      f"{m.fp},{m.fn},{repr(m.precision)},{repr(m.recall)},"
                      f"{repr(m.f1)}")
-    csv_text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(csv_text)
+        write_lines(args.output, lines)
     for m in rows:
         print(f"{args.split} T={format_tolerance(m.tolerance)}: "
               f"tp={m.tp} fp={m.fp} fn={m.fn} "
@@ -429,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect conversational groups from annotated scenes via "
                     "o-space heatmap regression.",
     )
+    # each command names its output flags, which main checks before the work
+    parser.set_defaults(output_files=(), output_dirs=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and normalize a scene file")
@@ -437,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment", action="store_true",
                    help="also write horizontal/vertical/double flips")
     _add_spec_args(p)
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_ingest, output_files=("output",))
 
     p = sub.add_parser("synth", help="generate synthetic scenes")
     p.add_argument("-o", "--output", required=True)
@@ -457,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter-deg", type=float, default=0.0)
     p.add_argument("--centers", help="sidecar JSONL of true o-space centers")
     _add_spec_args(p)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, output_files=("output", "centers"))
 
     p = sub.add_parser("train", help="fit the encoder and head on scenes")
     p.add_argument("input")
@@ -484,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write per-epoch loss CSV here")
     _add_room_args(p)
     _add_spec_args(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, output_files=("output", "trace"))
 
     p = sub.add_parser("tune", help="grid-search assignment hyperparameters")
     p.add_argument("model")
@@ -498,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign-dists", default="0.5,1.0,1.5,2.0")
     p.add_argument("--strides", default="0.4,0.7,1.0")
     _add_room_args(p)
-    p.set_defaults(func=_cmd_tune)
+    p.set_defaults(func=_cmd_tune, output_files=("output", "table"))
 
     p = sub.add_parser("predict", help="predict detections and groups")
     p.add_argument("model")
@@ -512,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmaps", metavar="DIR", help="also write DIR/<frame_id>.pgm")
     p.add_argument("--csv", action="store_true", help="--heatmaps also as CSV")
     _add_room_args(p)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, output_files=("output",),
+                   output_dirs=("heatmaps",))
 
     p = sub.add_parser("eval", help="score predicted groups against ground truth")
     p.add_argument("--pred", required=True,
@@ -522,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matching tolerance; repeatable (default 2/3 and 1)")
     p.add_argument("-o", "--output", help="write the metrics CSV here")
     p.add_argument("--split", default="test", help="split label for the CSV")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, output_files=("output",))
 
     p = sub.add_parser("render", help="export ground-truth heatmaps as PGM images")
     p.add_argument("input")
@@ -532,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true",
                    help="also write raw values as CSV")
     _add_spec_args(p)
-    p.set_defaults(func=_cmd_render)
+    p.set_defaults(func=_cmd_render, output_dirs=("output",))
 
     return parser
 
@@ -544,6 +565,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
+        _check_outputs(args)
         return args.func(args)
     except (_UsageError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError) as e:

@@ -12,6 +12,7 @@ edge onto the far wall, so the boundary must be valid on both sides.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,25 +181,32 @@ class OSpaceMap:
         return self.values.reshape(-1)
 
 
+# the smallest positive normal float: a square below it has lost precision
+_MIN_NORMAL = sys.float_info.min
+
+
 def apart(x: float, y: float, points, limit: float) -> bool:
     """Whether (x, y) lies at least ``limit`` from every (px, py) in ``points``.
 
-    A finite sum of squares is compared with ``limit ** 2``; a square past
-    the largest float, or a sum that overflows to inf, is measured by
-    ``math.hypot`` against ``limit`` itself.  A ``limit ** 2`` past the
-    largest float reads as inf.
+    A sum of squares is compared with ``limit ** 2`` when both are normal
+    floats.  Otherwise, when a square overflows or underflows (zero
+    included), the offset is measured by ``math.hypot`` against ``limit``
+    itself.
     """
     try:
         limit_sq = limit ** 2
     except OverflowError:
         limit_sq = math.inf
+    squared = _MIN_NORMAL <= limit_sq < math.inf
     for px, py in points:
         try:
             d_sq = (x - px) ** 2 + (y - py) ** 2
         except OverflowError:
             d_sq = math.inf
-        if d_sq < limit_sq or (d_sq == math.inf
-                               and math.hypot(x - px, y - py) < limit):
+        if squared and _MIN_NORMAL <= d_sq < math.inf:
+            if d_sq < limit_sq:
+                return False
+        elif math.hypot(x - px, y - py) < limit:
             return False
     return True
 

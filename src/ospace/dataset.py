@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups,
                    check_person_count, validate_positions)
-from .jsondoc import from_obj, get_field, get_int_arrays
+from .jsondoc import from_obj, get_field, get_int_arrays, write_lines
 
 __all__ = [
     "SceneParseError",
@@ -162,15 +162,13 @@ def load_scenes(path, spec: RoomSpec | None = DEFAULT_SPEC,
 
 
 def save_scenes(scenes, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in scenes:
-            f.write(json.dumps({
-                "frame_id": s.frame_id,
-                "persons": [{"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg}
-                            for p in s.persons],
-                "groups": [list(b) for b in s.groups],
-            }, default=int))  # numpy indices, which Scene takes, as plain ints
-            f.write("\n")
+    # default=int writes numpy indices, which Scene takes, as plain ints
+    write_lines(path, (json.dumps({
+        "frame_id": s.frame_id,
+        "persons": [{"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg}
+                    for p in s.persons],
+        "groups": [list(b) for b in s.groups],
+    }, default=int) for s in scenes))
 
 
 def sequential_split(scenes, ratios: SplitRatios = SplitRatios()):

@@ -11,7 +11,8 @@ values stay in [0, 1].  Singleton blocks contribute no center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +38,21 @@ DEFAULT_STRIDE_M = 0.7
 
 @dataclass(frozen=True)
 class GaussianParams:
+    """The width of a target's Gaussian bump.  Its ``2 sigma ** 2``, which
+    ``render_heatmap`` divides by, is ``two_sigma_sq``: a positive normal
+    float, or the sigma is a ValueError."""
+
     sigma_m: float = 0.5
+    two_sigma_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_m) and self.sigma_m > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma_m}")
+        sigma = self.sigma_m
+        # below 1e154 the square cannot overflow (raise); twice it still may
+        two_sigma_sq = 2.0 * sigma ** 2 if 0 < sigma < 1e154 else math.nan
+        if not sys.float_info.min <= two_sigma_sq < math.inf:
+            raise ValueError(f"sigma must be positive, with 2 sigma^2 a normal "
+                             f"float, got {sigma}")
+        object.__setattr__(self, "two_sigma_sq", two_sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -124,11 +135,13 @@ def render_heatmap(centers, params: GaussianParams = GaussianParams(),
     """Max of unit-peak Gaussians at the given centers, sampled at cell centers."""
     values = np.zeros((spec.rows, spec.cols))
     xs, ys = grid_centers(spec)
-    two_sig_sq = 2.0 * params.sigma_m ** 2
-    for c in centers:
-        c = clamp_to_room(c, spec)
-        d_sq = (xs[None, :] - c.x) ** 2 + (ys[:, None] - c.y) ** 2
-        np.maximum(values, np.exp(-d_sq / two_sig_sq), out=values)
+    # under a narrow sigma the quotient of a far cell may overflow to inf;
+    # its value, exp(-inf) = 0, is then exact
+    with np.errstate(over="ignore"):
+        for c in centers:
+            c = clamp_to_room(c, spec)
+            d_sq = (xs[None, :] - c.x) ** 2 + (ys[:, None] - c.y) ** 2
+            np.maximum(values, np.exp(-d_sq / params.two_sigma_sq), out=values)
     return OSpaceMap(values, spec)
 
 

@@ -8,6 +8,10 @@ No other module type-checks decoded JSON, so a checkpoint header, a
 same way: with a ValueError that names the document (``what``, such as
 ``checkpoint`` or ``s.jsonl line 3``) and the dotted path of the field
 (``where`` and the key) instead of with a TypeError deep in the program.
+
+``write_lines`` is the one text-output rule: every text file ospace writes,
+from a scene file to a heatmap image, reaches disk through it.  A
+checkpoint is binary and has its own writer (``checkpoint.save_model``).
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import json
 from dataclasses import asdict, fields
 
 __all__ = ["get_field", "get_number", "get_int_arrays", "to_obj", "from_obj",
-           "load"]
+           "load", "write_lines"]
 
 # JSON type names for field errors.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
@@ -116,3 +120,13 @@ def load(path, what: str):
             return json.load(f)
         except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, too deep
             raise ValueError(f"{what}: not JSON ({e})") from None
+
+
+def write_lines(path, lines) -> None:
+    """Write each string of ``lines`` to the file ``path`` in UTF-8, ending
+    each with a newline.  ``lines`` may be a generator: it is consumed one
+    line at a time, after the file is opened (and truncated)."""
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line)
+            f.write("\n")

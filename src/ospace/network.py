@@ -276,7 +276,9 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
 
     Returns (ModelWeights, [EpochStats...]).  Weights are the best epoch by
     validation loss (plain unweighted MSE); with no validation scenes the
-    training loss decides.  Raises TrainingDivergedError on non-finite loss.
+    training loss decides.  Raises TrainingDivergedError on non-finite loss,
+    and before any work a ValueError naming a training or validation frame
+    with no persons or more than ``enc_cfg.max_people``.
     """
     train_scenes = list(train_scenes)
     if not train_scenes:
@@ -290,6 +292,10 @@ def train(train_scenes, room: RoomFeature, enc_cfg: EncoderConfig,
         raise ValueError(
             f"head output {head_cfg.output_dim} != grid cells {spec.n_cells}"
         )
+    val_scenes = list(val_scenes or ())
+    for scene in train_scenes + val_scenes:
+        check_person_count(len(scene.persons), enc_cfg.max_people,
+                           f"frame {scene.frame_id!r}")
 
     stats = fit_norm_stats(train_scenes)
     rng = np.random.default_rng(cfg.seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_SPEC, RoomSpec
-from .jsondoc import from_obj, get_field, load, to_obj
+from .jsondoc import from_obj, get_field, load, to_obj, write_lines
 
 __all__ = [
     "OCCUPANCY_CLASSES",
@@ -110,9 +110,7 @@ def load_layout(path) -> LayoutMap:
 def save_layout(layout: LayoutMap, path) -> None:
     obj = {"spec": to_obj(layout.spec),
            "cells": [name for row in layout.cells for name in row]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f)
-        f.write("\n")
+    write_lines(path, [json.dumps(obj)])
 
 
 def _block_edges(n: int, parts: int) -> list[int]:
@@ -273,11 +271,8 @@ def load_precomputed(source) -> RoomFeature:
 
 
 def save_precomputed(feature: RoomFeature, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"dim {feature.dim}\n")
-        for v in feature.values:
-            f.write(repr(float(v)))
-            f.write("\n")
+    write_lines(path, [f"dim {feature.dim}",
+                       *(repr(float(v)) for v in feature.values)])
 
 
 def room_feature_from_layout(layout: LayoutMap,

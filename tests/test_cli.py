@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -14,11 +15,12 @@ import pytest
 import ospace
 from ospace import network
 from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
-from ospace.core import Person, Scene
+from ospace.core import DEFAULT_SPEC, Person, Scene
 from ospace.dataset import SceneParseError, load_scenes, parse_scenes
 from ospace.evaluation import match_scene
 from ospace.network import load_model, predict_heatmaps
 from ospace.room import RoomFeature, save_precomputed
+from ospace.synthetic import SynthConfig, generate
 
 DYAD = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 0.0}, '
         '{"x": 2.4, "y": 1.0, "yaw_deg": 180.0}], "groups": [[0, 1]]}\n')
@@ -991,6 +993,141 @@ def test_empty_frame_passes_ingest_eval_and_render(workdir, capsys):
                     '{"frame_id": "empty", "groups": []}\n')
     assert main(["eval", "--pred", str(pred), "--gt", "out.jsonl", "-T", "1"]) == 0
     assert "tp=1 fp=0 fn=0" in capsys.readouterr().out
+
+
+# Output paths are checked before any work: one that cannot be written as
+# asked fails the run with exit 1, naming its flag, and nothing is written.
+
+# each command's output flags, each with a path in the run's directory
+OUTPUTS = {
+    "ingest": {"--output": "o.jsonl"},
+    "synth": {"--output": "s.jsonl", "--centers": "c.jsonl"},
+    "train": {"--output": "m.ckpt", "--trace": "t.csv"},
+    "tune": {"--output": "best.json", "--table": "table.csv"},
+    "predict": {"--output": "p.jsonl", "--heatmaps": "maps"},
+    "eval": {"--output": "e.csv"},
+    "render": {"--output": "maps"},
+}
+DIRECTORY_FLAGS = {("predict", "--heatmaps"), ("render", "--output")}
+OUTPUT_FLAGS = [(c, f) for c, flags in OUTPUTS.items() for f in flags]
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """A scene file, a checkpoint trained on it, and its predictions."""
+    d = tmp_path_factory.mktemp("inputs")
+    scenes, model, pred = (str(d / name) for name in ("s.jsonl", "m.ckpt", "p.jsonl"))
+    assert main(["synth", "-o", scenes, "--seed", "1", "--scenes", "6",
+                 "--groups", "1", "2", "--group-size", "2", "3"]) == 0
+    assert main(["train", scenes, "-o", model, "--epochs", "1",
+                 "--enc-widths", "8", "--hidden", "8"]) == 0
+    assert main(["predict", model, scenes, "-o", pred]) == 0
+    return {"ingest": ["ingest", scenes],
+            "synth": ["synth", "--scenes", "2"],
+            "train": ["train", scenes, "--epochs", "1", "--enc-widths", "8",
+                      "--hidden", "8"],
+            "tune": ["tune", model, scenes, "--thresholds", "0.5",
+                     "--separations", "1.0", "--assign-dists", "1.0",
+                     "--strides", "0.7"],
+            "predict": ["predict", model, scenes, "--csv"],
+            "eval": ["eval", "--pred", pred, "--gt", scenes],
+            "render": ["render", scenes, "--csv"]}
+
+
+def _with_outputs(argv, outputs):
+    return [*argv, *(a for flag, path in outputs.items() for a in (flag, path))]
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_each_command_declares_its_output_flags(workdir, capsys, run_inputs,
+                                                command):
+    argv = _with_outputs(run_inputs[command], OUTPUTS[command])
+    args = build_parser().parse_args(argv)
+
+    def flags(dests):
+        return {"--" + dest.replace("_", "-") for dest in dests}
+
+    files, dirs = flags(args.output_files), flags(args.output_dirs)
+    assert files | dirs == set(OUTPUTS[command])
+    assert dirs == {f for c, f in DIRECTORY_FLAGS if c == command}
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(workdir)) == sorted(set(OUTPUTS[command].values()))
+
+
+def test_the_output_table_covers_every_command():
+    assert set(OUTPUTS) == set(SUBCOMMANDS) and len(OUTPUT_FLAGS) == 11
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS,
+                         ids=[f"{c} {f}" for c, f in OUTPUT_FLAGS])
+def test_an_output_path_is_checked_before_any_work(workdir, capsys, run_inputs,
+                                                   command, flag):
+    outputs = dict(OUTPUTS[command])
+    if (command, flag) in DIRECTORY_FLAGS:
+        (workdir / "taken").write_text("a file\n")
+        outputs[flag], reason = "taken", "taken is not a directory"
+    else:
+        outputs[flag], reason = "nodir/out", "no such directory nodir"
+    rc = main(_with_outputs(run_inputs[command], outputs))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {flag} {outputs[flag]}: {reason}\n"
+    # no other output was written
+    left = {"taken"} if (command, flag) in DIRECTORY_FLAGS else set()
+    assert set(os.listdir(workdir)) == left
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ingest", "s.jsonl", "-o", "d"], "--output d: is a directory"),
+    (["ingest", "s.jsonl", "-o", "f/x"], "--output f/x: f is not a directory"),
+    (["render", "s.jsonl", "-o", "f/maps"],
+     "--output f/maps: f is not a directory"),
+    (["predict", "m.ckpt", "s.jsonl", "-o", "p.jsonl", "--heatmaps", "f/sub/maps"],
+     "--heatmaps f/sub/maps: f is not a directory"),
+    # a path error is named before a bad flag value and a missing input
+    (["train", "s.jsonl", "-o", "nodir/m", "--seed", "-1"],
+     "--output nodir/m: no such directory nodir"),
+    (["ingest", "missing.jsonl", "-o", "nodir/a/b"],
+     "--output nodir/a/b: no such directory nodir/a"),
+])
+def test_an_output_path_of_the_wrong_kind_is_named(workdir, capsys, argv,
+                                                   message):
+    _write_scenes(workdir / "s.jsonl")
+    (workdir / "d").mkdir()
+    (workdir / "f").write_text("a file\n")
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(workdir)) == ["d", "f", "s.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["train", "render"])
+@pytest.mark.parametrize("sigma", ["1e308", "1e-300"])
+def test_a_sigma_whose_square_is_not_a_normal_float_is_usage_error(
+        workdir, capsys, command, sigma):
+    _write_scenes(workdir / "s.jsonl")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "s.jsonl", "-o", "out", "--sigma", sigma])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: sigma must be positive, with 2 sigma^2 a normal "
+                   f"float, got {float(sigma)}\n")
+    assert [str(w.message) for w in caught] == []
+    assert not (workdir / "out").exists()
+
+
+def test_synth_centers_are_one_json_record_per_frame(workdir, capsys):
+    assert main(["synth", "-o", "s.jsonl", "--seed", "4", "--scenes", "5",
+                 "--jitter-m", "0.05", "--centers", "c.jsonl"]) == 0
+    capsys.readouterr()
+    scenes, centers = generate(SynthConfig(seed=4, n_scenes=5, jitter_m=0.05),
+                               DEFAULT_SPEC)
+    want = "".join(json.dumps({"frame_id": s.frame_id,
+                               "centers": [[c.x, c.y] for c in cs]}) + "\n"
+                   for s, cs in zip(scenes, centers))
+    assert (workdir / "c.jsonl").read_bytes() == want.encode("utf-8")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -198,18 +199,21 @@ def test_validate_positions_closed_bounds():
 
 def _squared_apart(x, y, points, limit):
     """The inline test ``thin`` and ``_sample_point`` made before ``apart``,
-    or None when a square overflows, where it read the sum as inf."""
+    or None when a square overflows, where it read the sum as inf, or
+    underflows below the smallest normal float, where it lost the offset."""
     try:
         limit_sq = limit ** 2
     except OverflowError:
         limit_sq = math.inf
+    if limit_sq < sys.float_info.min:
+        return None
     close = False
     for px, py in points:
         try:
             d_sq = (x - px) ** 2 + (y - py) ** 2
         except OverflowError:
             return None
-        if not math.isfinite(d_sq):
+        if not sys.float_info.min <= d_sq < math.inf:
             return None
         close = close or d_sq < limit_sq
     return not close
@@ -227,6 +231,22 @@ def test_apart_agrees_with_the_squared_test_on_finite_sums(x, y, points, limit):
     want = _squared_apart(x, y, points, limit)
     if want is not None:
         assert apart(x, y, points, limit) is want
+
+
+# 2 ** -700 scales a value of 16 or less to about 1e-210, whose square is 0
+TINY = 2.0 ** -700
+# multiples of 1/64: their offsets, and those scaled by TINY, are exact
+SMALL = st.integers(-640, 640).map(lambda k: k / 64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=SMALL, y=SMALL, points=st.lists(st.tuples(SMALL, SMALL), max_size=4),
+       limit=st.integers(0, 1024).map(lambda k: k / 64))
+def test_apart_measures_offsets_whose_square_underflows(x, y, points, limit):
+    # a power of two scales every offset and its hypot exactly
+    want = all(math.hypot(x - px, y - py) >= limit for px, py in points)
+    assert apart(x * TINY, y * TINY, [(px * TINY, py * TINY) for px, py in points],
+                 limit * TINY) is want
 
 
 def test_apart_measures_a_square_that_raises():

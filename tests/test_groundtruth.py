@@ -191,6 +191,30 @@ def test_gaussian_params_validation():
         GaussianParams(sigma_m=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e308, 1e154, 9.5e153, 1e-154, 1e-300,
+                                   5e-324, math.inf, math.nan])
+def test_a_sigma_whose_two_sigma_squared_is_not_a_normal_float_is_rejected(sigma):
+    with pytest.raises(ValueError, match="^sigma must be positive, with 2 "
+                                         "sigma\\^2 a normal float, got "):
+        GaussianParams(sigma_m=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.3, 1.7, 9.4e153, 1.1e-154])
+def test_render_divides_by_the_params_two_sigma_squared(sigma):
+    params = GaussianParams(sigma_m=sigma)
+    assert params.two_sigma_sq == 2.0 * sigma ** 2
+    centers = [Point2(0.1, 0.1), Point2(4.0, 3.0)]
+    xs = (np.arange(12) + 0.5) * 0.5
+    ys = (np.arange(10) + 0.5) * 0.5
+    want = np.zeros((10, 12))
+    for c in centers:
+        d_sq = (xs[None, :] - c.x) ** 2 + (ys[:, None] - c.y) ** 2
+        with np.errstate(over="ignore"):  # the far cells of 1.1e-154
+            want = np.maximum(want, np.exp(-d_sq / (2.0 * sigma ** 2)))
+    # no warning: tier-1 turns a RuntimeWarning into an error
+    assert render_heatmap(centers, params).values.tobytes() == want.tobytes()
+
+
 def test_render_respects_custom_spec():
     spec = RoomSpec(rows=4, cols=4, cell_m=1.0)
     m = render_heatmap([Point2(0.5, 0.5)], spec=spec)

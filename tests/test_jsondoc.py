@@ -1,8 +1,10 @@
 """The config codec: a dataclass's JSON form is its fields in declaration
 order, it reads back to an equal config, and a mistyped or missing field is a
-ValueError that names the document and the field."""
+ValueError that names the document and the field.  And the one text writer,
+``write_lines``."""
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ospace.core import RoomSpec
 from ospace.dataset import NormStats
 from ospace.encoder import EncoderConfig
-from ospace.jsondoc import from_obj, get_int_arrays, to_obj
+from ospace.jsondoc import from_obj, get_int_arrays, to_obj, write_lines
 from ospace.network import HeadConfig
 from ospace.postprocess import AssignParams
 
@@ -95,3 +97,48 @@ def test_int_arrays_name_the_element():
         with pytest.raises(ValueError) as e:
             get_int_arrays({"g": value}, "r", "g", "doc")
         assert str(e.value) == f"doc {message}"
+
+
+# ``write_lines``: each line newline-terminated, in UTF-8, streamed.
+
+def test_write_lines_ends_each_line_in_utf8(tmp_path):
+    path = tmp_path / "out.txt"
+    write_lines(path, ["a,b", "", "caf\u00e9 \u2192 1"])
+    assert path.read_bytes() == "a,b\n\ncaf\u00e9 \u2192 1\n".encode("utf-8")
+
+
+def test_write_lines_of_nothing_is_an_empty_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_lines(path, iter(()))
+    assert path.read_bytes() == b""
+
+
+def test_write_lines_truncates_an_existing_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("a longer file than the next one\n" * 3)
+    write_lines(path, ["x"])
+    assert path.read_bytes() == b"x\n"
+
+
+def test_write_lines_consumes_a_generator_lazily(tmp_path):
+    path = tmp_path / "out.txt"
+    opened = []
+
+    def lines(n):
+        for k in range(n):
+            opened.append(path.exists())  # the file is open before each line
+            yield f"line {k}"
+
+    write_lines(path, lines(3))
+    assert opened == [True, True, True]
+    assert path.read_text() == "line 0\nline 1\nline 2\n"
+    # and holds no more than a line at a time: 100,000 lines of about 60
+    # bytes each, held at once, would take over 6 MB
+    tracemalloc.start()
+    try:
+        write_lines(path, (f"{k:>50}" for k in range(100_000)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert path.stat().st_size == 100_000 * 51

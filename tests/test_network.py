@@ -502,6 +502,26 @@ def test_train_validates_dimensions():
         train([], ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg())
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("size,message", [
+    (0, "frame 'bad': 0 persons, a model needs at least 1"),
+    (26, "frame 'bad': 26 persons, cap is 25"),
+], ids=["no persons", "over the cap"])
+def test_train_names_the_frame_a_model_cannot_read(split, size, message,
+                                                   monkeypatch):
+    def no_work(*args):
+        raise AssertionError("training work ran")
+
+    monkeypatch.setattr(network, "fit_norm_stats", no_work)
+    scenes = {"train": _scenes(4), "val": _scenes(3)}
+    bad = _random_scenes([size], seed=0)[0]
+    scenes[split][1] = Scene("bad", bad.persons, bad.groups)
+    with pytest.raises(ValueError) as exc:
+        train(scenes["train"], ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(),
+              val_scenes=scenes["val"])
+    assert str(exc.value) == message
+
+
 def test_predict_heatmap_well_formed():
     model, _ = train(_scenes(), ROOM4, ENC_CFG, HEAD_CFG, _quick_cfg(epochs=1))
     m = predict_heatmap(_scenes()[0], model, ROOM4)

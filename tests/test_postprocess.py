@@ -271,6 +271,15 @@ def test_thin_compares_offsets_whose_square_overflows():
     assert thin(dets, 1.4e154) == dets
 
 
+def test_thin_compares_offsets_whose_square_underflows():
+    # (1e-200) ** 2 and (1.5e-200) ** 2 both underflow to 0: the offset is
+    # measured, so 1e-200 is closer than 1.5e-200
+    dets = [Detection(Point2(0, 0), .9), Detection(Point2(1e-200, 0), .8)]
+    assert thin(dets, 1.5e-200) == dets[:1]
+    assert thin(dets, 0.5e-200) == dets
+    assert thin(dets, 0.0) == dets
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (4, 1), (2, 3), (7, 9)])
 def test_nms_matches_reference_on_any_grid(rows, cols):
     # one-row and one-column grids have cells with neighbors on one side only

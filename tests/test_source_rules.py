@@ -2,10 +2,10 @@
 
 Every module under ``src/ospace`` is parsed once, and each rule below walks
 those trees: module boundaries, where threads start, which imports may go
-unused, and where the affine layer's arithmetic and the geometric rules
-live.  One rule reads the test suite instead: every hypothesis property is
-derandomized.  One more imports modules in fresh interpreters, which no
-syntax tree shows.
+unused, where the affine layer's arithmetic and the geometric rules live,
+and what opens a file for writing.  One rule reads the test suite instead:
+every hypothesis property is derandomized.  One more imports modules in
+fresh interpreters, which no syntax tree shows.
 """
 import ast
 import os
@@ -260,6 +260,40 @@ def test_only_core_apart_guards_a_square_against_overflow():
     # the rule does see the test where it lives: the limit's square and each
     # point's sum of squares
     assert len(inside) == 2
+
+
+# One text-output rule: a file is opened for writing only by
+# ``jsondoc.write_lines``, and by ``checkpoint.save_model`` for its binary
+# blob and the digest it seeks back to write.
+
+WRITERS = {("jsondoc.py", "write_lines"), ("checkpoint.py", "save_model")}
+
+
+def _write_opens(tree):
+    """Line numbers of an ``open`` call whose mode writes, appends or
+    creates, or whose mode is not a string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None:
+                continue  # read, as text
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                yield node.lineno
+
+
+def test_only_write_lines_and_save_model_open_a_file_for_writing():
+    inside = {(module, name): set(_write_opens(_function(module, name)))
+              for module, name in WRITERS}
+    allowed = {(module, line) for (module, _), lines in inside.items()
+               for line in lines}
+    found = [f"{name}:{line}" for name, tree in _sources().items()
+             for line in _write_opens(tree) if (name, line) not in allowed]
+    assert found == []
+    # the rule does see both writers' opens
+    assert all(len(lines) == 1 for lines in inside.values())
 
 
 # Every hypothesis property in the suite runs the same examples on every
