@@ -16,7 +16,8 @@ form, each dataclass's fields in declaration order, which
 ``jsondoc.from_obj`` reads back.  Saving writes the arrays' buffers as they
 are, so a file is byte-identical across runs with the same seed; loading
 reads the blob into one buffer that the layers are views of.  Loading checks
-the magic line, the header's field types, the blob's size against the
+the magic line, the header's UTF-8 (by ``jsondoc.decode``, the rule every
+text input shares) and field types, the blob's size against the
 configs and the file and its hash, the head's output against the room grid,
 and that every weight is finite, so a corrupt file (or a version 1 file,
 one JSON object) fails with a ValueError that names the field or layer
@@ -47,7 +48,7 @@ from .dataset import NormStats
 from .encoder import EncoderConfig, EncoderWeights
 from .groundtruth import DEFAULT_STRIDE_M
 from .head import HeadConfig, HeadWeights
-from .jsondoc import from_obj, get_field, get_number, to_obj
+from .jsondoc import decode, from_obj, get_field, get_number, to_obj
 from .layers import layer_shapes, store_size, view_layers
 
 __all__ = ["ModelWeights", "split_layers", "save_model", "load_model",
@@ -222,9 +223,10 @@ def load_model(path) -> ModelWeights:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"checkpoint: the first line is not {CHECKPOINT_VERSION}")
+        line = decode(f.readline(), "checkpoint header")
         try:
-            header = json.loads(f.readline())
-        except ValueError as e:  # bad JSON or bad UTF-8
+            header = json.loads(line)
+        except (ValueError, RecursionError) as e:  # bad JSON or too deep
             raise ValueError(f"checkpoint header: not a line of JSON ({e})") from None
         model = _model_shell(header)
         blob_bytes = get_field(header, "", "blob_bytes", (int,), _CKPT)

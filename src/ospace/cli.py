@@ -51,7 +51,8 @@ from .encoder import EncoderConfig
 from .evaluation import aggregate, format_tolerance, match_scene, snap_tolerance
 from .groundtruth import DEFAULT_STRIDE_M, GaussianParams, scene_target
 from .head import HeadConfig
-from .jsondoc import from_obj, get_field, get_int_arrays, load, to_obj, write_lines
+from .jsondoc import (from_obj, get_field, get_int_arrays, load, read_lines,
+                      read_text, to_obj, write_lines)
 from .layers import layer_shapes, store_size
 from .network import TrainConfig, TrainingDivergedError, predict_heatmaps, train
 from .postprocess import AssignParams, assign_groups, nms
@@ -95,8 +96,7 @@ def _resolve_room(args, spec: RoomSpec) -> tuple[RoomFeature, str | None]:
     with neither, a zero-wide room and None."""
     if args.room_file:
         what = f"room file {args.room_file}"
-        with open(args.room_file, "rb") as f:
-            text = f.read()
+        text = read_text(args.room_file, what)
         try:
             return load_precomputed(text), what
         except ValueError as e:
@@ -381,10 +381,9 @@ def _cmd_predict(args) -> int:
 
 def _load_group_records(path) -> list[tuple]:
     """(frame_id, groups, where) of each record of the predictions ``path``."""
-    with open(path, "rb") as f:
-        return read_records(f, lambda obj, where: (
-            get_field(obj, "", "frame_id", (str,), where),
-            get_int_arrays(obj, "", "groups", where), where), path)
+    return read_records(read_lines(path), lambda obj, where: (
+        get_field(obj, "", "frame_id", (str,), where),
+        get_int_arrays(obj, "", "groups", where), where), path)
 
 
 def _cmd_eval(args) -> int:

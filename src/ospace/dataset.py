@@ -9,8 +9,9 @@ Scenes travel as JSON-Lines, one object per line:
 ``groups`` may omit people, or be absent; anyone not mentioned becomes a
 singleton block.  Its blocks must pass ``core.check_groups``: non-empty,
 disjoint, and naming only the frame's persons.
-Each line is decoded as UTF-8 and its fields are read through ``jsondoc``,
-so a bad record raises SceneParseError "<file> line N <field path>: ...".
+Each line is decoded by ``jsondoc.decode`` and its fields are read through
+``jsondoc``, so a bad record raises SceneParseError "<file> line N <field
+path>: ...".
 Person features are 18-dim: z-scored x and y (stats fit on the training
 split) followed by a 16-slot one-hot of the bucketed yaw.  One array pass
 builds a scene's (P, 18) matrix; ``person_feature`` and ``bucket_yaw`` are
@@ -27,7 +28,8 @@ import numpy as np
 
 from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups,
                    check_person_count, validate_positions)
-from .jsondoc import from_obj, get_field, get_int_arrays, write_lines
+from .jsondoc import (decode, from_obj, get_field, get_int_arrays, read_lines,
+                      write_lines)
 
 __all__ = [
     "SceneParseError",
@@ -91,7 +93,7 @@ class SplitRatios:
 def read_records(lines, parse, name=None) -> list:
     """``parse(obj, where)`` of each JSON value in the JSON-Lines ``lines``.
 
-    ``lines`` yields bytes, as a file opened in binary mode does; blank
+    ``lines`` yields bytes, as ``jsondoc.read_lines`` does; blank
     lines are skipped.  ``where`` is "line N", or "<name> line N" when a
     file name is given.  A line that is not UTF-8 or not JSON, and a
     ValueError from ``parse``, raise SceneParseError naming the line.
@@ -103,14 +105,12 @@ def read_records(lines, parse, name=None) -> list:
             continue
         where = f"{prefix}line {line_no}"
         try:
-            obj = json.loads(line.decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise SceneParseError(f"{where}: not UTF-8 (byte {e.start + 1}: "
-                                  f"{e.reason})") from None
-        except (ValueError, RecursionError) as e:  # bad JSON or too deep
-            raise SceneParseError(f"{where}: invalid JSON "
-                                  f"({getattr(e, 'msg', e)})") from None
-        try:
+            text = decode(line, where)
+            try:
+                obj = json.loads(text)
+            except (ValueError, RecursionError) as e:  # bad JSON or too deep
+                raise ValueError(f"{where}: invalid JSON "
+                                 f"({getattr(e, 'msg', e)})") from None
             records.append(parse(obj, where))
         except ValueError as e:
             raise SceneParseError(str(e)) from None
@@ -157,8 +157,7 @@ def parse_scenes(source, spec: RoomSpec | None = DEFAULT_SPEC,
 def load_scenes(path, spec: RoomSpec | None = DEFAULT_SPEC,
                 max_people=None) -> list[Scene]:
     """Parse the JSON-Lines scene file ``path``; errors read "<path> line N"."""
-    with open(path, "rb") as f:
-        return parse_scenes(f, spec, max_people, path)
+    return parse_scenes(read_lines(path), spec, max_people, path)
 
 
 def save_scenes(scenes, path) -> None:

@@ -12,6 +12,12 @@ same way: with a ValueError that names the document (``what``, such as
 ``write_lines`` is the one text-output rule: every text file ospace writes,
 from a scene file to a heatmap image, reaches disk through it.  A
 checkpoint is binary and has its own writer (``checkpoint.save_model``).
+The input side has one rule too: ``read_lines`` is the only place a text
+input (a scene, prediction, ``--params``, layout or room feature file) is
+opened, and ``decode`` is the one UTF-8 rule, so a bad byte in any input,
+a checkpoint's header line included, reads "<what>: not UTF-8 (byte N:
+reason)" with N counted from 1.  A checkpoint's blob is binary and is read
+by ``checkpoint.load_model``.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import json
 from dataclasses import asdict, fields
 
 __all__ = ["get_field", "get_number", "get_int_arrays", "to_obj", "from_obj",
-           "load", "write_lines"]
+           "load", "decode", "read_lines", "read_text", "write_lines"]
 
 # JSON type names for field errors.
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
@@ -113,13 +119,35 @@ def from_obj(cls, obj, where: str, what: str):
         raise ValueError(f"{_name(what, where)}: {e}") from None
 
 
+def decode(raw: bytes, what: str) -> str:
+    """``raw`` as UTF-8 text; a bad byte raises a ValueError "<what>: not
+    UTF-8 (byte N: reason)", N counted from 1."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{what}: not UTF-8 (byte {e.start + 1}: "
+                         f"{e.reason})") from None
+
+
+def read_lines(path):
+    """Yield the lines of the file ``path`` as bytes, one at a time, each
+    with its line ending; the file is opened at the first line drawn."""
+    with open(path, "rb") as f:
+        yield from f
+
+
+def read_text(path, what: str) -> str:
+    """The whole text file ``path``, decoded; ``what`` names it in errors."""
+    return decode(b"".join(read_lines(path)), what)
+
+
 def load(path, what: str):
     """The JSON document in the file ``path``; ``what`` names it in errors."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, too deep
-            raise ValueError(f"{what}: not JSON ({e})") from None
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # bad JSON or too deep
+        raise ValueError(f"{what}: not JSON ({e})") from None
 
 
 def write_lines(path, lines) -> None:

@@ -18,8 +18,8 @@ contiguous float64 vector, each layer's W and then its b, in checkpoint
 order, so the optimizer step, the snapshot, the restore and a checkpoint's
 blob each run over one array.  ``init_store`` allocates a store and draws
 every layer's weights straight into its views, the one init rule that
-``init_dense``, ``encoder.init_encoder``, ``head.init_head`` and
-``network.train`` share, laid out by ``layer_shapes`` of their configs.
+``encoder.init_encoder``, ``head.init_head`` and ``network.train`` share,
+laid out by ``layer_shapes`` of their configs.
 ``attach_grads`` gives every layer a grad_W and grad_b, views of a second
 vector of the same layout; ``flatten`` moves layers that live apart into a
 new store and attaches gradients to them.  ``attach_grads`` is the only
@@ -48,9 +48,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Dense", "attach_grads", "dense_backward", "dense_forward", "flatten",
-           "init_dense", "init_store", "layer_shapes", "relu_mask",
-           "relu_stack_backward", "relu_stack_forward", "sigmoid", "store_size",
-           "view_layers"]
+           "init_store", "layer_shapes", "relu_mask", "relu_stack_backward",
+           "relu_stack_forward", "sigmoid", "store_size", "view_layers"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -197,8 +196,3 @@ def init_store(shapes, rng: np.random.Generator) -> tuple[np.ndarray, list[Dense
             a *= bound - (-bound)  # rng.uniform's high - low, then its low
             a += -bound
     return params, layers
-
-
-def init_dense(d_in: int, d_out: int, rng: np.random.Generator) -> Dense:
-    """One layer of ``init_store``'s init, in a store of its own."""
-    return init_store([(d_in, d_out)], rng)[1][0]

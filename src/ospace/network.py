@@ -93,6 +93,8 @@ __all__ = [
 
 # Elements per Adam block: 32768 float64 values, 256 KiB per array.
 _ADAM_BLOCK = 32768
+# Adam's decay rates and epsilon, Kingma and Ba's defaults.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Scenes per chunk of a multi-scene ``predict_heatmaps`` call.  Measured on a
 # 2-vCPU Xeon with OpenBLAS, the time per scene of a full chunk is flat from
@@ -213,17 +215,13 @@ class _Adam:
     A block whose gradients have all been zero so far is skipped: its m and
     v are still +0.0, and a zero (or -0.0) gradient leaves them +0.0 and
     moves p by alpha_t 0 / (0 + eps_t) = +0.0, so walking it would change
-    no bit (for a finite lr and eps > 0, as ``train`` uses, eps_t > 0).  The
+    no bit (for a finite lr, since ``_ADAM_EPS`` > 0 makes eps_t > 0).  The
     first non-zero gradient in a block (NaN, or one too small to square,
     included) makes it live for the rest of the run.
     """
 
-    def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, params: np.ndarray, grads: np.ndarray):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = params
         self.grads = grads
@@ -239,11 +237,11 @@ class _Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         alpha_t = self.lr * math.sqrt(c2) / c1
-        eps_t = self.eps * math.sqrt(c2)
+        eps_t = _ADAM_EPS * math.sqrt(c2)
         n = self.params.size
         for k, lo in enumerate(range(0, n, _ADAM_BLOCK)):
             hi = min(lo + _ADAM_BLOCK, n)

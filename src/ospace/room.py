@@ -10,6 +10,7 @@ from-scratch PCA.  A model trained without a room takes a zero-wide vector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,18 +238,13 @@ def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
     return model.components @ (v - model.mean)
 
 
-def load_precomputed(source) -> RoomFeature:
-    """Read a feature file: header line ``dim N`` then N decimal floats.
+def load_precomputed(text: str) -> RoomFeature:
+    """Read a feature file's text: header line ``dim N`` then N decimal floats.
 
-    ``source`` is the file's text or bytes.  Errors say what is wrong and
-    where, by byte or value number from 1; the caller adds the file name.
+    Errors say what is wrong and where, by value number from 1; the caller
+    adds the file name.
     """
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ValueError(f"not UTF-8 (byte {e.start + 1}: {e.reason})") from None
-    tokens = source.split()
+    tokens = text.split()
     if len(tokens) < 2 or tokens[0] != "dim":
         raise ValueError("feature file must start with a 'dim N' header")
     try:
@@ -260,13 +256,15 @@ def load_precomputed(source) -> RoomFeature:
     vals = tokens[2:]
     if len(vals) != n:
         raise ValueError(f"feature file declares dim {n} but holds {len(vals)} values")
-    try:
-        arr = np.array([float(t) for t in vals])
-    except ValueError as e:
-        raise ValueError(f"bad float in feature file: {e}") from None
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"non-finite value {bad[0] + 1}: {vals[bad[0]]}")
+    arr = np.empty(n)
+    for i, tok in enumerate(vals):  # in file order: the first bad value is named
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ValueError(f"bad float value {i + 1}: {tok!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {i + 1}: {tok}")
+        arr[i] = v
     return RoomFeature(arr)
 
 

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -139,6 +140,12 @@ CORRUPTIONS = {
     "trailing bytes": (lambda d: d + b"\0", "trailing bytes"),
     "bad header line": (lambda d: d.replace(b'{"version"', b'{version', 1),
                         "checkpoint header: not a line of JSON"),
+    "header nested too deep": (
+        lambda d: d[:d.index(b"\n") + 1] + b"[" * 100_000 + b"]" * 100_000 + b"\n",
+        "checkpoint header: not a line of JSON \\(maximum recursion depth"),
+    "header not UTF-8": (lambda d: d.replace(b'{"version"', b'{"\xffversion"', 1),
+                         re.escape("checkpoint header: not UTF-8 (byte 3: "
+                                   "invalid start byte)")),
     "configs disagree with blob_bytes": (
         _header_edit(_set(("encoder", "config", "layer_widths"), [8, 17])),
         "blob_bytes"),

@@ -528,15 +528,15 @@ def test_layout_grid_must_match_the_run(workdir, capsys):
 
 @pytest.mark.parametrize("text,message", [
     (b"dim x\n1.0\n", "bad dimension 'x' in feature header"),
-    (b"dim 2\n1.0\nabc\n", "bad float in feature file: could not convert "
-                             "string to float: 'abc'"),
+    (b"dim 2\n1.0\nabc\n", "bad float value 2: 'abc'"),
     (b"dim 3\n1.0\n2.0\n", "feature file declares dim 3 but holds 2 values"),
     (b"dim 2\n1.0\n\xff\n", "not UTF-8 (byte 11: invalid start byte)"),
     (b"dim 2\n1.0\nnan\n", "non-finite value 2: nan"),
     (b"dim 3\n1.0\n-inf\n2.0\n", "non-finite value 2: -inf"),
     (b"dim 1\n1e999\n", "non-finite value 1: 1e999"),
+    (b"dim 3\n1.0\nnan\nabc\n", "non-finite value 2: nan"),
 ], ids=["bad dimension", "bad float", "value count", "non-UTF-8", "nan",
-        "inf", "overflow"])
+        "inf", "overflow", "first bad value"])
 def test_train_bad_room_file_names_it(workdir, capsys, text, message):
     scenes = _write_scenes(workdir / "s.jsonl")
     (workdir / "bad.feat").write_bytes(text)
@@ -818,6 +818,58 @@ def test_eval_non_utf8_line_names_file_and_line(workdir, capsys):
     assert rc == 2
     assert err == (f"error: {pred} line 2: not UTF-8 (byte 1: invalid start "
                    "byte)\n")
+
+
+# One UTF-8 rule for every text input: a 0xff byte anywhere is named by the
+# input and the byte's number from 1, with exit 2 and nothing written.
+
+# case -> (command, the input given the bad byte)
+BAD_BYTE_INPUTS = {
+    **{f"{c} scenes": (c, "scenes") for c in ("ingest", "train", "tune",
+                                              "predict", "render")},
+    "eval --gt": ("eval", "scenes"),
+    "eval --pred": ("eval", "pred"),
+    "predict --params": ("predict", "--params"),
+    "train --layout": ("train", "--layout"),
+    "train --room-file": ("train", "--room-file"),
+}
+
+
+def _with_ff(text: bytes, at: int) -> bytes:
+    """``text`` with a 0xff byte inserted as its byte ``at + 1``."""
+    return text[:at] + b"\xff" + text[at:]
+
+
+def _bad_byte_run(workdir, run_inputs, command, given):
+    """(argv, what, N): ``command``'s run with its outputs, and ``given``
+    written with a 0xff as byte N of its document, or of line 2 of a
+    JSON-Lines file."""
+    argv = _with_outputs(run_inputs[command], OUTPUTS[command])
+    if given in ("scenes", "pred"):
+        good = run_inputs["eval"][4 if given == "scenes" else 2]
+        lines = Path(good).read_bytes().splitlines(keepends=True)
+        lines[1] = _with_ff(lines[1], 14)  # in the frame_id's text
+        (workdir / "bad.jsonl").write_bytes(b"".join(lines))
+        return ([("bad.jsonl" if a == good else a) for a in argv],
+                "bad.jsonl line 2", 15)
+    text, what = {"--params": (json.dumps(_PARAMS), "params file"),
+                  "--layout": (json.dumps({"cells": CELLS}), "layout"),
+                  "--room-file": ("dim 2\n1.0\n2.0\n", "room file")}[given]
+    (workdir / "input").write_bytes(_with_ff(text.encode(), 7))
+    return [*argv, given, "input"], f"{what} input", 8
+
+
+@pytest.mark.parametrize("command,given", BAD_BYTE_INPUTS.values(),
+                         ids=BAD_BYTE_INPUTS)
+def test_a_bad_byte_in_any_text_input_is_named_alike(workdir, capsys, run_inputs,
+                                                      command, given):
+    argv, what, n = _bad_byte_run(workdir, run_inputs, command, given)
+    inputs = sorted(os.listdir(workdir))
+    rc = main(argv)
+    assert capsys.readouterr().err == (f"error: {what}: not UTF-8 (byte {n}: "
+                                       "invalid start byte)\n")
+    assert rc == 2
+    assert sorted(os.listdir(workdir)) == inputs
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,7 +1,8 @@
 """The config codec: a dataclass's JSON form is its fields in declaration
 order, it reads back to an equal config, and a mistyped or missing field is a
 ValueError that names the document and the field.  And the one text writer,
-``write_lines``."""
+``write_lines``, and the one text reader: ``read_lines`` opens, ``decode``
+is the UTF-8 rule."""
 import json
 import math
 import tracemalloc
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from ospace.core import RoomSpec
 from ospace.dataset import NormStats
 from ospace.encoder import EncoderConfig
-from ospace.jsondoc import from_obj, get_int_arrays, to_obj, write_lines
+from ospace.jsondoc import (decode, from_obj, get_int_arrays, load, read_lines,
+                            read_text, to_obj, write_lines)
 from ospace.network import HeadConfig
 from ospace.postprocess import AssignParams
 
@@ -142,3 +144,63 @@ def test_write_lines_consumes_a_generator_lazily(tmp_path):
         tracemalloc.stop()
     assert peak < 1_000_000
     assert path.stat().st_size == 100_000 * 51
+
+
+# The input side: ``read_lines`` yields a file's lines as bytes, streamed, and
+# ``decode`` is the one UTF-8 rule, counting a bad byte from 1.
+
+@pytest.mark.parametrize("raw,message", [
+    (b"\xff", "byte 1: invalid start byte"),
+    (b"ab\xffc", "byte 3: invalid start byte"),
+    (b"caf\xc3", "byte 4: unexpected end of data"),
+    (b"\xc3(", "byte 1: invalid continuation byte"),
+])
+def test_decode_names_the_document_and_the_bad_byte(raw, message):
+    with pytest.raises(ValueError) as e:
+        decode(raw, "doc")
+    assert str(e.value) == f"doc: not UTF-8 ({message})"
+    assert decode("caf\u00e9".encode(), "doc") == "caf\u00e9"
+
+
+def test_read_lines_yields_the_bytes_as_they_are(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a\r\nb\n\n\xffc")
+    assert list(read_lines(path)) == [b"a\r\n", b"b\n", b"\n", b"\xffc"]
+    lines = read_lines(tmp_path / "missing.txt")  # opened at the first line
+    with pytest.raises(FileNotFoundError):
+        next(lines)
+
+
+def test_read_lines_holds_a_line_at_a_time(tmp_path):
+    path = tmp_path / "in.txt"
+    write_lines(path, (f"{k:>50}" for k in range(100_000)))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in read_lines(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 100_000
+    assert peak < 1_000_000  # the file is 5.1 MB
+
+
+def test_read_text_counts_a_bad_byte_from_the_start_of_the_file(tmp_path):
+    path = tmp_path / "in.txt"
+    write_lines(path, ["dim 2", "1.0", "caf\u00e9"])
+    assert read_text(path, "doc") == "dim 2\n1.0\ncaf\u00e9\n"
+    path.write_bytes(b"dim 2\n1.0\n\xff\n")
+    with pytest.raises(ValueError, match=r"^doc: not UTF-8 \(byte 11: "):
+        read_text(path, "doc")
+
+
+def test_load_reads_line_endings_as_they_are(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{\r\n"a": 1}\r\n')
+    assert load(path, "doc") == {"a": 1}
+    # a fault's line and column are the same with CRLF and LF endings; its
+    # char offset counts the CR
+    path.write_bytes(b'{\r\n"a": }')
+    with pytest.raises(ValueError) as e:
+        load(path, "doc")
+    assert str(e.value) == ("doc: not JSON (Expecting value: line 2 column 6 "
+                            "(char 8))")

@@ -8,7 +8,6 @@ from ospace.layers import (
     Dense,
     _relu_in_place,
     flatten,
-    init_dense,
     init_store,
     relu_stack_backward,
     relu_stack_forward,
@@ -118,7 +117,7 @@ def test_sigmoid_is_bit_equal_to_the_masked_form_on_any_bit_pattern():
 
 def test_flatten_makes_layers_views_of_two_vectors():
     rng = np.random.default_rng(1)
-    layers = [init_dense(3, 4, rng), init_dense(4, 2, rng)]
+    layers = init_store([(3, 4), (4, 2)], rng)[1]
     # a Dense holds W and b only: flatten is what makes gradient buffers
     assert not any(hasattr(l, "grad_W") or hasattr(l, "grad_b") for l in layers)
     before = [(l.W.copy(), l.b.copy()) for l in layers]
@@ -139,7 +138,7 @@ def test_flatten_makes_layers_views_of_two_vectors():
 
 def test_relu_stack_backward_overwrites_gradient_buffers():
     rng = np.random.default_rng(2)
-    layers = [init_dense(5, 6, rng), init_dense(6, 3, rng)]
+    layers = init_store([(5, 6), (6, 3)], rng)[1]
     flatten(layers)
     x = rng.standard_normal((4, 5))
     xs = relu_stack_forward(x, layers)
@@ -210,9 +209,9 @@ def test_relu_stack_backward_is_bit_equal_to_where(stack, data):
     assert all(_same(a, b) for a, b in zip(xs, xs_before))
 
 
-def test_init_dense_fan_in_bounds():
+def test_init_store_fan_in_bounds():
     rng = np.random.default_rng(0)
-    layer = init_dense(16, 8, rng)
+    layer = init_store([(16, 8)], rng)[1][0]
     bound = 1 / np.sqrt(16)
     assert layer.W.shape == (16, 8)
     assert layer.b.shape == (8,)
@@ -221,9 +220,9 @@ def test_init_dense_fan_in_bounds():
     assert np.std(layer.W) > 0
 
 
-def test_init_dense_deterministic():
-    a = init_dense(5, 4, np.random.default_rng(3))
-    b = init_dense(5, 4, np.random.default_rng(3))
+def test_init_store_deterministic():
+    a = init_store([(5, 4)], np.random.default_rng(3))[1][0]
+    b = init_store([(5, 4)], np.random.default_rng(3))[1][0]
     assert a.W.tobytes() == b.W.tobytes()
     assert a.b.tobytes() == b.b.tobytes()
 
@@ -255,5 +254,5 @@ def test_init_store_draws_the_bits_and_state_of_rng_uniform(dims, seed):
     assert all(_same(a, b) and a.base is params for a, b in zip(got, want))
     # the generator is left where rng.uniform leaves it
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    first = init_dense(dims[0], dims[1], np.random.default_rng(seed))
+    first = init_store([(dims[0], dims[1])], np.random.default_rng(seed))[1][0]
     assert _same(first.W, want[0]) and _same(first.b, want[1])

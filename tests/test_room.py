@@ -133,7 +133,7 @@ def test_feature_file_header_errors():
         load_precomputed("dim 2\n1.0\nnan\n")
     with pytest.raises(ValueError):
         load_precomputed("dim 2\ninf\n1.0\n")
-    assert load_precomputed(b"dim 1\n0.5\n").values.tolist() == [0.5]
+    assert load_precomputed("dim 1\n0.5\n").values.tolist() == [0.5]
 
 
 def _random_spd_data(rng, n, d):

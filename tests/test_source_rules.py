@@ -3,9 +3,9 @@
 Every module under ``src/ospace`` is parsed once, and each rule below walks
 those trees: module boundaries, where threads start, which imports may go
 unused, where the affine layer's arithmetic and the geometric rules live,
-and what opens a file for writing.  One rule reads the test suite instead:
-every hypothesis property is derandomized.  One more imports modules in
-fresh interpreters, which no syntax tree shows.
+and what opens a file or decodes bytes.  One rule reads the test suite
+instead: every hypothesis property is derandomized.  One more imports
+modules in fresh interpreters, which no syntax tree shows.
 """
 import ast
 import os
@@ -262,19 +262,33 @@ def test_only_core_apart_guards_a_square_against_overflow():
     assert len(inside) == 2
 
 
-# One text-output rule: a file is opened for writing only by
-# ``jsondoc.write_lines``, and by ``checkpoint.save_model`` for its binary
-# blob and the digest it seeks back to write.
+# One text-input rule and one text-output rule: a file is opened only by
+# ``jsondoc.read_lines`` (every text input), ``jsondoc.write_lines`` (every
+# text output) and ``checkpoint.save_model``/``load_model`` (the binary
+# checkpoint), and for writing only by the two writers; bytes are decoded,
+# and a bad byte handled, only by ``jsondoc.decode``, the one UTF-8 rule.
 
-WRITERS = {("jsondoc.py", "write_lines"), ("checkpoint.py", "save_model")}
+# ``Path`` methods that open a file without an ``open`` call
+PATH_IO = {"read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _call_name(node):
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def _opens(tree):
+    """Line numbers of an ``open`` call, and of a ``Path`` read or write."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (_call_name(node) == "open" or (
+                isinstance(node.func, ast.Attribute) and node.func.attr in PATH_IO)):
+            yield node.lineno
 
 
 def _write_opens(tree):
     """Line numbers of an ``open`` call whose mode writes, appends or
     creates, or whose mode is not a string constant."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "attr", getattr(node.func, "id", None)) == "open":
+        if isinstance(node, ast.Call) and _call_name(node) == "open":
             mode = node.args[1] if len(node.args) > 1 else next(
                 (k.value for k in node.keywords if k.arg == "mode"), None)
             if mode is None:
@@ -284,16 +298,43 @@ def _write_opens(tree):
                 yield node.lineno
 
 
-def test_only_write_lines_and_save_model_open_a_file_for_writing():
-    inside = {(module, name): set(_write_opens(_function(module, name)))
-              for module, name in WRITERS}
+def _decodes(tree):
+    """Line numbers of a ``.decode`` call and of a handler that catches
+    ``UnicodeDecodeError`` (or its base, ``UnicodeError``)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "decode"):
+            yield node.lineno
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any(getattr(t, "id", None) in ("UnicodeDecodeError", "UnicodeError")
+                   for t in caught):
+                yield node.lineno
+
+
+# rule -> (its finder, {(module, function): hits the finder sees there})
+FILE_RULES = {
+    "open": (_opens, {("jsondoc.py", "read_lines"): 1, ("jsondoc.py", "write_lines"): 1,
+                      ("checkpoint.py", "save_model"): 1,
+                      ("checkpoint.py", "load_model"): 1}),
+    "open for writing": (_write_opens, {("jsondoc.py", "write_lines"): 1,
+                                        ("checkpoint.py", "save_model"): 1}),
+    "decode": (_decodes, {("jsondoc.py", "decode"): 2}),
+}
+
+
+@pytest.mark.parametrize("rule", FILE_RULES)
+def test_only_the_file_rules_open_a_file_or_decode_bytes(rule):
+    find, homes = FILE_RULES[rule]
+    inside = {home: set(find(_function(*home))) for home in homes}
     allowed = {(module, line) for (module, _), lines in inside.items()
                for line in lines}
     found = [f"{name}:{line}" for name, tree in _sources().items()
-             for line in _write_opens(tree) if (name, line) not in allowed]
+             for line in find(tree) if (name, line) not in allowed]
     assert found == []
-    # the rule does see both writers' opens
-    assert all(len(lines) == 1 for lines in inside.values())
+    # the rule does see what it allows where it lives
+    assert {home: len(lines) for home, lines in inside.items()} == homes
 
 
 # Every hypothesis property in the suite runs the same examples on every
