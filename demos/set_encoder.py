@@ -48,8 +48,8 @@ attach_grads(weights.layers)
 
 
 def input_grad(rows):
-    _, cache = encode_batch(rows[None], np.ones((1, len(rows)), bool), weights)
-    return encode_batch_backward(np.ones((1, pooled.shape[0])), cache, weights)[0]
+    _, cache = encode_batch(rows, np.ones((1, len(rows)), bool), weights)
+    return encode_batch_backward(np.ones((1, pooled.shape[0])), cache, weights)
 
 
 in_grad = input_grad(feats)

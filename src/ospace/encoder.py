@@ -12,18 +12,18 @@ order would leak that order into the low bits of the pooled vector.
 ``encode`` therefore sorts the rows lexicographically first: every
 permutation of a set yields the same matrix, and so the same bits.
 
-The batched path takes sets padded to a common length with a mask, but
-only the input is padded: the stack runs over ``batch[mask]``, the real
-rows packed in batch order, so no (B, P_max, D) activation exists, and
-each set is pooled over its own contiguous rows by one ``max`` per set.
-Pooling is exact, so it gives the bits of a padded forward whose padded
-rows are masked out; the gemms do too at the widths the tests and the CLI
-use.  At widths off the gemm kernel's blocking (``--enc-widths 27,18``, say)
-OpenBLAS rounds a row by its position, and a multi-scene batch's bits may
-then differ from a padded forward's, as they already depended on the
-batch's largest set.  One set is never padded, so ``encode`` is unaffected:
-``pad_features`` copies a lone set as its batch, and ``encode_batch`` reads
-a batch whose every slot is real as it is, reshaped, with no gather.
+The batched path takes the sets' rows packed in batch order, with a
+(B, P_max) bool mask whose row i marks set i's slots; only how many it
+marks is read.  The stack runs over those rows as given, so no padded array
+exists, and each set is pooled over its own contiguous rows by one ``max``
+per set.  Pooling is exact, so it gives the bits of a padded forward whose
+padded rows are masked out; the gemms do too at the widths the tests and
+the CLI use.  At widths off the gemm kernel's blocking (``--enc-widths
+27,18``, say) OpenBLAS rounds a row by its position, and a multi-scene
+batch's bits may then differ from a padded forward's, as they already
+depended on the batch's largest set.  ``encode`` runs one set as a batch
+of one.
+
 ``sort_rows`` orders a set by one argsort of column 0 when its values are
 distinct, the order ``lexsort`` gives, and by ``lexsort`` otherwise.
 
@@ -35,8 +35,8 @@ the rows equal to the pooled value.  A flag's weight falls with its rank,
 so the largest weighted flag is the first maximal row, the row ``argmax``
 would pick, without its call per (set, dimension).  Equality singles out
 exactly the maximal values because the ReLU output holds neither NaN nor
--0.0 (see ``layers``).  Padded rows get no gradient; the input gradient
-returned for them is +0.0.
+-0.0 (see ``layers``).  The input gradient comes back packed, as the rows
+came in.
 """
 from __future__ import annotations
 
@@ -94,30 +94,27 @@ def init_encoder(config: EncoderConfig, rng: np.random.Generator) -> EncoderWeig
 
 
 def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length (P_i, d) feature sets into (B, P_max, d) plus mask."""
+    """Variable-length (P_i, d) feature sets as one (sum P_i, d) array of
+    their rows in batch order, plus the (B, P_max) mask of the real slots."""
     feature_sets = [np.asarray(f, dtype=float) for f in feature_sets]
     if not feature_sets:
         raise ValueError("empty batch")
-    if len(feature_sets) == 1 and feature_sets[0].ndim == 2:
-        # one set is never padded: the batch is a copy of it
-        only = feature_sets[0]
-        return only[None].copy(), np.ones((1, only.shape[0]), bool)
-    counts = np.array([f.shape[0] for f in feature_sets])
-    mask = np.arange(counts.max()) < counts[:, None]
-    batch = np.zeros(mask.shape + (feature_sets[0].shape[1],))
-    batch[mask] = np.concatenate(feature_sets)
-    return batch, mask
+    counts = [f.shape[0] for f in feature_sets]
+    return (np.concatenate(feature_sets),
+            np.arange(max(counts)) < np.array(counts)[:, None])
 
 
-def _check_batch(batch: np.ndarray, mask: np.ndarray,
+def _check_batch(rows: np.ndarray, mask: np.ndarray,
                  cfg: EncoderConfig) -> list[int]:
-    """Each set's real row count, once the batch and mask are checked."""
-    if batch.ndim != 3 or batch.shape[2] != cfg.input_dim:
-        raise ValueError(f"bad feature batch shape {batch.shape}")
-    if mask.dtype != bool or mask.shape != batch.shape[:2]:
-        raise ValueError(f"mask must be bool of shape {batch.shape[:2]}, got "
-                         f"{mask.dtype} of shape {mask.shape}")
+    """Each set's row count, once the rows and mask are checked."""
+    if rows.ndim != 2 or rows.shape[1] != cfg.input_dim:
+        raise ValueError(f"bad feature rows shape {rows.shape}")
+    if mask.dtype != bool or mask.ndim != 2:
+        raise ValueError(f"mask must be a 2-D bool array, got {mask.dtype} "
+                         f"of shape {mask.shape}")
     counts = mask.sum(axis=1).tolist()
+    if sum(counts) != rows.shape[0]:
+        raise ValueError(f"mask marks {sum(counts)} rows, got {rows.shape[0]}")
     if counts and min(counts) < 1:
         raise ValueError("a scene has zero persons")
     if counts and max(counts) > cfg.max_people:
@@ -127,23 +124,18 @@ def _check_batch(batch: np.ndarray, mask: np.ndarray,
     return counts
 
 
-def encode_batch(batch: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
-    """Encode (B, P_max, d) padded features; returns ((B, D) pooled, cache).
+def encode_batch(rows: np.ndarray, mask: np.ndarray, weights: EncoderWeights):
+    """Encode B sets given as packed (rows, d) features and their (B, P_max)
+    mask; returns ((B, D) pooled, cache).
 
-    The stack runs over ``batch[mask]``, the real rows packed in batch
-    order, and each set is pooled over its own contiguous rows.  When every
-    slot is real (one set always is), those rows are ``batch`` reshaped, and
-    the stack reads them with no gather; the cache then holds that view of
-    ``batch``, so backward reads ``batch`` as it is then.
+    Set i is the ``mask[i].sum()`` rows after those of the sets before it.
+    The stack runs over ``rows`` as given, and the cache holds them, so
+    backward reads ``rows`` as they are then.
     """
-    counts = _check_batch(batch, mask, weights.config)
-    if sum(counts) == mask.size:
-        rows = batch.reshape(-1, batch.shape[2])
-    else:
-        rows = batch[mask]
+    counts = _check_batch(rows, mask, weights.config)
     xs = relu_stack_forward(rows, weights.layers)
     last = xs[-1]
-    pooled = np.empty((batch.shape[0], last.shape[1]))
+    pooled = np.empty((mask.shape[0], last.shape[1]))
     lo = 0
     for i, n in enumerate(counts):
         last[lo:lo + n].max(axis=0, out=pooled[i])
@@ -177,20 +169,17 @@ def _route(upstream: np.ndarray, cache) -> np.ndarray:
 
 
 def encode_batch_backward(upstream: np.ndarray, cache, weights: EncoderWeights):
-    """Assign layer gradients of <upstream, pooled>; returns input grads.
+    """Assign layer gradients of <upstream, pooled>; returns the packed
+    (rows, d) input gradient.
 
-    The forward cache holds the packed real rows only, so backward runs on
-    them with no gather.  The last layer's ReLU mask at an argmax row is
-    ``pooled > 0``, so that layer's output is never read for it.  Padded
-    rows of the returned (B, P, d) input gradient are +0.0.
+    Backward runs on the rows the forward cached.  The last layer's ReLU
+    mask at an argmax row is ``pooled > 0``, so that layer's output is never
+    read for it.
     """
-    xs, pooled, mask = cache
+    xs, pooled, _ = cache
     g = _route(relu_mask(upstream, pooled), cache)
     *inner, last = weights.layers
-    g = relu_stack_backward(dense_backward(g, xs[-2], last), inner, xs[:-1])
-    out = np.zeros(mask.shape + (weights.config.input_dim,))
-    out[mask] = g
-    return out
+    return relu_stack_backward(dense_backward(g, xs[-2], last), inner, xs[:-1])
 
 
 def sort_rows(features) -> np.ndarray:
@@ -211,6 +200,5 @@ def sort_rows(features) -> np.ndarray:
 def encode(features: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     """Encode one (P, d) person-feature set into a D-dim vector."""
     rows = sort_rows(features)
-    pooled, _ = encode_batch(rows[None], np.ones((1, rows.shape[0]), bool),
-                             weights)
+    pooled, _ = encode_batch(rows, np.ones((1, rows.shape[0]), bool), weights)
     return pooled[0]

@@ -105,12 +105,20 @@ def propose_center(person: Person, stride_m: float = DEFAULT_STRIDE_M) -> Point2
 
 
 def group_ospace(members, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
-    """Least-squares o-space of a group: centroid of the member proposals."""
+    """Least-squares o-space of a group: centroid of the member proposals,
+    each taken over the count first where their sum overflows."""
     members = list(members)
     if not members:
         raise ValueError("group has no members")
     xs, ys = propose_centers(members, stride_m).T.tolist()
-    return Point2(sum(xs) / len(xs), sum(ys) / len(ys))
+    return Point2(_mean(xs), _mean(ys))
+
+
+def _mean(values: list[float]) -> float:
+    total = sum(values)
+    if math.isinf(total):
+        return sum(v / len(values) for v in values)
+    return total / len(values)
 
 
 def clamp_to_room(p: Point2, spec: RoomSpec = DEFAULT_SPEC) -> Point2:

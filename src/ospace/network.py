@@ -162,8 +162,8 @@ def example_weight(scene: Scene, multi_group_weight: float) -> float:
 def batch_forward(feats_list, room_values: np.ndarray,
                   enc_w: EncoderWeights, head_w: HeadWeights):
     """Forward a batch of person-feature sets; returns (pred (B, out), cache)."""
-    batch, mask = pad_features(feats_list)
-    people, enc_cache = encode_batch(batch, mask, enc_w)
+    rows, mask = pad_features(feats_list)
+    people, enc_cache = encode_batch(rows, mask, enc_w)
     room_dim = room_values.shape[0]
     # the head input: the room in every row, then the pooled people
     x = np.empty((people.shape[0], room_dim + people.shape[1]))

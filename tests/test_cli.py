@@ -618,6 +618,23 @@ def test_render_ground_truth_pgm(workdir):
     assert max(v for r in rows for v in r) == 224
 
 
+# a dyad facing the same way: at a huge stride each member's o-space
+# proposal fits a float, but their sum does not
+SAME_WAY = ('{"frame_id": "a", "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 80.0}, '
+            '{"x": 2.0, "y": 1.0, "yaw_deg": 100.0}], "groups": [[0, 1]]}\n')
+
+
+@pytest.mark.parametrize("argv,output", [
+    (["train", "s.jsonl", "-o", "m.ckpt", "--epochs", "1", "--split", "1", "0",
+      "0", "--enc-widths", "4", "--hidden", "4"], "m.ckpt"),
+    (["render", "s.jsonl", "-o", "maps"], "maps/a.pgm"),
+], ids=["train", "render"])
+def test_stride_whose_proposals_sum_past_a_float(workdir, argv, output):
+    _write_scenes(workdir / "s.jsonl", SAME_WAY)
+    assert main(argv + ["--stride", "1e308"]) == 0
+    assert (workdir / output).stat().st_size > 0
+
+
 def test_render_csv_option(workdir):
     _write_scenes(workdir / "gt.jsonl")
     assert main(["render", "gt.jsonl", "-o", "maps", "--csv"]) == 0

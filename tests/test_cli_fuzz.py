@@ -398,15 +398,16 @@ FLAGS = {"predict": ["--threshold", "--separation", "--assign-dist", "--stride"]
          "tune": ["-T", "--thresholds", "--separations", "--assign-dists",
                   "--strides"],
          "eval": ["-T"],
-         "synth": ["--cell", "--radius", "--min-dist", "--jitter-m", "--jitter-deg"]}
+         "synth": ["--cell", "--radius", "--min-dist", "--jitter-m", "--jitter-deg"],
+         "train": ["--stride", "--sigma"],
+         "render": ["--stride", "--sigma"]}
 GRID_AXES = {"--thresholds", "--separations", "--assign-dists", "--strides"}
 
 
 @st.composite
 def flag_runs(draw) -> tuple[str, list[str]]:
-    """``predict``, ``tune``, ``eval`` or ``synth`` and one or two of its
-    flags, each given a drawn value; a grid axis takes a list of up to
-    three."""
+    """A command of ``FLAGS`` and one or two of its flags, each given a
+    drawn value; a grid axis takes a list of up to three."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = []
     for flag in draw(st.lists(st.sampled_from(FLAGS[command]), min_size=1,
@@ -420,7 +421,22 @@ def flag_runs(draw) -> tuple[str, list[str]]:
     return command, flags
 
 
-@settings(max_examples=160, deadline=None, derandomize=True,
+# ``train`` and ``render`` read a few records: ``RECORD``, a dyad facing
+# the same way, whose proposals at a huge stride each fit a float but whose
+# sum does not, and a triad
+SCENES = [RECORD,
+          {"frame_id": "b",
+           "persons": [{"x": 1.0, "y": 1.0, "yaw_deg": 80.0},
+                       {"x": 2.0, "y": 1.0, "yaw_deg": 100.0}],
+           "groups": [[0, 1]]},
+          {"frame_id": "c",
+           "persons": [{"x": 3.0, "y": 2.0, "yaw_deg": 90.0},
+                       {"x": 2.4, "y": 3.0, "yaw_deg": -30.0},
+                       {"x": 3.6, "y": 3.0, "yaw_deg": 210.0}],
+           "groups": [[0, 1, 2]]}]
+
+
+@settings(max_examples=240, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=flag_runs())
 @example(run=("tune", ["-T=1/0"]))
@@ -428,22 +444,31 @@ def flag_runs(draw) -> tuple[str, list[str]]:
 @example(run=("synth", ["--cell=1e200"]))
 @example(run=("synth", ["--cell=1e308"]))
 @example(run=("synth", ["--jitter-deg=1e308"]))
+@example(run=("train", ["--stride=1e308"]))
+@example(run=("render", ["--stride=1e308"]))
 def test_flag_values_exit_with_a_documented_code(tmp_path, capsys, monkeypatch,
                                                  plain_checkpoint, run):
     command, flags = run
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (tmp_path / "few.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in SCENES))
     argv = {"predict": ["predict", str(plain_checkpoint), "s.jsonl", "-o",
                         "out.jsonl"],
             "tune": ["tune", str(plain_checkpoint), "s.jsonl", "-o", "out.json",
                      *TUNE_GRID],
             "eval": ["eval", "--pred", "s.jsonl", "--gt", "s.jsonl", "-o",
                      "out.csv"],
-            "synth": ["synth", "-o", "out.jsonl", "--scenes", "2"]}[command]
+            "synth": ["synth", "-o", "out.jsonl", "--scenes", "2"],
+            "train": ["train", "few.jsonl", "-o", "m.ckpt", "--split", "1", "0",
+                      "0", "--epochs", "1", "--enc-widths", "4", "--hidden",
+                      "4"],
+            "render": ["render", "few.jsonl", "-o", "maps"]}[command]
     capsys.readouterr()
     rc = main(argv + flags)  # an uncaught exception fails the test here
     err = capsys.readouterr().err
-    assert rc in (0, 1, 2, 3), (flags, err)
+    # every file the run reads is valid, so no flag value is a data error
+    assert rc in (0, 1, 3), (flags, err)
     assert "Traceback" not in err
     if rc:  # argparse puts its usage line before the error
         assert "error: " in err, (flags, err)

@@ -96,8 +96,8 @@ def test_batched_encode_matches_single():
     rng = np.random.default_rng(3)
     w = _random_encoder(rng)
     sets = [rng.standard_normal((int(rng.integers(1, 7)), 6)) for _ in range(9)]
-    batch, mask = pad_features(sets)
-    pooled, _ = encode_batch(batch, mask, w)
+    rows, mask = pad_features(sets)
+    pooled, _ = encode_batch(rows, mask, w)
     for i, f in enumerate(sets):
         # matmul over a differently shaped batch may land on another BLAS
         # kernel, so agreement is to rounding, not to the bit
@@ -114,58 +114,61 @@ def test_oversized_set_rejected():
     w = _random_encoder(np.random.default_rng(5), max_people=3)
     with pytest.raises(ValueError, match="^a scene has 4 persons, cap is 3$"):
         encode(np.zeros((4, 6)), w)
-    batch, mask = pad_features([np.ones((p, 6)) for p in (2, 5, 4)])
+    rows, mask = pad_features([np.ones((p, 6)) for p in (2, 5, 4)])
     with pytest.raises(ValueError, match="^a scene has 5 persons, cap is 3$"):
-        encode_batch(batch, mask, w)
+        encode_batch(rows, mask, w)
 
 
 def test_batch_of_no_sets_encodes_to_no_rows():
     w = _random_encoder(np.random.default_rng(6))
-    pooled, _ = encode_batch(np.zeros((0, 3, 6)), np.zeros((0, 3), bool), w)
+    pooled, _ = encode_batch(np.zeros((0, 6)), np.zeros((0, 3), bool), w)
     assert pooled.shape == (0, 4) and pooled.dtype == np.float64
 
 
 def test_one_set_pads_to_a_copy_of_itself():
     f = np.random.default_rng(7).standard_normal((3, 6))
-    batch, mask = pad_features([f])
-    assert batch.shape == (1, 3, 6) and batch.tobytes() == f.tobytes()
+    rows, mask = pad_features([f])
+    assert rows.shape == (3, 6) and rows.tobytes() == f.tobytes()
     assert mask.dtype == bool and mask.shape == (1, 3) and mask.all()
-    batch[0, 0, 0] = 9.0
+    rows[0, 0] = 9.0
     assert f[0, 0] != 9.0
 
 
-def test_a_full_mask_reads_the_batch_as_a_gather_would():
-    # every slot real: the stack reads the batch reshaped, not batch[mask]
-    rng = np.random.default_rng(8)
-    w = _random_encoder(rng, input_dim=18, widths=(27, 18))
-    batch, mask = pad_features([rng.standard_normal((3, 18)) for _ in range(4)])
-    assert mask.all()
-    padded = np.zeros((4, 5, 18))
-    padded[:, :3] = batch
-    wider = np.zeros((4, 5), bool)
-    wider[:, :3] = True
-    full, (xs, _, _) = encode_batch(batch, mask, w)
-    gathered, _ = encode_batch(padded, wider, w)
-    assert full.tobytes() == gathered.tobytes()
-    assert xs[0].tobytes() == batch.tobytes()
+def test_pad_features_packs_the_rows_in_batch_order():
+    rng = np.random.default_rng(7)
+    sets = [rng.standard_normal((c, 6)) for c in (2, 1, 3)]
+    rows, mask = pad_features(sets)
+    assert rows.shape == (6, 6) and rows.tobytes() == np.vstack(sets).tobytes()
+    assert mask.tolist() == [[True, True, False], [True, False, False],
+                             [True, True, True]]
 
 
 def test_integer_mask_rejected():
     # ~mask of 0/1 integers is -1/-2: it would index rows, not mask them
     w = _random_encoder(np.random.default_rng(11))
-    batch, mask = pad_features([np.ones((p, 6)) for p in (2, 1, 3)])
+    rows, mask = pad_features([np.ones((p, 6)) for p in (2, 1, 3)])
     with pytest.raises(ValueError, match=re.escape(
-            "mask must be bool of shape (3, 3), got int64 of shape (3, 3)")):
-        encode_batch(batch, mask.astype(np.int64), w)
+            "mask must be a 2-D bool array, got int64 of shape (3, 3)")):
+        encode_batch(rows, mask.astype(np.int64), w)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (3, 3, 1)])
 def test_mask_of_another_shape_rejected(shape):
+    # five rows: a mask of six slots marks another row count
     w = _random_encoder(np.random.default_rng(12))
-    batch, _ = pad_features([np.ones((p, 6)) for p in (2, 1, 3)])
+    rows, _ = pad_features([np.ones((p, 6)) for p in (2, 1, 2)])
+    message = ("mask marks 6 rows, got 5" if len(shape) == 2 else
+               f"mask must be a 2-D bool array, got bool of shape {shape}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode_batch(rows, np.ones(shape, bool), w)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 5), (2, 3, 6)])
+def test_rows_of_another_shape_rejected(shape):
+    w = _random_encoder(np.random.default_rng(12))
     with pytest.raises(ValueError, match=re.escape(
-            f"mask must be bool of shape (3, 3), got bool of shape {shape}")):
-        encode_batch(batch, np.ones(shape, bool), w)
+            f"bad feature rows shape {shape}")):
+        encode_batch(np.ones(shape), np.ones((1, 6), bool), w)
 
 
 def test_identity_layer_pools_elementwise_max():
@@ -178,8 +181,8 @@ def test_identity_layer_pools_elementwise_max():
 
 def _backward(f, w, upstream):
     """Input gradient of <upstream, pooled> for one set, via the batched path."""
-    _, cache = encode_batch(f[None], np.ones((1, f.shape[0]), bool), w)
-    return encode_batch_backward(upstream[None], cache, w)[0]
+    _, cache = encode_batch(f, np.ones((1, f.shape[0]), bool), w)
+    return encode_batch_backward(upstream[None], cache, w)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -220,7 +223,7 @@ def test_gradient_matches_finite_differences():
         w = _random_encoder(rng)
         p = int(rng.integers(1, 5))
         f = rng.standard_normal((p, 6))
-        pooled, (xs, _, _) = encode_batch(f[None], np.ones((1, p), bool), w)
+        pooled, (xs, _, _) = encode_batch(f, np.ones((1, p), bool), w)
         # stay away from ReLU kinks and pooling ties, where the derivative jumps
         pre = [x @ l.W + l.b for x, l in zip(xs, w.layers)]
         if min(np.abs(z).min() for z in pre) < 1e-4:
@@ -314,15 +317,23 @@ def _copy(weights):
     return copy
 
 
+def padded(rows, mask):
+    """The (B, P_max, d) batch of packed ``rows``, zeros in the slots
+    ``mask`` leaves out: the padded forward's input."""
+    batch = np.zeros(mask.shape + rows.shape[1:])
+    batch[mask] = rows
+    return batch
+
+
 def check_against_padded_backward(batch, mask, w, upstream):
-    """Packed backward against ``routed_backward``, for finite inputs."""
+    """Backward of ``batch``'s real rows, packed, against
+    ``routed_backward`` of the whole batch, for finite inputs."""
     ref = _copy(w)
-    _, cache = encode_batch(batch, mask, w)
+    _, cache = encode_batch(batch[mask], mask, w)
     got = encode_batch_backward(upstream, cache, w)
     want = routed_backward(upstream, batch, mask, ref)
     scales, in_scale = magnitudes(upstream, batch, mask, ref)
-    assert got[~mask].tobytes() == np.zeros_like(got[~mask]).tobytes()
-    assert_close(got, want, in_scale)
+    assert_close(got, want[mask], in_scale[mask])
     for layer, r, (scale_W, scale_b) in zip(w.layers, ref.layers, scales):
         assert_close(layer.grad_W, r.grad_W, scale_W)
         assert_close(layer.grad_b, r.grad_b, scale_b)
@@ -364,12 +375,14 @@ def padded_batches(draw, elements=VALUES):
 @given(case=padded_batches(), data=st.data())
 def test_pooling_is_bit_equal_to_masked_argmax(case, data):
     batch, mask, w = case
-    before = batch.copy()
+    # the padded slots hold drawn values too, which only the references read
+    rows = batch[mask]
+    before = rows.copy()
     with np.errstate(all="ignore"):
-        pooled, cache = encode_batch(batch, mask, w)
+        pooled, cache = encode_batch(rows, mask, w)
         want, _ = where_pool(batch, mask, w)
     assert pooled.tobytes() == want.tobytes() and pooled.shape == want.shape
-    assert batch.tobytes() == before.tobytes()
+    assert rows.tobytes() == before.tobytes()
     # Backward finds the argmax among the real rows.  Distinct non-zero
     # upstream values make the routed gradient name the argmax row of every
     # pooled dimension; drawn ones carry zeros of both signs, NaN and inf.
@@ -377,8 +390,8 @@ def test_pooling_is_bit_equal_to_masked_argmax(case, data):
                      data.draw(hnp.arrays(float, pooled.shape,
                                           elements=VALUES))):
         routed = encoder._route(upstream, cache)
-        # the cache's rows are the real rows, packed in batch order
-        assert cache[0][0].tobytes() == batch[mask].tobytes()
+        # the cache holds the rows as given
+        assert cache[0][0] is rows
         want_routed = route(upstream, batch, mask, w)[mask]
         assert routed.tobytes() == want_routed.tobytes()
         assert routed.shape == want_routed.shape
@@ -386,8 +399,7 @@ def test_pooling_is_bit_equal_to_masked_argmax(case, data):
         with np.errstate(all="ignore"):
             got = encode_batch_backward(upstream, cache, w)
             routed_backward(upstream, batch, mask, ref)
-        assert got.shape == batch.shape
-        assert got[~mask].tobytes() == np.zeros_like(got[~mask]).tobytes()
+        assert got.shape == rows.shape
         # the last layer's mask, read off the pooled values, is the padded
         # stack's: its grad_b sums the same values, in the same order, and
         # only the padded rows' zeros between them (so up to zero signs)
@@ -412,51 +424,29 @@ def test_packed_backward_is_close_to_the_padded_backward(case, data):
 def test_packed_backward_layouts(counts):
     rng = np.random.default_rng(13)
     w = _random_encoder(rng, widths=(7, 5, 4))
-    batch, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
+    rows, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
     upstream = rng.standard_normal((len(counts), 4))
-    check_against_padded_backward(batch, mask, w, upstream)
+    check_against_padded_backward(padded(rows, mask), mask, w, upstream)
 
 
-def test_padded_rows_do_not_reach_the_gradients():
-    # inf in a padded row: the padded backward multiplies it by that row's
-    # zero gradient and gets NaN; the packed backward never reads the row
-    rng = np.random.default_rng(14)
-    w = _random_encoder(rng)
-    batch, mask = pad_features([rng.standard_normal((p, 6)) for p in (3, 1, 2)])
-    upstream = rng.standard_normal((3, 4))
-    grads = []
-    for fill in (0.0, np.inf):
-        batch[~mask] = fill
-        with np.errstate(invalid="ignore"):
-            _, cache = encode_batch(batch, mask, w)
-        g_in = encode_batch_backward(upstream, cache, w)
-        grads.append(b"".join(a.tobytes() for a in [g_in] + [
-            x for l in w.layers for x in (l.grad_W, l.grad_b)]))
-        assert np.isfinite(g_in).all()
-        assert all(np.isfinite(l.grad_W).all() for l in w.layers)
-    assert grads[0] == grads[1]
-    with np.errstate(invalid="ignore"):
-        routed_backward(upstream, batch, mask, w)
-    assert np.isnan(w.layers[0].grad_W).any()
-
-
-# The stack runs over the real rows only: no forward pass builds a
+# The stack runs over the packed rows only: no forward pass builds a
 # (B, P_max, D) activation.
 
 def test_encode_batch_runs_the_stack_over_the_real_rows_only(monkeypatch):
     rng = np.random.default_rng(15)
     w = _random_encoder(rng, max_people=25)
-    rows = []
+    seen = []
 
     def spy(x, layers):
-        rows.append(x.shape[0])
+        seen.append(x)
         return relu_stack_forward(x, layers)
 
     monkeypatch.setattr(encoder, "relu_stack_forward", spy)
     for counts in ((25, 1, 1, 3), (2, 7), (1,)):
-        batch, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
-        encode_batch(batch, mask, w)
-        assert rows[-1] == mask.sum() == sum(counts)
+        rows, mask = pad_features([rng.standard_normal((c, 6)) for c in counts])
+        encode_batch(rows, mask, w)
+        # the rows as given, no copy
+        assert seen[-1] is rows and len(rows) == mask.sum() == sum(counts)
 
 
 # CLI default widths: one (B, P_max, D) float64 array of this batch is
@@ -465,17 +455,17 @@ def test_encode_batch_allocates_less_than_one_padded_activation():
     rng = np.random.default_rng(16)
     w = init_encoder(EncoderConfig(layer_widths=(64, 256, 1024)), rng)
     counts = [25] + [1] * 31
-    batch, mask = pad_features([rng.standard_normal((c, 18)) for c in counts])
-    padded = batch.shape[0] * batch.shape[1] * w.config.output_dim * 8
+    rows, mask = pad_features([rng.standard_normal((c, 18)) for c in counts])
+    one_padded = mask.size * w.config.output_dim * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
-        encode_batch(batch, mask, w)
+        encode_batch(rows, mask, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < padded
+    assert peak - base < one_padded
 
 
 @st.composite
@@ -499,10 +489,10 @@ def test_packed_pooling_is_bit_equal_to_the_padded_forward(widths, sizes, seed):
     for k in range(len(sets)):
         if sizes[k] == 1 and rng.random() < 0.5:
             sets[k] = np.zeros((1, 18))  # a filler set, as prediction pads
-    batch, mask = pad_features(sets)
-    pooled, _ = encode_batch(batch, mask, w)
+    rows, mask = pad_features(sets)
+    pooled, _ = encode_batch(rows, mask, w)
     # where_pool is the padded forward: every row through the stack
-    assert pooled.tobytes() == where_pool(batch, mask, w)[0].tobytes()
+    assert pooled.tobytes() == where_pool(padded(rows, mask), mask, w)[0].tobytes()
 
 
 # few distinct values, so rows tie in column 0 and beyond

@@ -59,6 +59,17 @@ def test_group_ospace_face_to_face_dyad():
     assert math.isclose(c.y, 0.0, abs_tol=1e-12)
 
 
+def test_group_ospace_of_finite_proposals_whose_sum_overflows():
+    # each proposal's y is about 0.98e308; their sum is past a float, so
+    # each is halved before the sum, and the centroid clamps onto the wall
+    a, b = Person(1.0, 1.0, 80.0), Person(2.0, 1.0, 100.0)
+    pa, pb = propose_center(a, 1e308), propose_center(b, 1e308)
+    assert math.isinf(pa.y + pb.y)
+    c = group_ospace([a, b], 1e308)
+    assert c == Point2((pa.x + pb.x) / 2, pa.y / 2 + pb.y / 2)
+    assert clamp_to_room(c).y == DEFAULT_SPEC.height_m
+
+
 def test_group_ospace_singleton_is_own_proposal():
     p = Person(2.0, 2.0, 45.0)
     assert group_ospace([p], 0.7) == propose_center(p, 0.7)

@@ -14,7 +14,8 @@ import numpy as np
 
 from ospace import network, postprocess, tuning
 from ospace.core import Person, Scene
-from ospace.encoder import EncoderConfig
+from ospace.encoder import EncoderConfig, init_encoder
+from ospace.head import init_head
 from ospace.network import HeadConfig, TrainConfig, train
 from ospace.room import RoomFeature
 # the probe targets ospace keeps only for the probe table, and which its
@@ -93,3 +94,28 @@ def test_prediction_calls_no_retired_network_target(monkeypatch):
     network.predict_heatmaps(scenes, model, room)
     postprocess.predict_scene(scenes[0], model, room)
     assert calls == Counter(batch_forward=3)
+
+
+def test_mask_rows_reads_the_mask_encode_batch_is_given(monkeypatch):
+    """``encoder.batch_row_yield`` is ``_mask_rows`` of ``encode_batch``'s
+    arguments, which takes the second as the (B, P_max) mask: a signature
+    that moved it would silently make the yield another number."""
+    seen = []
+
+    def spy(*args, _real=network.encode_batch, **kwargs):
+        seen.append((args, kwargs))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "encode_batch", spy)
+    rng = np.random.default_rng(0)
+    enc_w = init_encoder(EncoderConfig(input_dim=18, max_people=25,
+                                       layer_widths=(8, 16)), rng)
+    head_w = init_head(HeadConfig(input_dim=20, hidden_widths=(16,),
+                                  output_dim=120), rng)
+    counts = (3, 1, 5, 2)
+    network.batch_forward([rng.standard_normal((c, 18)) for c in counts],
+                          np.zeros(4), enc_w, head_w)
+    [(args, kwargs)] = seen
+    assert kwargs == {}
+    assert _probes()._mask_rows(args, None) == (sum(counts),
+                                                len(counts) * max(counts))
