@@ -8,7 +8,7 @@
 import numpy as np
 
 from ospace.core import DEFAULT_SPEC, Person, Scene
-from ospace.groundtruth import propose_center, scene_target
+from ospace.groundtruth import propose_centers, scene_target
 from ospace.postprocess import AssignParams, assign_groups, nms
 
 np.set_printoptions(precision=3, suppress=True)
@@ -18,9 +18,8 @@ b = Person(x=2.4, y=2.0, yaw_deg=180.0)   # facing back at a
 c = Person(x=4.5, y=4.0, yaw_deg=90.0)    # looking at the far wall
 scene = Scene("demo", (a, b, c), ((0, 1), (2,)))
 
-print("proposed o-space centers (0.7 m ahead of each person):")
-for i, p in enumerate(scene.persons):
-    print(f"  person {i}: {propose_center(p)}")
+print("proposed o-space centers (0.7 m ahead of each person), one row each:")
+print(propose_centers(scene.persons, 0.7))
 
 heatmap = scene_target(scene)
 print(f"\ntarget heatmap, {DEFAULT_SPEC.rows} rows x {DEFAULT_SPEC.cols} cols,"

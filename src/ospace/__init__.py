@@ -26,12 +26,10 @@ from .dataset import (
     SceneParseError,
     SplitRatios,
     augment,
-    bucket_yaw,
     fit_norm_stats,
     flip_scene,
     load_scenes,
     parse_scenes,
-    person_feature,
     save_scenes,
     scene_features,
     sequential_split,
@@ -40,16 +38,13 @@ from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder
 from .evaluation import (
     GroupMetrics,
     aggregate,
-    group_matches,
     match_scene,
     snap_tolerance,
 )
 from .groundtruth import (
     DEFAULT_STRIDE_M,
     GaussianParams,
-    OSpaceCenter,
     group_ospace,
-    propose_center,
     render_heatmap,
     scene_centers,
     scene_target,

@@ -18,11 +18,12 @@ of another width than the checkpoint's.
 Every command is deterministic given its flags; randomness only enters
 through --seed.  Exit codes: 0 success; 1 usage error (a bad flag value,
 a negative --seed and a grid whose room size overflows a float included,
-or a ``train`` model too large to fit in memory, named by its parameter
-count and width flags), or a path that cannot be opened as asked (a
-missing file or directory, a directory given as a file, a file given as a
-directory; every output path is checked before the work, naming its
-flag); 2 data error (malformed files, shape mismatches, other I/O
+a ``train`` model too large to fit in memory, named by its parameter
+count and width flags, and a ``render`` grid whose one heatmap cannot fit
+in physical memory, named by its grid flags), or a path that cannot be
+opened as asked (a missing file or directory, a directory given as a
+file, a file given as a directory; every output path is checked before
+the work, naming its flag); 2 data error (malformed files, shape mismatches, other I/O
 errors); 3 numeric failure (training divergence, infeasible synthesis, or
 a ``synth --jitter-deg`` whose yaw draw overflows a float, named by the
 flag).
@@ -30,6 +31,7 @@ flag).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -150,9 +152,9 @@ def _params_from_args(args) -> AssignParams:
 
 def _write_pgm(heatmap: OSpaceMap, path) -> None:
     v = heatmap.values
-    write_lines(path, ["P2", f"{v.shape[1]} {v.shape[0]}", "255",
-                       *(" ".join(str(int(round(x * 255))) for x in row)
-                         for row in v)])
+    write_lines(path, itertools.chain(
+        ["P2", f"{v.shape[1]} {v.shape[0]}", "255"],
+        (" ".join(str(int(round(x * 255))) for x in row) for row in v)))
 
 
 def _write_heatmap_csv(heatmap: OSpaceMap, path) -> None:
@@ -175,7 +177,8 @@ def _check_file_names(scenes) -> None:
 
 
 def _write_heatmaps(directory, scenes, heatmaps, csv: bool) -> None:
-    """Each heatmap as <frame_id>.pgm, and .csv with ``csv``, in ``directory``."""
+    """Each heatmap as <frame_id>.pgm, and .csv with ``csv``, in ``directory``.
+    ``heatmaps`` may be a generator: each is drawn, then written."""
     os.makedirs(directory, exist_ok=True)
     for scene, heatmap in zip(scenes, heatmaps):
         path = os.path.join(directory, scene.frame_id)
@@ -426,16 +429,38 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def render_bytes(spec: RoomSpec) -> int:
+    """What one ``render`` heatmap holds at once, at most, as measured with
+    tracemalloc: five float64 grids (the map last written, and
+    ``render_heatmap``'s values, squared distances, their scaled negation
+    and its exp) and a row of the writers' text, 100 bytes a column."""
+    return 5 * 8 * spec.n_cells + 100 * spec.cols
+
+
+def _check_render_fits(spec: RoomSpec) -> None:
+    """Refuse a grid whose one heatmap cannot fit in physical memory."""
+    need = render_bytes(spec)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise _UsageError(
+            f"a {spec.rows}x{spec.cols} grid (--rows {spec.rows}, --cols "
+            f"{spec.cols}, --cell {spec.cell_m}) needs about "
+            f"{need / 2 ** 30:.1f} GiB per heatmap, more than the "
+            f"{have / 2 ** 30:.1f} GiB of physical memory")
+
+
 def _cmd_render(args) -> int:
     def build():
         _check_stride(args.stride)
         return _spec_from_args(args), GaussianParams(args.sigma)
 
     spec, gauss = _usage_guard(build)
+    _check_render_fits(spec)
     scenes = load_scenes(args.input, spec)
     _check_file_names(scenes)
-    maps = [scene_target(s, args.stride, gauss, spec) for s in scenes]
-    _write_heatmaps(args.output, scenes, maps, args.csv)
+    _write_heatmaps(args.output, scenes,
+                    (scene_target(s, args.stride, gauss, spec) for s in scenes),
+                    args.csv)
     print(f"rendered {len(scenes)} heatmaps into {args.output}")
     return 0
 

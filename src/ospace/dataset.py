@@ -14,8 +14,7 @@ Each line is decoded by ``jsondoc.decode`` and its fields are read through
 path>: ...".
 Person features are 18-dim: z-scored x and y (stats fit on the training
 split) followed by a 16-slot one-hot of the bucketed yaw.  One array pass
-builds a scene's (P, 18) matrix; ``person_feature`` and ``bucket_yaw`` are
-that rule on one person and one yaw.
+builds a scene's (P, 18) matrix, ``scene_features``.
 """
 from __future__ import annotations
 
@@ -40,9 +39,7 @@ __all__ = [
     "load_scenes",
     "save_scenes",
     "sequential_split",
-    "bucket_yaw",
     "fit_norm_stats",
-    "person_feature",
     "scene_features",
     "flip_scene",
     "augment",
@@ -181,14 +178,6 @@ def sequential_split(scenes, ratios: SplitRatios = SplitRatios()):
     return train, val, test
 
 
-def bucket_yaw(yaw_deg: float) -> int:
-    """Index of the 22.5-degree bucket, half-open [k*22.5, (k+1)*22.5):
-    ``_yaw_buckets`` of one yaw."""
-    if not math.isfinite(yaw_deg):
-        raise ValueError(f"non-finite yaw {yaw_deg}")
-    return int(_yaw_buckets(np.array([yaw_deg], float))[0])
-
-
 def _yaw_buckets(yaw_deg: np.ndarray) -> np.ndarray:
     """Each yaw's bucket, ``min(int(yaw % 360 / 22.5), 15)``: numpy's float
     ``%`` is Python's, and a yaw just below 0 folds to 360, bucket 15."""
@@ -212,22 +201,11 @@ def fit_norm_stats(train_scenes) -> NormStats:
     )
 
 
-def person_feature(person: Person, stats: NormStats) -> np.ndarray:
-    """18-dim vector: normalized x, normalized y, one-hot yaw bucket; the
-    row ``scene_features`` gives the person."""
-    return _feature_rows([person], stats)[0]
-
-
 def scene_features(scene: Scene, stats: NormStats) -> np.ndarray:
-    """Stack of person features, shape (P, 18), built in one array pass."""
-    return _feature_rows(scene.persons, stats)
-
-
-def _feature_rows(persons, stats: NormStats) -> np.ndarray:
-    """The (P, 18) features of ``persons``: (x - mean_x) / std_x,
-    (y - mean_y) / std_y, then a 1 in slot 2 + the yaw's bucket."""
-    n = len(persons)
-    a = np.array([v for p in persons for v in (p.x, p.y, p.yaw_deg)],
+    """The (P, 18) person features, built in one array pass: (x - mean_x) /
+    std_x, (y - mean_y) / std_y, then a 1 in slot 2 + the yaw's bucket."""
+    n = len(scene.persons)
+    a = np.array([v for p in scene.persons for v in (p.x, p.y, p.yaw_deg)],
                  float).reshape(n, 3)
     out = np.zeros((n, FEATURE_DIM))
     out[:, 0] = (a[:, 0] - stats.mean_x) / stats.std_x
@@ -250,11 +228,12 @@ def _flip_persons(persons, axis: str, spec: RoomSpec) -> tuple[Person, ...]:
     if axis == "both":
         return _flip_persons(_flip_persons(persons, "horizontal", spec),
                              "vertical", spec)
+    # Person reduces each yaw to [0, 360)
     if axis == "horizontal":
-        return tuple(Person(spec.width_m - p.x, p.y, (180.0 - p.yaw_deg) % 360.0)
+        return tuple(Person(spec.width_m - p.x, p.y, 180.0 - p.yaw_deg)
                      for p in persons)
     if axis == "vertical":
-        return tuple(Person(p.x, spec.height_m - p.y, (360.0 - p.yaw_deg) % 360.0)
+        return tuple(Person(p.x, spec.height_m - p.y, 360.0 - p.yaw_deg)
                      for p in persons)
     raise ValueError(f"unknown flip axis {axis!r}")
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_person_count
 from .layers import (Dense, dense_backward, init_store, layer_shapes, relu_mask,
                      relu_stack_backward, relu_stack_forward)
 
@@ -106,7 +107,8 @@ def pad_features(feature_sets) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_batch(rows: np.ndarray, mask: np.ndarray,
                  cfg: EncoderConfig) -> list[int]:
-    """Each set's row count, once the rows and mask are checked."""
+    """Each set's row count, once the rows and mask are checked; a set the
+    model cannot read is named by ``core.check_person_count``."""
     if rows.ndim != 2 or rows.shape[1] != cfg.input_dim:
         raise ValueError(f"bad feature rows shape {rows.shape}")
     if mask.dtype != bool or mask.ndim != 2:
@@ -115,12 +117,9 @@ def _check_batch(rows: np.ndarray, mask: np.ndarray,
     counts = mask.sum(axis=1).tolist()
     if sum(counts) != rows.shape[0]:
         raise ValueError(f"mask marks {sum(counts)} rows, got {rows.shape[0]}")
-    if counts and min(counts) < 1:
-        raise ValueError("a scene has zero persons")
-    if counts and max(counts) > cfg.max_people:
-        raise ValueError(
-            f"a scene has {max(counts)} persons, cap is {cfg.max_people}"
-        )
+    if counts and not (min(counts) > 0 and max(counts) <= cfg.max_people):
+        for i, n in enumerate(counts):  # name the first bad set
+            check_person_count(n, cfg.max_people, f"set {i}")
     return counts
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "snap_tolerance",
     "required_correct",
     "max_false",
-    "group_matches",
     "match_scene",
     "match_counts",
     "aggregate",
@@ -90,18 +89,6 @@ def _thresholds(group_size: int, num: int, den: int) -> tuple[int, int]:
     keyed by integers because hashing a Fraction is slow."""
     t = Fraction(num, den)
     return required_correct(group_size, t), max_false(group_size, t)
-
-
-def group_matches(pred, gt, t) -> bool:
-    """True when pred has enough of gt's members and few enough outsiders."""
-    pred = set(pred)
-    gt = set(gt)
-    if not pred or not gt:
-        raise ValueError("empty group")
-    t = snap_tolerance(t)
-    need, allow = _thresholds(len(gt), t.numerator, t.denominator)
-    correct = len(pred & gt)
-    return correct >= need and len(pred) - correct <= allow
 
 
 def _match_order(blocks):

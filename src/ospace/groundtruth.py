@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_SPEC, OSpaceMap, Person, Point2, RoomSpec, Scene, grid_centers
+from .core import DEFAULT_SPEC, OSpaceMap, Point2, RoomSpec, Scene, grid_centers
 
 __all__ = [
     "GaussianParams",
-    "OSpaceCenter",
     "DEFAULT_STRIDE_M",
     "headings",
     "step_ahead",
     "propose_centers",
-    "propose_center",
     "group_ospace",
     "clamp_to_room",
     "scene_centers",
@@ -53,14 +51,6 @@ class GaussianParams:
             raise ValueError(f"sigma must be positive, with 2 sigma^2 a normal "
                              f"float, got {sigma}")
         object.__setattr__(self, "two_sigma_sq", two_sigma_sq)
-
-
-@dataclass(frozen=True)
-class OSpaceCenter:
-    """A group's o-space center with the member indices that produced it."""
-
-    center: Point2
-    group: tuple[int, ...]
 
 
 def headings(persons) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +89,6 @@ def propose_centers(persons, stride_m: float) -> np.ndarray:
     return step_ahead(*headings(persons), stride_m)
 
 
-def propose_center(person: Person, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
-    """The o-space center a person proposes: ``propose_centers`` of them alone."""
-    return Point2(*propose_centers([person], stride_m)[0].tolist())
-
-
 def group_ospace(members, stride_m: float = DEFAULT_STRIDE_M) -> Point2:
     """Least-squares o-space of a group: centroid of the member proposals,
     each taken over the count first where their sum overflows."""
@@ -127,15 +112,12 @@ def clamp_to_room(p: Point2, spec: RoomSpec = DEFAULT_SPEC) -> Point2:
 
 
 def scene_centers(scene: Scene, stride_m: float = DEFAULT_STRIDE_M,
-                  spec: RoomSpec = DEFAULT_SPEC) -> tuple[OSpaceCenter, ...]:
-    """O-space centers of the non-singleton blocks, clamped into the room."""
-    out = []
-    for block in scene.groups:
-        if len(block) < 2:
-            continue
-        c = group_ospace([scene.persons[i] for i in block], stride_m)
-        out.append(OSpaceCenter(clamp_to_room(c, spec), block))
-    return tuple(out)
+                  spec: RoomSpec = DEFAULT_SPEC) -> tuple[Point2, ...]:
+    """O-space centers of the non-singleton blocks, in block order, clamped
+    into the room."""
+    return tuple(clamp_to_room(group_ospace([scene.persons[i] for i in block],
+                                            stride_m), spec)
+                 for block in scene.groups if len(block) >= 2)
 
 
 def render_heatmap(centers, params: GaussianParams = GaussianParams(),
@@ -157,5 +139,4 @@ def scene_target(scene: Scene, stride_m: float = DEFAULT_STRIDE_M,
                  params: GaussianParams = GaussianParams(),
                  spec: RoomSpec = DEFAULT_SPEC) -> OSpaceMap:
     """Ground-truth heatmap of a labeled scene."""
-    centers = [oc.center for oc in scene_centers(scene, stride_m, spec)]
-    return render_heatmap(centers, params, spec)
+    return render_heatmap(scene_centers(scene, stride_m, spec), params, spec)

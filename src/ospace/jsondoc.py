@@ -10,8 +10,9 @@ same way: with a ValueError that names the document (``what``, such as
 (``where`` and the key) instead of with a TypeError deep in the program.
 
 ``write_lines`` is the one text-output rule: every text file ospace writes,
-from a scene file to a heatmap image, reaches disk through it.  A
-checkpoint is binary and has its own writer (``checkpoint.save_model``).
+from a scene file to a heatmap image, reaches disk through it, whole or
+not at all.  A checkpoint is binary and has its own writer
+(``checkpoint.save_model``).
 The input side has one rule too: ``read_lines`` is the only place a text
 input (a scene, prediction, ``--params``, layout or room feature file) is
 opened, and ``decode`` is the one UTF-8 rule, so a bad byte in any input,
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 from dataclasses import asdict, fields
 
 __all__ = ["get_field", "get_number", "get_int_arrays", "to_obj", "from_obj",
@@ -152,9 +155,35 @@ def load(path, what: str):
 
 def write_lines(path, lines) -> None:
     """Write each string of ``lines`` to the file ``path`` in UTF-8, ending
-    each with a newline.  ``lines`` may be a generator: it is consumed one
-    line at a time, after the file is opened (and truncated)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line)
-            f.write("\n")
+    each with a newline: the whole file or, on any error, nothing.
+
+    ``lines`` may be a generator: it is consumed one line at a time, into a
+    new file (mode 0666 less the umask) beside the destination, which then
+    replaces it with ``os.replace``; an error, in ``lines`` too, removes it
+    and leaves the path as it was.  A symlink stays: the file it points to
+    is the one replaced.  A destination that exists and is not a regular
+    file (a pipe, ``/dev/stdout``) is written in place.
+    """
+    try:
+        direct = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        direct = False
+    real = os.path.realpath(path)
+    target = path if direct else f"{real}.{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT
+                     | (os.O_TRUNC if direct else os.O_EXCL), 0o666)
+    except OSError as e:
+        e.filename = path  # the destination, not the temporary file
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
+        if not direct:
+            os.replace(target, real)
+    except BaseException:
+        if not direct:
+            os.unlink(target)
+        raise

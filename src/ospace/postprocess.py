@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .checkpoint import ModelWeights
-from .core import OSpaceMap, Point2, Scene, apart
+from .core import OSpaceMap, Point2, Scene, apart, cell_center
 from .groundtruth import DEFAULT_STRIDE_M, propose_centers
 from .network import predict_heatmap
 from .room import RoomFeature
@@ -60,12 +60,12 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     count) and >= nms_threshold, visited in descending score with row-major
     tie order; ``thin`` keeps each that lies at least
     min_group_separation_m from every already-kept center.  Result is
-    sorted by descending score.  Centers are
-    ``core.cell_center``'s expressions.  At separation 0 every candidate is
-    kept, so ``thin`` of that list at a separation is NMS at it.
+    sorted by descending score.  Each center is its cell's
+    ``core.cell_center``.  At separation 0 every candidate is kept, so
+    ``thin`` of that list at a separation is NMS at it.
     """
     v = heatmap.values
-    n_cols = v.shape[1]
+    spec = heatmap.spec
     # each cell's 3x3 window max, with the threshold, one axis at a time:
     # v and the threshold hold no NaN, so a cell is >= that max iff it is
     # >= all 8 neighbors and >= nms_threshold
@@ -79,9 +79,8 @@ def nms(heatmap: OSpaceMap, params: AssignParams) -> list[Detection]:
     # descending score; sorted is stable, so ties keep row-major order
     ranked = sorted(zip(v.reshape(-1)[cells].tolist(), cells.tolist()),
                     key=itemgetter(0), reverse=True)
-    cell_m = heatmap.spec.cell_m
-    candidates = [Detection(Point2((c + 0.5) * cell_m, (r + 0.5) * cell_m), score)
-                  for score, cell in ranked for r, c in (divmod(cell, n_cols),)]
+    candidates = [Detection(cell_center(*divmod(cell, spec.cols), spec), score)
+                  for score, cell in ranked]
     return thin(candidates, params.min_group_separation_m)
 
 

@@ -125,7 +125,7 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
                 persons.append(Person(
                     _clamp(px + dx, 0.0, spec.width_m),
                     _clamp(py + dy, 0.0, spec.height_m),
-                    yaw % 360.0,
+                    yaw,
                 ))
             blocks.append(tuple(range(start, start + size)))
         for _ in range(n_single):

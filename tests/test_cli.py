@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
@@ -14,8 +15,8 @@ import pytest
 
 import ospace
 from ospace import network
-from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main
-from ospace.core import DEFAULT_SPEC, Person, Scene
+from ospace.cli import _write_heatmap_csv, _write_pgm, build_parser, main, render_bytes
+from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.dataset import SceneParseError, load_scenes, parse_scenes
 from ospace.evaluation import match_scene
 from ospace.network import load_model, predict_heatmaps
@@ -633,6 +634,55 @@ def test_stride_whose_proposals_sum_past_a_float(workdir, argv, output):
     _write_scenes(workdir / "s.jsonl", SAME_WAY)
     assert main(argv + ["--stride", "1e308"]) == 0
     assert (workdir / output).stat().st_size > 0
+
+
+def test_render_refuses_a_grid_past_physical_memory(workdir, capsys):
+    _write_scenes(workdir / "s.jsonl")
+    rc = main(["render", "s.jsonl", "-o", "maps", "--cols", "1000000000000"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: a 10x1000000000000 grid (--rows 10, --cols "
+                          "1000000000000, --cell 0.5) needs about ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert not (workdir / "maps").exists()
+
+
+def _render_peak(scenes, *flags) -> int:
+    """The tracemalloc peak of one in-process ``render`` of ``scenes``."""
+    tracemalloc.start()
+    try:
+        rc = main(["render", str(scenes), "-o", "maps", *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def _frames(n: int) -> str:
+    return "".join(DYAD.replace('"a"', f'"f{k}"') for k in range(n))
+
+
+# a wide sigma makes every cell non-zero, so each number is its own string
+@pytest.mark.parametrize("rows,cols", [(1, 40000), (150, 150)])
+def test_render_memory_stays_within_its_bound(workdir, capsys, rows, cols):
+    scenes = _write_scenes(workdir / "s.jsonl", _frames(2))
+    peak = _render_peak(scenes, "--rows", str(rows), "--cols", str(cols),
+                        "--cell", "3", "--sigma", "1000", "--csv")
+    # the bound, past a fixed 256 KB for the scenes, imports and buffers
+    assert peak <= render_bytes(RoomSpec(rows, cols, 3.0)) + 2 ** 18
+
+
+def test_render_memory_does_not_grow_with_the_file(workdir, capsys):
+    """Each map is written before the next is drawn: ten times the frames
+    add less than one map's bytes to the peak (all their maps, held in a
+    list, would add nine times the first run's)."""
+    grid = ["--rows", "60", "--cols", "60", "--cell", "0.1"]
+    small = _write_scenes(workdir / "n.jsonl", _frames(3))
+    _render_peak(small, *grid)  # a first run also holds one-time allocations
+    small = _render_peak(small, *grid)
+    large = _render_peak(_write_scenes(workdir / "ten_n.jsonl", _frames(30)), *grid)
+    assert large - small < 60 * 60 * 8
 
 
 def test_render_csv_option(workdir):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ospace.core import (
     DEFAULT_SPEC,
@@ -95,6 +95,18 @@ def test_person_normalizes_yaw():
     # -1e-20 % 360.0 rounds to 360.0; the normalized yaw stays below 360
     assert Person(1, 1, -1e-20).yaw_deg == 0.0
     assert isinstance(Person(1, 1, 0).x, float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(yaw=st.floats(allow_nan=False, allow_infinity=False))
+@example(yaw=-1e-300)
+@example(yaw=-0.0)
+@example(yaw=359.99999999999994)
+def test_a_yaw_reduced_before_person_keeps_its_bits(yaw):
+    """Reducing a yaw before ``Person`` does changes nothing, so no caller
+    needs to: a tiny negative yaw's ``% 360.0`` is 360.0, which ``Person``
+    folds to 0.0."""
+    assert repr(Person(0, 0, yaw).yaw_deg) == repr(Person(0, 0, yaw % 360.0).yaw_deg)
 
 
 def test_person_rejects_non_finite():

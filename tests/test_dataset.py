@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
 from ospace.dataset import (
@@ -12,12 +12,10 @@ from ospace.dataset import (
     SceneParseError,
     SplitRatios,
     augment,
-    bucket_yaw,
     fit_norm_stats,
     flip_scene,
     load_scenes,
     parse_scenes,
-    person_feature,
     save_scenes,
     scene_features,
     sequential_split,
@@ -196,28 +194,31 @@ def test_split_ratios_validation():
     SplitRatios(0.8, 0.1, 0.1)  # float sum is fine despite rounding
 
 
+def _rows(persons, stats=NormStats(0.0, 0.0, 1.0, 1.0)):
+    """``scene_features`` of the persons as one frame of singletons."""
+    persons = tuple(persons)
+    singletons = tuple((i,) for i in range(len(persons)))
+    return scene_features(Scene("s", persons, singletons), stats)
+
+
+def _buckets(yaws) -> list[int]:
+    """Each yaw's bucket: the hot slot of its person's feature row."""
+    yaw_slots = _rows(Person(0.0, 0.0, yaw) for yaw in yaws)[:, 2:]
+    assert (yaw_slots.sum(axis=1) == 1.0).all()
+    return np.argmax(yaw_slots, axis=1).tolist()
+
+
 def test_bucket_yaw_examples():
-    assert bucket_yaw(0.0) == 0
-    assert bucket_yaw(359.0) == 15
-    assert bucket_yaw(22.5) == 1
-    assert bucket_yaw(22.4999) == 0
-    assert bucket_yaw(360.0) == 0
-    assert bucket_yaw(-1.0) == 15
+    assert _buckets([0.0, 359.0, 22.5, 22.4999, 360.0, -1.0]) == [0, 15, 1, 0, 0, 15]
 
 
 def test_bucket_yaw_surjective():
-    buckets = {bucket_yaw(k * 22.5 + 11.0) for k in range(16)}
-    assert buckets == set(range(16))
+    assert set(_buckets(k * 22.5 + 11.0 for k in range(16))) == set(range(16))
 
 
 def test_bucket_yaw_total_on_circle():
-    for yaw in np.linspace(0, 360, 14401):
-        assert 0 <= bucket_yaw(float(yaw)) <= 15
-
-
-def test_bucket_yaw_rejects_non_finite():
-    with pytest.raises(ValueError):
-        bucket_yaw(float("nan"))
+    buckets = _buckets(np.linspace(0, 360, 14401).tolist())
+    assert min(buckets) == 0 and max(buckets) == 15
 
 
 def _scene_at(xs, ys):
@@ -255,7 +256,7 @@ def test_norm_stats_rejects_bad_values():
 
 def test_person_feature_at_mean():
     stats = NormStats(2.0, 1.0, 1.0, 1.0)
-    f = person_feature(Person(2.0, 1.0, 0.0), stats)
+    f = _rows([Person(2.0, 1.0, 0.0)], stats)[0]
     assert f.shape == (18,)
     assert f[0] == 0.0 and f[1] == 0.0
     assert f[2] == 1.0 and f[2:].sum() == 1.0
@@ -263,13 +264,13 @@ def test_person_feature_at_mean():
 
 def test_person_feature_one_std_out():
     stats = NormStats(2.0, 1.0, 0.5, 1.0)
-    f = person_feature(Person(2.5, 1.0, 0.0), stats)
+    f = _rows([Person(2.5, 1.0, 0.0)], stats)[0]
     assert f[0] == 1.0
 
 
 def test_person_feature_yaw_bucket_slot():
     stats = NormStats(2.0, 1.0, 1.0, 1.0)
-    f = person_feature(Person(3.0, 2.0, 100.0), stats)
+    f = _rows([Person(3.0, 2.0, 100.0)], stats)[0]
     assert f[0] == 1.0 and f[1] == 1.0
     assert f[2 + 4] == 1.0 and f[2:].sum() == 1.0
 
@@ -316,8 +317,8 @@ def test_scene_features_equal_per_person_oracle(persons, stats):
     got = scene_features(scene, stats)
     assert got.shape == want.shape == (len(persons), 18)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for p, row in zip(persons, want):
-        assert person_feature(p, stats).tobytes() == row.tobytes()
+    for p, row in zip(persons, want):  # a person's row is theirs alone
+        assert _rows([p], stats)[0].tobytes() == row.tobytes()
 
 
 def test_scene_features_at_every_edge_yaw():
@@ -329,7 +330,8 @@ def test_scene_features_at_every_edge_yaw():
     scene = Scene("edges", persons, tuple((i,) for i in range(len(persons))))
     got = scene_features(scene, stats)
     assert got.tobytes() == _features_per_person(scene, stats).tobytes()
-    assert [bucket_yaw(p.yaw_deg) for p in persons] == \
+    # a Person's yaw lies in [0, 360)
+    assert [min(int(p.yaw_deg / 22.5), 15) for p in persons] == \
         np.argmax(got[:, 2:], axis=1).tolist()
     empty = scene_features(Scene("none", (), ()), stats)
     assert empty.shape == (0, 18) and empty.dtype == np.float64
@@ -401,14 +403,29 @@ def test_flip_preserves_groups_and_distances():
                 assert math.isclose(d0, d1, rel_tol=0, abs_tol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(yaw=st.floats(allow_nan=False, allow_infinity=False))
+@example(yaw=-1e-300)
+@example(yaw=-0.0)
+@example(yaw=359.99999999999994)
+def test_flip_yaw_is_the_reduced_mirror(yaw):
+    """A flip's yaw is its mirror reduced once more before ``Person``
+    reduces it: ``Person`` is the one place a yaw is normalized."""
+    s = Scene("s", (Person(1.0, 2.0, yaw),), ((0,),))
+    y = s.persons[0].yaw_deg
+    for axis, mirror in (("horizontal", 180.0 - y), ("vertical", 360.0 - y)):
+        got = flip_scene(s, axis).persons[0].yaw_deg
+        assert repr(got) == repr(Person(0.0, 0.0, mirror % 360.0).yaw_deg)
+
+
 def test_feature_space_flip_with_symmetric_stats():
     stats = NormStats(mean_x=3.0, mean_y=2.5, std_x=1.0, std_y=1.0)
     p = Person(1.0, 1.5, 45.0)
-    f = person_feature(p, stats)
-    fh = person_feature(flip_scene(Scene("s", (p,), ((0,),)),
-                                   "horizontal").persons[0], stats)
+    f = _rows([p], stats)[0]
+    fh = _rows(flip_scene(Scene("s", (p,), ((0,),)), "horizontal").persons,
+               stats)[0]
     assert fh[0] == -f[0] and fh[1] == f[1]
-    assert fh[2 + bucket_yaw(180.0 - 45.0)] == 1.0
+    assert fh[2 + 6] == 1.0  # 180 - 45 = 135 degrees: bucket 6
 
 
 def test_augment_counts_and_order():

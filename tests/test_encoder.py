@@ -106,16 +106,22 @@ def test_batched_encode_matches_single():
 
 def test_empty_set_rejected():
     w = _random_encoder(np.random.default_rng(4))
-    with pytest.raises(ValueError, match="^a scene has zero persons$"):
+    with pytest.raises(ValueError, match="^set 0: 0 persons, a model needs "
+                                         "at least 1$"):
         encode(np.zeros((0, 6)), w)
+    rows, mask = pad_features([np.ones((2, 6)), np.ones((0, 6))])
+    with pytest.raises(ValueError, match="^set 1: 0 persons, a model needs "
+                                         "at least 1$"):
+        encode_batch(rows, mask, w)
 
 
 def test_oversized_set_rejected():
     w = _random_encoder(np.random.default_rng(5), max_people=3)
-    with pytest.raises(ValueError, match="^a scene has 4 persons, cap is 3$"):
+    with pytest.raises(ValueError, match="^set 0: 4 persons, cap is 3$"):
         encode(np.zeros((4, 6)), w)
-    rows, mask = pad_features([np.ones((p, 6)) for p in (2, 5, 4)])
-    with pytest.raises(ValueError, match="^a scene has 5 persons, cap is 3$"):
+    # the first bad set in batch order is named, not the largest
+    rows, mask = pad_features([np.ones((p, 6)) for p in (2, 5, 4, 9)])
+    with pytest.raises(ValueError, match="^set 1: 5 persons, cap is 3$"):
         encode_batch(rows, mask, w)
 
 

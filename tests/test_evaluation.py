@@ -9,7 +9,6 @@ from ospace.evaluation import (
     _thresholds,
     aggregate,
     format_tolerance,
-    group_matches,
     match_counts,
     match_scene,
     max_false,
@@ -47,17 +46,20 @@ def test_thresholds_exact_arithmetic():
 
 
 def test_group_matches_examples():
-    assert group_matches({0, 1, 2}, {0, 1, 2}, 1)
-    assert not group_matches({0, 1, 2, 3}, {0, 1, 2}, 1)
-    assert not group_matches({0, 1}, {0, 1, 2}, 1)
+    """One predicted block against one true block: (1, 0, 0) when it
+    matches, (0, 1, 1) when it does not."""
+    hit, miss = (1, 0, 0), (0, 1, 1)
+    assert match_scene([(0, 1, 2)], [(0, 1, 2)], 1) == hit
+    assert match_scene([(0, 1, 2, 3)], [(0, 1, 2)], 1) == miss
+    assert match_scene([(0, 1)], [(0, 1, 2)], 1) == miss
     # size 3 at 2/3: two of three members and at most one outsider
-    assert group_matches({0, 1, 9}, {0, 1, 2}, T23)
-    assert not group_matches({0, 8, 9}, {0, 1, 2}, T23)
-    assert not group_matches({0, 1, 8, 9}, {0, 1, 2}, T23)
-    with pytest.raises(ValueError):
-        group_matches(set(), {0, 1}, T23)
-    with pytest.raises(ValueError):
-        group_matches({0, 1}, set(), T23)
+    assert match_scene([(0, 1, 9)], [(0, 1, 2)], T23) == hit
+    assert match_scene([(0, 8, 9)], [(0, 1, 2)], T23) == miss
+    assert match_scene([(0, 1, 8, 9)], [(0, 1, 2)], T23) == miss
+    with pytest.raises(ValueError, match=r"^predicted groups\.0: empty$"):
+        match_scene([()], [(0, 1)], T23)
+    with pytest.raises(ValueError, match=r"^ground-truth groups\.0: empty$"):
+        match_scene([(0, 1)], [()], T23)
 
 
 def test_match_scene_crossed_pair():

@@ -9,39 +9,44 @@ from ospace.groundtruth import (
     GaussianParams,
     clamp_to_room,
     group_ospace,
-    propose_center,
+    propose_centers,
     render_heatmap,
     scene_centers,
     scene_target,
 )
 
 
+def _proposal(person, stride_m) -> Point2:
+    """One person's o-space proposal: ``propose_centers`` of them alone."""
+    return Point2(*propose_centers([person], stride_m)[0].tolist())
+
+
 def test_propose_center_along_positive_x():
-    p = propose_center(Person(1.0, 1.0, 0.0), 0.7)
+    p = _proposal(Person(1.0, 1.0, 0.0), 0.7)
     assert math.isclose(p.x, 1.7, abs_tol=1e-12)
     assert math.isclose(p.y, 1.0, abs_tol=1e-12)
 
 
 def test_propose_center_zero_stride():
-    p = propose_center(Person(2.5, 3.5, 123.0), 0.0)
+    p = _proposal(Person(2.5, 3.5, 123.0), 0.0)
     assert (p.x, p.y) == (2.5, 3.5)
 
 
 def test_propose_center_along_positive_y():
-    p = propose_center(Person(1.0, 1.0, 90.0), 0.5)
+    p = _proposal(Person(1.0, 1.0, 90.0), 0.5)
     assert math.isclose(p.x, 1.0, abs_tol=1e-12)
     assert math.isclose(p.y, 1.5, abs_tol=1e-12)
 
 
 def test_propose_center_rejects_negative_stride():
     with pytest.raises(ValueError):
-        propose_center(Person(1, 1, 0), -0.1)
+        propose_centers([Person(1, 1, 0)], -0.1)
 
 
 def test_proposal_errors_name_the_stride_or_the_first_bad_member():
     huge = [Person(1.0, 1.0, 0.0), Person(1.7e308, 2.0, 0.0),
             Person(1.7e308, 3.0, 0.0)]
-    for call in (lambda s: propose_center(huge[1], s),
+    for call in (lambda s: propose_centers([huge[1]], s),
                  lambda s: group_ospace(huge, s)):
         with pytest.raises(ValueError, match=r"^non-finite point \(inf, 2.0\)$"):
             call(1e308)
@@ -63,7 +68,7 @@ def test_group_ospace_of_finite_proposals_whose_sum_overflows():
     # each proposal's y is about 0.98e308; their sum is past a float, so
     # each is halved before the sum, and the centroid clamps onto the wall
     a, b = Person(1.0, 1.0, 80.0), Person(2.0, 1.0, 100.0)
-    pa, pb = propose_center(a, 1e308), propose_center(b, 1e308)
+    pa, pb = _proposal(a, 1e308), _proposal(b, 1e308)
     assert math.isinf(pa.y + pb.y)
     c = group_ospace([a, b], 1e308)
     assert c == Point2((pa.x + pb.x) / 2, pa.y / 2 + pb.y / 2)
@@ -72,7 +77,7 @@ def test_group_ospace_of_finite_proposals_whose_sum_overflows():
 
 def test_group_ospace_singleton_is_own_proposal():
     p = Person(2.0, 2.0, 45.0)
-    assert group_ospace([p], 0.7) == propose_center(p, 0.7)
+    assert group_ospace([p], 0.7) == _proposal(p, 0.7)
 
 
 def test_group_ospace_empty_group():
@@ -153,8 +158,7 @@ def test_scene_centers_skip_singletons():
               ((0, 1), (2,)))
     centers = scene_centers(s, 0.7)
     assert len(centers) == 1
-    assert centers[0].group == (0, 1)
-    assert math.isclose(centers[0].center.x, 1.7, abs_tol=1e-12)
+    assert math.isclose(centers[0].x, 1.7, abs_tol=1e-12)
 
 
 def test_scene_target_all_singletons_is_zero():

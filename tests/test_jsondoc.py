@@ -5,6 +5,9 @@ ValueError that names the document and the field.  And the one text writer,
 is the UTF-8 rule."""
 import json
 import math
+import os
+import stat
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -124,16 +127,19 @@ def test_write_lines_truncates_an_existing_file(tmp_path):
 
 def test_write_lines_consumes_a_generator_lazily(tmp_path):
     path = tmp_path / "out.txt"
-    opened = []
+    seen = []
 
     def lines(n):
         for k in range(n):
-            opened.append(path.exists())  # the file is open before each line
+            # the new file is open beside the path before each line, and the
+            # path itself appears only once the last line is written
+            seen.append((path.exists(), len(os.listdir(tmp_path))))
             yield f"line {k}"
 
     write_lines(path, lines(3))
-    assert opened == [True, True, True]
+    assert seen == [(False, 1)] * 3
     assert path.read_text() == "line 0\nline 1\nline 2\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
     # and holds no more than a line at a time: 100,000 lines of about 60
     # bytes each, held at once, would take over 6 MB
     tracemalloc.start()
@@ -144,6 +150,90 @@ def test_write_lines_consumes_a_generator_lazily(tmp_path):
         tracemalloc.stop()
     assert peak < 1_000_000
     assert path.stat().st_size == 100_000 * 51
+
+
+def _fails_after(n):
+    for k in range(n):
+        yield f"line {k}"
+    raise RuntimeError("no more lines")
+
+
+@pytest.mark.parametrize("n", [0, 2, 5000])
+def test_a_failed_write_leaves_the_old_file_and_no_stray_file(tmp_path, n):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"the old bytes\n")
+    with pytest.raises(RuntimeError, match="^no more lines$"):
+        write_lines(path, _fails_after(n))
+    assert path.read_bytes() == b"the old bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    # and a file that did not exist still does not
+    with pytest.raises(RuntimeError):
+        write_lines(tmp_path / "new.txt", _fails_after(n))
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_a_line_that_is_no_string_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        write_lines(path, ["new", 3])
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_lines_replaces_a_file_with_a_new_one(tmp_path):
+    """The old inode is left as it was, so a hard link to it keeps the old
+    bytes, and the new file's mode is 0666 less the umask."""
+    path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    path.write_bytes(b"old\n")
+    os.chmod(path, 0o600)
+    os.link(path, link)
+    old_umask = os.umask(0o027)
+    try:
+        write_lines(path, ["new"])
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == b"new\n" and link.read_bytes() == b"old\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_write_lines_through_a_symlink_replaces_its_target(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target.name)
+    write_lines(link, ["new"])
+    assert link.is_symlink() and os.readlink(link) == "target.txt"
+    assert target.read_bytes() == b"new\n"
+    # a dangling link gets its target created, as opening it would
+    target.unlink()
+    write_lines(link, ["again"])
+    assert link.is_symlink() and target.read_bytes() == b"again\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
+def test_write_lines_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    write_lines(fifo, ["a", "b"])
+    reader.join(timeout=30)
+    assert got == [b"a\nb\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_write_lines_writes_dev_null_in_place():
+    write_lines(os.devnull, ["a", "b"])
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_write_that_cannot_start_names_the_destination(tmp_path):
+    path = tmp_path / "no_such_dir" / "out.txt"
+    with pytest.raises(FileNotFoundError) as e:
+        write_lines(path, ["x"])
+    assert e.value.filename == path
 
 
 # The input side: ``read_lines`` yields a file's lines as bytes, streamed, and

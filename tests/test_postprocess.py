@@ -7,8 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from ospace.core import (DEFAULT_SPEC, OSpaceMap, Person, Point2, RoomSpec,
                          canonical_partition, cell_center)
-from ospace.groundtruth import (group_ospace, headings, propose_center,
-                                propose_centers, step_ahead)
+from ospace.groundtruth import group_ospace, headings, propose_centers, step_ahead
 from ospace.postprocess import (
     AssignParams,
     Detection,
@@ -400,8 +399,8 @@ def test_propose_centers_equals_propose_center_bit_for_bit(persons, stride):
     assert got.shape == (len(persons), 2)
     want = [_proposal(person, stride) for person in persons]
     for row, person, w in zip(got, persons, want):
-        one = propose_center(person, stride)
-        assert _bits(row) == _bits((one.x, one.y)) == _bits(w)
+        one = propose_centers([person], stride)[0]
+        assert _bits(row) == _bits(one) == _bits(w)
     if persons:
         c = group_ospace(persons, stride)
         assert _bits((c.x, c.y)) == _bits([sum(v) / len(v) for v in zip(*want)])
@@ -441,7 +440,7 @@ def test_step_ahead_raises_what_propose_centers_raises():
 def test_propose_centers_raises_what_propose_center_raises():
     huge = [Person(1.0, 1.0, 0.0), Person(1.7e308, 2.0, 0.0)]
     with pytest.raises(ValueError) as want:
-        [propose_center(p, 1e308) for p in huge]
+        [propose_centers([p], 1e308)[0] for p in huge]
     with pytest.raises(ValueError) as got:
         propose_centers(huge, 1e308)
     assert str(got.value) == str(want.value) == "non-finite point (inf, 2.0)"

@@ -315,10 +315,12 @@ def _decodes(tree):
 
 # rule -> (its finder, {(module, function): hits the finder sees there})
 FILE_RULES = {
-    "open": (_opens, {("jsondoc.py", "read_lines"): 1, ("jsondoc.py", "write_lines"): 1,
+    # write_lines opens its file descriptor (``os.open``), then the text
+    # file over it
+    "open": (_opens, {("jsondoc.py", "read_lines"): 1, ("jsondoc.py", "write_lines"): 2,
                       ("checkpoint.py", "save_model"): 1,
                       ("checkpoint.py", "load_model"): 1}),
-    "open for writing": (_write_opens, {("jsondoc.py", "write_lines"): 1,
+    "open for writing": (_write_opens, {("jsondoc.py", "write_lines"): 2,
                                         ("checkpoint.py", "save_model"): 1}),
     "decode": (_decodes, {("jsondoc.py", "decode"): 2}),
 }
@@ -335,6 +337,101 @@ def test_only_the_file_rules_open_a_file_or_decode_bytes(rule):
     assert found == []
     # the rule does see what it allows where it lives
     assert {home: len(lines) for home, lines in inside.items()} == homes
+
+
+# Every public name has a caller: a name in a module's ``__all__`` is read
+# somewhere in ``ospace`` outside its own definition, or by perfbench's
+# harness or a demo, or it is library API kept on purpose, with its reason.
+
+ROOT = TESTS.parent
+LIBRARY_API = {
+    "core.canonical_partition": "the acceptance suite's partition oracle",
+    "core.point_to_cell": "the inverse of cell_center; ROADMAP keeps it",
+    "dataset.flip_scene": "one flip of a scene, which augment makes three "
+                          "of; ROADMAP keeps it",
+    "layers.flatten": "README: backward outside train needs the layers in "
+                      "one store first",
+    "room.save_layout": "writes the layout file that --layout reads; "
+                        "ROADMAP keeps it",
+    "room.save_precomputed": "writes the room file that --room-file reads; "
+                             "ROADMAP keeps it",
+}
+
+
+def _public_names(tree) -> list[str]:
+    """The module's ``__all__``, or no name if it has none."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)),
+                [])
+
+
+def _reads(tree, module: str, skip=frozenset()) -> set[str]:
+    """The names ``tree`` reads: a bare name, or ``<module>.name`` for an
+    ``ospace`` module name, outside the nodes in ``skip``."""
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == module):
+            found.add(node.attr)
+    return found
+
+
+def _uncalled(sources, outside) -> list[str]:
+    """``module.name`` of each public name that nothing reads.
+
+    ``sources`` maps file names to the package's syntax trees; ``outside``
+    is the set of names read outside the package.  ``__init__`` only
+    re-exports, so its imports read nothing.
+    """
+    missing = []
+    for file, tree in sources.items():
+        if file == "__init__.py":
+            continue
+        module = Path(file).stem
+        for name in _public_names(tree):
+            own = {id(n) for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name == name for n in ast.walk(node)}
+            read = name in outside or any(
+                name in _reads(t, module, own if f == file else frozenset())
+                for f, t in sources.items() if f != "__init__.py")
+            if not read:
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+@cache
+def _read_outside() -> frozenset:
+    """What perfbench's harness and the demos read of ``ospace``; the probe
+    table names its targets as strings (``(network, "forward", ...)``)."""
+    found = set()
+    for path in sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("demos/*.py")):
+        tree = _parse(path)
+        for file in _sources():
+            found |= _reads(tree, Path(file).stem)
+        if path.name == "probes.py":
+            found |= {node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return frozenset(found)
+
+
+def test_every_public_name_has_a_caller():
+    assert sorted(_uncalled(_sources(), _read_outside())) == sorted(LIBRARY_API)
+
+
+def test_a_public_name_with_no_caller_is_named():
+    helper = ast.parse('__all__ = ["used", "lonely"]\n'
+                       'def used(): return 1\n'
+                       'def lonely(): return lonely()\n')  # calls only itself
+    user = ast.parse("from .helper import used\nx = used()\n")
+    sources = {"helper.py": helper, "user.py": user}
+    assert _uncalled(sources, frozenset()) == ["helper.lonely"]
+    assert _uncalled(sources, frozenset({"lonely"})) == []
 
 
 # Every hypothesis property in the suite runs the same examples on every

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ospace.core import DEFAULT_SPEC, Point2, RoomSpec, non_singleton_blocks
-from ospace.groundtruth import group_ospace, propose_center
+from ospace.groundtruth import group_ospace, propose_centers
 from ospace.synthetic import SynthConfig, SynthesisError, _sample_point, generate
 
 
@@ -63,9 +63,9 @@ def test_members_on_circle_facing_center():
                 p = s.persons[i]
                 r = np.hypot(p.x - c.x, p.y - c.y)
                 assert abs(r - 0.7) < 1e-9
-                prop = propose_center(p, 0.7)
-                assert abs(prop.x - c.x) < 1e-9
-                assert abs(prop.y - c.y) < 1e-9
+                x, y = propose_centers([p], 0.7)[0]
+                assert abs(x - c.x) < 1e-9
+                assert abs(y - c.y) < 1e-9
             members = [s.persons[i] for i in block]
             o = group_ospace(members, 0.7)
             assert abs(o.x - c.x) < 1e-9 and abs(o.y - c.y) < 1e-9
