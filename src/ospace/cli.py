@@ -431,10 +431,11 @@ def _cmd_eval(args) -> int:
 
 def render_bytes(spec: RoomSpec) -> int:
     """What one ``render`` heatmap holds at once, at most, as measured with
-    tracemalloc: five float64 grids (the map last written, and
-    ``render_heatmap``'s values, squared distances, their scaled negation
-    and its exp) and a row of the writers' text, 100 bytes a column."""
-    return 5 * 8 * spec.n_cells + 100 * spec.cols
+    tracemalloc: three float64 grids (the map last written, and
+    ``render_heatmap``'s values and the one bump it builds in place, or the
+    values and the map's copy of them) and a row of the writers' text, 100
+    bytes a column."""
+    return 3 * 8 * spec.n_cells + 100 * spec.cols
 
 
 def _check_render_fits(spec: RoomSpec) -> None:

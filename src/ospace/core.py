@@ -73,35 +73,44 @@ class RoomSpec:
 DEFAULT_SPEC = RoomSpec()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point2:
-    """A point on the floor, in meters."""
+    """A point on the floor, in meters.  Its coordinates are kept as given."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+    def __init__(self, x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Person:
-    """Position in meters plus yaw in degrees, normalized to [0, 360)."""
+    """Position in meters plus yaw in degrees, normalized to [0, 360).
+
+    Slotted and built in one pass: one finiteness test of all three values
+    (a non-number raises TypeError, an integer past the largest float
+    OverflowError), and only a failing one walks them to name the first.
+    """
 
     x: float
     y: float
     yaw_deg: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "yaw_deg"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite {name}: {v}")
-            object.__setattr__(self, name, float(v))
+    def __init__(self, x, y, yaw_deg):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw_deg)):
+            for name, v in (("x", x), ("y", y), ("yaw_deg", yaw_deg)):
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite {name}: {v}")
+        setattr_ = object.__setattr__
+        setattr_(self, "x", float(x))
+        setattr_(self, "y", float(y))
         # a tiny negative yaw rounds up to 360.0 under one modulo; a second
         # folds that to 0.0, so a saved yaw reads back as the same value
-        object.__setattr__(self, "yaw_deg", self.yaw_deg % 360.0 % 360.0)
+        setattr_(self, "yaw_deg", float(yaw_deg) % 360.0 % 360.0)
 
 
 @dataclass(frozen=True)
@@ -251,9 +260,10 @@ def non_singleton_blocks(scene: Scene) -> tuple[tuple[int, ...], ...]:
 
 def validate_positions(scene: Scene, spec: RoomSpec = DEFAULT_SPEC) -> None:
     """Raise if any person lies outside the (closed) room rectangle."""
+    width, height = spec.width_m, spec.height_m
     for i, p in enumerate(scene.persons):
-        if not (0.0 <= p.x <= spec.width_m and 0.0 <= p.y <= spec.height_m):
+        if not (0.0 <= p.x <= width and 0.0 <= p.y <= height):
             raise ValueError(
                 f"person {i} at ({p.x}, {p.y}) outside room "
-                f"{spec.width_m} m x {spec.height_m} m"
+                f"{width} m x {height} m"
             )

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups,
-                   check_person_count, validate_positions)
+from .core import (DEFAULT_SPEC, Person, RoomSpec, Scene, check_person_count,
+                   validate_positions)
 from .jsondoc import (decode, from_obj, get_field, get_int_arrays, read_lines,
                       write_lines)
 
@@ -122,10 +122,14 @@ def _parse_record(obj, where: str, spec: RoomSpec | None,
     if max_people is not None:
         check_person_count(len(persons), max_people, where)
     blocks = get_int_arrays(obj, "", "groups", where) if "groups" in obj else ()
-    mentioned = check_groups(blocks, len(persons), where)
-    # anyone absent from every block is an implicit singleton
+    # anyone absent from every block is an implicit singleton; Scene checks
+    # the blocks in order, so a fault in the given ones is named first
+    mentioned = {i for b in blocks for i in b}
     blocks += tuple((i,) for i in range(len(persons)) if i not in mentioned)
-    scene = Scene(frame_id, persons, blocks)
+    try:
+        scene = Scene(frame_id, persons, blocks)
+    except ValueError as e:  # "groups.J: ...", from core.check_groups
+        raise ValueError(f"{where} {e}") from None
     if spec is not None:
         try:
             validate_positions(scene, spec)
@@ -157,14 +161,18 @@ def load_scenes(path, spec: RoomSpec | None = DEFAULT_SPEC,
     return parse_scenes(read_lines(path), spec, max_people, path)
 
 
+# json.dumps's encoder: default=int writes numpy indices, which Scene
+# takes, as plain ints
+_SCENE_ENCODER = json.JSONEncoder(default=int)
+
+
 def save_scenes(scenes, path) -> None:
-    # default=int writes numpy indices, which Scene takes, as plain ints
-    write_lines(path, (json.dumps({
+    write_lines(path, (_SCENE_ENCODER.encode({
         "frame_id": s.frame_id,
         "persons": [{"x": p.x, "y": p.y, "yaw_deg": p.yaw_deg}
                     for p in s.persons],
         "groups": [list(b) for b in s.groups],
-    }, default=int) for s in scenes))
+    }) for s in scenes))
 
 
 def sequential_split(scenes, ratios: SplitRatios = SplitRatios()):
@@ -230,11 +238,11 @@ def _flip_persons(persons, axis: str, spec: RoomSpec) -> tuple[Person, ...]:
                              "vertical", spec)
     # Person reduces each yaw to [0, 360)
     if axis == "horizontal":
-        return tuple(Person(spec.width_m - p.x, p.y, 180.0 - p.yaw_deg)
-                     for p in persons)
+        width = spec.width_m
+        return tuple(Person(width - p.x, p.y, 180.0 - p.yaw_deg) for p in persons)
     if axis == "vertical":
-        return tuple(Person(p.x, spec.height_m - p.y, 360.0 - p.yaw_deg)
-                     for p in persons)
+        height = spec.height_m
+        return tuple(Person(p.x, height - p.y, 360.0 - p.yaw_deg) for p in persons)
     raise ValueError(f"unknown flip axis {axis!r}")
 
 
@@ -243,9 +251,11 @@ def augment(scenes, spec: RoomSpec = DEFAULT_SPEC) -> list[Scene]:
     whose frame_ids are the scene's plus "-h", "-v" and "-hv"."""
     out = []
     for s in scenes:
-        out.append(s)
-        for axis, suffix in (("horizontal", "-h"), ("vertical", "-v"),
-                             ("both", "-hv")):
-            out.append(Scene(s.frame_id + suffix,
-                             _flip_persons(s.persons, axis, spec), s.groups))
+        h = _flip_persons(s.persons, "horizontal", spec)
+        # the double flip is the vertical flip of the horizontal one, as in
+        # flip_scene's "both"
+        out += (s, Scene(s.frame_id + "-h", h, s.groups),
+                Scene(s.frame_id + "-v", _flip_persons(s.persons, "vertical", spec),
+                      s.groups),
+                Scene(s.frame_id + "-hv", _flip_persons(h, "vertical", spec), s.groups))
     return out

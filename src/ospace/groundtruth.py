@@ -122,17 +122,29 @@ def scene_centers(scene: Scene, stride_m: float = DEFAULT_STRIDE_M,
 
 def render_heatmap(centers, params: GaussianParams = GaussianParams(),
                    spec: RoomSpec = DEFAULT_SPEC) -> OSpaceMap:
-    """Max of unit-peak Gaussians at the given centers, sampled at cell centers."""
+    """Max of unit-peak Gaussians at the given centers, sampled at cell centers.
+
+    Each bump is built in place in one grid, ``exp((-d_sq) / 2 sigma^2)``,
+    which has the bits of ``exp(-(d_sq / 2 sigma^2))``: at most two grids
+    are held while drawing.
+    """
     values = np.zeros((spec.rows, spec.cols))
     xs, ys = grid_centers(spec)
     # under a narrow sigma the quotient of a far cell may overflow to inf;
     # its value, exp(-inf) = 0, is then exact
     with np.errstate(over="ignore"):
         for c in centers:
-            c = clamp_to_room(c, spec)
-            d_sq = (xs[None, :] - c.x) ** 2 + (ys[:, None] - c.y) ** 2
-            np.maximum(values, np.exp(-d_sq / params.two_sigma_sq), out=values)
+            np.maximum(values, _bump(xs, ys, clamp_to_room(c, spec),
+                                     params.two_sigma_sq), out=values)
     return OSpaceMap(values, spec)
+
+
+def _bump(xs: np.ndarray, ys: np.ndarray, c: Point2, two_sigma_sq: float) -> np.ndarray:
+    """The unit-peak Gaussian at ``c`` over the cell centers, in one grid."""
+    g = (xs[None, :] - c.x) ** 2 + (ys[:, None] - c.y) ** 2
+    np.negative(g, out=g)
+    np.divide(g, two_sigma_sq, out=g)
+    return np.exp(g, out=g)
 
 
 def scene_target(scene: Scene, stride_m: float = DEFAULT_STRIDE_M,

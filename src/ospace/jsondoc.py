@@ -42,19 +42,17 @@ def _name(what: str, where: str, key: str = "") -> str:
     return f"{what} {path}" if path else what
 
 
-def get_field(obj, where: str, key: str, kinds: tuple, what: str):
-    """``obj[key]``, required to be one of the JSON types ``kinds``.
-
-    ``what`` names the document being read and ``where`` names ``obj`` in
-    it ("" for the top level), so a missing or mistyped field fails with a
-    ValueError that names both.
-    """
+def _check_object(obj, where: str, what: str) -> None:
+    """ValueError "<what> <where>: expected a JSON object, got ..." unless
+    ``obj`` is one."""
     if not isinstance(obj, dict):
         raise ValueError(f"{_name(what, where)}: expected a JSON object, got "
                          f"{_JSON_TYPES.get(type(obj), 'data')}")
-    if key not in obj:
-        raise ValueError(f"{_name(what, where, key)}: missing")
-    v = obj[key]
+
+
+def _kind(v, kinds: tuple, what: str, where: str, key: str):
+    """``v``, the field ``key`` at ``where``, required to be one of the JSON
+    types ``kinds``; a boolean is never a number."""
     if isinstance(v, bool) or not isinstance(v, kinds):
         want = " or ".join(_JSON_TYPES[k] for k in kinds)
         raise ValueError(f"{_name(what, where, key)}: expected {want}, got "
@@ -62,38 +60,55 @@ def get_field(obj, where: str, key: str, kinds: tuple, what: str):
     return v
 
 
-def get_number(obj, where: str, key: str, what: str) -> float:
-    """``obj[key]``, a JSON number or integer, as a float."""
+def get_field(obj, where: str, key: str, kinds: tuple, what: str):
+    """``obj[key]``, required to be one of the JSON types ``kinds``.
+
+    ``what`` names the document being read and ``where`` names ``obj`` in
+    it ("" for the top level), so a missing or mistyped field fails with a
+    ValueError that names both.
+    """
+    _check_object(obj, where, what)
+    if key not in obj:
+        raise ValueError(f"{_name(what, where, key)}: missing")
+    return _kind(obj[key], kinds, what, where, key)
+
+
+def _float(v, what: str, where: str, key: str) -> float:
     try:
-        return float(get_field(obj, where, key, (float, int), what))
+        return float(v)
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"{_name(what, where, key)}: out of range") from None
 
 
-def _int(obj, where: str, key: str, what: str) -> int:
-    return get_field(obj, where, key, (int,), what)
+def get_number(obj, where: str, key: str, what: str) -> float:
+    """``obj[key]``, a JSON number or integer, as a float."""
+    return _float(get_field(obj, where, key, (float, int), what), what, where, key)
 
 
-def _ints(obj, where: str, key: str, what: str) -> tuple[int, ...]:
-    v = get_field(obj, where, key, (list,), what)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-        raise ValueError(f"{_name(what, where, key)}: expected an array of "
-                         f"integers")
+def _int_array(v: list, what: str, where: str, key: str) -> tuple[int, ...]:
+    for t in set(map(type, v)):  # each distinct element type, once
+        if t is bool or not issubclass(t, int):
+            raise ValueError(f"{_name(what, where, key)}: expected an array "
+                             f"of integers")
     return tuple(v)
 
 
 def get_int_arrays(obj, where: str, key: str, what: str) -> tuple[tuple[int, ...], ...]:
     """``obj[key]``, a JSON array of integer arrays, as tuples."""
     path = f"{where}.{key}" if where else key
-    # element j is read as field "j" of an object, so its errors name key.j
-    return tuple(_ints({str(j): v}, path, str(j), what)
-                 for j, v in enumerate(get_field(obj, where, key, (list,), what)))
+    blocks = []
+    for j, v in enumerate(get_field(obj, where, key, (list,), what)):
+        j = str(j)  # element j is named as field "j" of the array: key.j
+        blocks.append(_int_array(_kind(v, (list,), what, path, j), what, path, j))
+    return tuple(blocks)
 
 
-# A reader per field annotation, keyed on its text: every module declaring a
-# config uses ``from __future__ import annotations``, so ``Field.type`` is the
-# text as written, and no type hints need resolving per read.
-_READERS = {"int": _int, "float": get_number, "tuple[int, ...]": _ints}
+# The JSON types and the reader (None: the value as it is) of each field
+# annotation, keyed on its text: every module declaring a config uses ``from
+# __future__ import annotations``, so ``Field.type`` is the text as written,
+# and no type hints need resolving per read.
+_READERS = {"int": ((int,), None), "float": ((float, int), _float),
+            "tuple[int, ...]": ((list,), _int_array)}
 
 
 def to_obj(config) -> dict:
@@ -103,8 +118,9 @@ def to_obj(config) -> dict:
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """The (name, reader) pair of each field of ``cls``, built once per class."""
-    return tuple((f.name, _READERS[f.type]) for f in fields(cls))
+    """The (name, JSON types, reader) of each field of ``cls``, built once
+    per class."""
+    return tuple((f.name, *_READERS[f.type]) for f in fields(cls))
 
 
 def from_obj(cls, obj, where: str, what: str):
@@ -115,7 +131,13 @@ def from_obj(cls, obj, where: str, what: str):
     ValueError from ``cls`` itself is reworded to name the document and
     ``where``.
     """
-    kw = {name: read(obj, where, name, what) for name, read in _plan(cls)}
+    _check_object(obj, where, what)
+    kw = {}
+    for key, kinds, read in _plan(cls):
+        v = obj.get(key)  # None, missing or null, is of no kind
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            get_field(obj, where, key, kinds, what)  # raises, naming the field
+        kw[key] = v if read is None else read(v, what, where, key)
     try:
         return cls(**kw)
     except ValueError as e:

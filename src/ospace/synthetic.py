@@ -63,10 +63,6 @@ class SynthConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
-
-
 def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
                   where: str) -> Point2:
     """A uniform point at least ``margin`` inside the walls and
@@ -78,9 +74,14 @@ def _sample_point(rng, cfg: SynthConfig, spec: RoomSpec, margin: float, placed,
             f"radius {margin}"
         )
     points = [(c.x, c.y) for c in placed]
+    # rng.uniform(low, high) is low + (high - low) * u, with u the stream's
+    # next double: one draw of two doubles gives the same x and y
+    span_x = (spec.width_m - margin) - margin
+    span_y = (spec.height_m - margin) - margin
     for _ in range(MAX_ATTEMPTS):
-        x = rng.uniform(margin, spec.width_m - margin)
-        y = rng.uniform(margin, spec.height_m - margin)
+        u, v = rng.random(2).tolist()
+        x = margin + span_x * u
+        y = margin + span_y * v
         if apart(x, y, points, cfg.min_intergroup_dist_m):
             return Point2(x, y)
     raise SynthesisError(f"{where} after {MAX_ATTEMPTS} attempts")
@@ -94,6 +95,8 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
     and OverflowError when a yaw jitter draw overflows a float.
     """
     rng = np.random.default_rng(cfg.seed)
+    radius, jitter_m, jitter_deg = cfg.circle_radius_m, cfg.jitter_m, cfg.jitter_deg
+    width, height = spec.width_m, spec.height_m
     scenes: list[Scene] = []
     all_centers: list[list[Point2]] = []
     for i in range(cfg.n_scenes):
@@ -106,32 +109,34 @@ def generate(cfg: SynthConfig, spec: RoomSpec = DEFAULT_SPEC):
         centers: list[Point2] = []
         for _ in range(n_groups):
             size = int(rng.integers(cfg.group_size[0], cfg.group_size[1] + 1))
-            c = _sample_point(rng, cfg, spec, cfg.circle_radius_m, centers,
+            c = _sample_point(rng, cfg, spec, radius, centers,
                               f"scene {i}: no room for group {len(centers)}")
             centers.append(c)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
+            # rng.uniform(0.0, high) is 0.0 + high * u: the same double
+            phase = 2.0 * math.pi * rng.random()
             start = len(persons)
+            # one draw per group: each member's dx, dy and yaw noise in turn,
+            # the doubles that standard_normal(2) then standard_normal() give
+            noise = rng.standard_normal(3 * size).tolist()
             for k in range(size):
                 ang = phase + 2.0 * math.pi * k / size
-                px = c.x + cfg.circle_radius_m * math.cos(ang)
-                py = c.y + cfg.circle_radius_m * math.sin(ang)
+                px = c.x + radius * math.cos(ang)
+                py = c.y + radius * math.sin(ang)
                 yaw = math.degrees(math.atan2(c.y - py, c.x - px))
                 # Python floats: a product past the largest float is inf,
                 # with no numpy warning, and the clamp puts it on the wall
-                dx, dy = (v * cfg.jitter_m for v in rng.standard_normal(2).tolist())
-                yaw += rng.standard_normal() * cfg.jitter_deg
+                dx = noise[3 * k] * jitter_m
+                dy = noise[3 * k + 1] * jitter_m
+                yaw += noise[3 * k + 2] * jitter_deg
                 if not math.isfinite(yaw):
                     raise OverflowError(f"scene {i}: a jittered yaw overflows a float")
-                persons.append(Person(
-                    _clamp(px + dx, 0.0, spec.width_m),
-                    _clamp(py + dy, 0.0, spec.height_m),
-                    yaw,
-                ))
+                persons.append(Person(min(max(px + dx, 0.0), width),
+                                      min(max(py + dy, 0.0), height), yaw))
             blocks.append(tuple(range(start, start + size)))
         for _ in range(n_single):
             p = _sample_point(rng, cfg, spec, 0.0, centers,
                               f"scene {i}: no room for a singleton")
-            yaw = rng.uniform(0.0, 360.0)
+            yaw = 360.0 * rng.random()  # rng.uniform(0.0, 360.0)'s double
             blocks.append((len(persons),))
             persons.append(Person(p.x, p.y, yaw))
         scenes.append(Scene(f"synth-{cfg.seed}-{i:05d}", tuple(persons),

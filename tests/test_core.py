@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import struct
 import sys
 
 import numpy as np
@@ -114,6 +117,97 @@ def test_person_rejects_non_finite():
         Person(float("nan"), 0, 0)
     with pytest.raises(ValueError):
         Person(0, 0, float("inf"))
+
+
+# The record contract: the slotted one-pass Person and Point2 keep the
+# fields and errors of the rule they replaced, written out here.
+
+def _old_person(x, y, yaw_deg):
+    """The former ``Person.__post_init__``: each value checked and made a
+    float in turn, then the yaw folded."""
+    out = {}
+    for name, v in (("x", x), ("y", y), ("yaw_deg", yaw_deg)):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite {name}: {v}")
+        out[name] = float(v)
+    out["yaw_deg"] = out["yaw_deg"] % 360.0 % 360.0
+    return out
+
+
+def _old_point(x, y):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point ({x}, {y})")
+    return {"x": x, "y": y}
+
+
+def _bits(v):
+    return type(v), struct.pack("<d", v)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_numbers = st.one_of(
+    _finite,
+    st.integers(-10 ** 300, 10 ** 300),
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_numbers, y=_numbers, yaw=_numbers)
+@example(x=0.0, y=0.0, yaw=-1e-300)
+@example(x=0.0, y=0.0, yaw=-0.0)
+@example(x=0.0, y=0.0, yaw=359.99999999999994)
+def test_person_and_point_fields_keep_the_old_rule_bits(x, y, yaw):
+    p = Person(x, y, yaw)
+    want = _old_person(x, y, yaw)
+    assert [_bits(getattr(p, k)) for k in want] == [_bits(v) for v in want.values()]
+    q = Point2(x, y)
+    for k, v in _old_point(x, y).items():  # a point keeps its values as given
+        got = getattr(q, k)
+        assert type(got) is type(v) and got == v
+        assert struct.pack("<d", got) == struct.pack("<d", v)
+
+
+_BAD = (1.0, math.nan, math.inf, -math.inf, "1", 10 ** 400)
+
+
+def _raised(make, *args):
+    try:
+        make(*args)
+    except (ValueError, TypeError, OverflowError) as e:
+        return type(e), str(e)
+    return None
+
+
+def test_person_and_point_raise_the_old_rule_errors():
+    """NaN and inf are ValueErrors naming the first bad field, a string a
+    TypeError and an integer past the largest float an OverflowError, in
+    field order, as before."""
+    for args in itertools.product(_BAD, repeat=3):
+        assert _raised(Person, *args) == _raised(_old_person, *args), args
+    for args in itertools.product(_BAD, repeat=2):
+        assert _raised(Point2, *args) == _raised(_old_point, *args), args
+    assert _raised(Person, 0, 0, math.nan) == (ValueError, "non-finite yaw_deg: nan")
+    assert _raised(Person, "1", math.nan, 0)[0] is TypeError
+    assert _raised(Person, 10 ** 400, 0, 0)[0] is OverflowError
+
+
+def test_records_are_frozen_and_slotted():
+    p, q = Person(1, 2, -90), Point2(1.0, 2.0)
+    for record, field in ((p, "x"), (p, "yaw_deg"), (q, "y")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 0.0)
+        assert not hasattr(record, "__dict__")
+    assert Person(x=1, y=2, yaw_deg=-90) == p and p.yaw_deg == 270.0
+    assert Point2(y=2.0, x=1.0) == q
+    # replace builds through the same rule: the new yaw is folded too
+    assert dataclasses.replace(p, yaw_deg=-45.0) == Person(1.0, 2.0, 315.0)
+    assert dataclasses.replace(q, x=3.0) == Point2(3.0, 2.0)
+    with pytest.raises(ValueError, match="^non-finite y: inf$"):
+        dataclasses.replace(p, y=math.inf)
+    assert hash(p) == hash(Person(1.0, 2.0, 270.0))
 
 
 def _persons(n):

@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene
+from ospace.core import DEFAULT_SPEC, Person, RoomSpec, Scene, check_groups
 from ospace.dataset import (
     NormStats,
     SceneParseError,
@@ -134,6 +135,29 @@ def test_save_load_round_trip_arbitrary_scenes(tmp_path_factory, scenes):
     path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
     save_scenes(scenes, path)
     assert load_scenes(path) == scenes
+
+
+def test_a_parsed_record_checks_its_groups_once(tmp_path, monkeypatch):
+    """``Scene`` checks a record's blocks; the parse does not check them
+    again first.  Every ``ospace`` module holding ``check_groups`` gets
+    the counting spy."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check_groups(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ospace") and hasattr(module, "check_groups"):
+            monkeypatch.setattr(module, "check_groups", spy)
+    lines = [LINE, LINE.replace(', "groups": [[0, 1]]', ""),
+             LINE.replace('[[0, 1]]', '[[1]]'), LINE.replace('[[0, 1]]', '[]')]
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    scenes = load_scenes(path)
+    assert len(calls) == len(lines) == len(scenes)
+    assert [s.groups for s in scenes] == [((0, 1),), ((0,), (1,)), ((1,), (0,)),
+                                          ((0,), (1,))]
 
 
 def test_load_scenes_enforces_max_people(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,24 @@ def test_render_divides_by_the_params_two_sigma_squared(sigma):
             want = np.maximum(want, np.exp(-d_sq / (2.0 * sigma ** 2)))
     # no warning: tier-1 turns a RuntimeWarning into an error
     assert render_heatmap(centers, params).values.tobytes() == want.tobytes()
+
+
+def test_render_holds_two_grids_while_drawing():
+    """Each bump is negated, divided and exponentiated in place: on a
+    1,000 x 300 grid the peak is about two grids (four before), and the
+    map keeps one."""
+    spec = RoomSpec(rows=1000, cols=300, cell_m=0.5)
+    centers = [Point2(10.0, 20.0), Point2(100.0, 3.0), Point2(1.0, 1.0)]
+    render_heatmap(centers[:1], spec=spec)  # one-time allocations
+    tracemalloc.start()
+    try:
+        m = render_heatmap(centers, spec=spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = 8 * spec.n_cells
+    assert peak < 2.5 * grid
+    assert held < 1.1 * grid and m.values.shape == (1000, 300)
 
 
 def test_render_respects_custom_spec():

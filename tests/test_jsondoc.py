@@ -85,6 +85,21 @@ def test_wrong_or_missing_field_names_it(config, key, value, message):
     assert str(e.value) == f"doc cfg.{key}: {message}"
 
 
+KINDS = {"int": "integer", "float": "number or integer", "tuple[int, ...]": "array"}
+FIELDS = [(config, f.name, f.type) for config in DEFAULTS for f in fields(config)]
+
+
+@pytest.mark.parametrize("config,key,annotation", FIELDS,
+                         ids=[f"{type(c).__name__}.{k}" for c, k, _ in FIELDS])
+def test_a_null_field_is_named_as_null(config, key, annotation):
+    """A null is a present field of the wrong type, not a missing one."""
+    obj = json.loads(json.dumps(to_obj(config)))
+    obj[key] = None
+    with pytest.raises(ValueError) as e:
+        from_obj(type(config), obj, "cfg", "doc")
+    assert str(e.value) == f"doc cfg.{key}: expected {KINDS[annotation]}, got null"
+
+
 def test_config_errors_name_the_document():
     with pytest.raises(ValueError) as e:
         from_obj(RoomSpec, {"rows": 0, "cols": 12, "cell_m": 0.5}, "spec", "doc")

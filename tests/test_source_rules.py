@@ -262,6 +262,54 @@ def test_only_core_apart_guards_a_square_against_overflow():
     assert len(inside) == 2
 
 
+# One yaw fold: a yaw is reduced to [0, 360) only by ``core.Person``, and
+# every other module builds a Person from the raw yaw.  The bucket fold of
+# ``dataset._yaw_buckets``, which reads a bucket off a yaw, is a rule of
+# its own.
+
+def _yaw_modulos(tree):
+    """Line numbers of a modulo by 360: ``% 360``, ``%= 360``, or an
+    ``fmod``, ``mod`` or ``remainder`` call whose divisor is 360."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            divisor = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+            divisor = node.value
+        elif (isinstance(node, ast.Call) and len(node.args) == 2
+              and _call_name(node) in ("fmod", "mod", "remainder")):
+            divisor = node.args[1]
+        else:
+            continue
+        if isinstance(divisor, ast.Constant) and divisor.value == 360:
+            yield node.lineno
+
+
+def _method(module: str, cls: str, name: str) -> ast.FunctionDef:
+    owner = next(node for node in ast.walk(_sources()[module])
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in owner.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_a_yaw_modulo_is_named():
+    tree = ast.parse("a = b % 360.0\nc %= 360\nd = np.mod(e, 360)\n"
+                     "f = math.fmod(g, 360.0)\nh = i % 90 + j % k")
+    assert sorted(_yaw_modulos(tree)) == [1, 2, 3, 4]
+
+
+def test_only_core_person_folds_a_yaw():
+    person = list(_yaw_modulos(_method("core.py", "Person", "__init__")))
+    bucket = list(_yaw_modulos(_function("dataset.py", "_yaw_buckets")))
+    allowed = {("core.py", line) for line in person} | {
+        ("dataset.py", line) for line in bucket}
+    found = [f"{name}:{line}" for name, tree in _sources().items()
+             for line in _yaw_modulos(tree) if (name, line) not in allowed]
+    assert found == []
+    # the rule does see the folds where they live: Person's two (the second
+    # takes a rounded-up 360.0 to 0.0) and the bucket's one
+    assert (len(person), len(bucket)) == (2, 1)
+
+
 # One text-input rule and one text-output rule: a file is opened only by
 # ``jsondoc.read_lines`` (every text input), ``jsondoc.write_lines`` (every
 # text output) and ``checkpoint.save_model``/``load_model`` (the binary
